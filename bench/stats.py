@@ -1,0 +1,29 @@
+"""Order statistics shared by the benchmark and its comparison tool."""
+
+from __future__ import annotations
+
+import statistics
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(q1, median, q3) as `statistics.quantiles(values, n=4)` gives them.
+
+    One value is its own quartiles.
+    """
+    values = [float(v) for v in values]
+    if not values:
+        raise ValueError("quartiles of an empty sample")
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def median(values) -> float:
+    return quartiles(values)[1]
+
+
+def spread(values) -> float:
+    """Interquartile distance as a share of the median (0 when the median is 0)."""
+    q1, q2, q3 = quartiles(values)
+    return (q3 - q1) / abs(q2) if q2 else 0.0
