@@ -109,7 +109,7 @@ def train_supervised(
             adam_step(model.head.param_arrays(), head_grads, head_state)
             step += 1
             if not np.isfinite(loss):
-                raise DivergenceError("L_L", epoch, step)
+                raise DivergenceError(f"non-finite L_L at epoch {epoch}, step {step}")
             loss_sum += loss
             if on_step is not None:
                 on_step(step, model)

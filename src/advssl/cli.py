@@ -1,7 +1,7 @@
 """Command-line entry points: run, ablate, predict, synth.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 training
-divergence. Failures print one machine-parsable line to stderr:
+Exit codes: 0 success, 2 config error, 3 data or file-system error, 4
+training divergence. Failures print one machine-parsable line to stderr:
 `error: code=<n> reason=<text>`.
 """
 
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
         if isinstance(exc, OSError) and exc.filename:
             reason = f"{reason}: {os.path.basename(str(exc.filename))}"

@@ -22,6 +22,10 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 PROB_EPS = 1e-12
 
 
+class DivergenceError(RuntimeError):
+    """Training diverged: a loss went non-finite, or a loss that must not rise rose."""
+
+
 def named_rng(seed: int, name: str) -> np.random.Generator:
     """Reproducible RNG stream derived from (seed, stream name).
 

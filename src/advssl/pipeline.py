@@ -69,6 +69,9 @@ class RunConfig:
             raise ConfigError("config needs exactly one data source (synth or labeled_csv)")
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**32:
+                raise ConfigError(f"seed {seed} lies outside [0, 2**32)")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
 

@@ -15,6 +15,7 @@ import numpy as np
 from .data import Dataset
 from .nnet import (
     AdamState,
+    DivergenceError,
     adam_step,
     categorical_ce,
     categorical_ce_grad,
@@ -22,7 +23,7 @@ from .nnet import (
     softmax,
     softmax_backward,
 )
-from .tree import RegressionTree, fit_regression_tree
+from .tree import RegressionTree, fit_regression_tree, presort
 
 VARIANTS = ("logistic_regression", "gbdt")
 
@@ -195,19 +196,20 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     y[np.arange(n), labels] = 1.0
     losses = [multiclass_log_loss(scores, labels)]
     trees: list[list[RegressionTree]] = []
+    presorted = presort(x)  # every tree fits the same x
     for t in range(cfg.rounds):
         probs = softmax(scores)
         round_trees = []
         for k in range(m):
             tree = fit_regression_tree(
-                x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count
+                x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count, presorted
             )
             scores[:, k] += cfg.shrinkage * tree.predict(x)
             round_trees.append(tree)
         trees.append(round_trees)
         loss = multiclass_log_loss(scores, labels)
         if loss > losses[-1] + 1e-12:
-            raise RuntimeError(
+            raise DivergenceError(
                 f"training log-loss increased at round {t}: {losses[-1]} -> {loss}"
             )
         losses.append(loss)

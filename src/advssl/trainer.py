@@ -20,6 +20,7 @@ from .metrics import macro_f1_score
 from .nnet import (
     PROB_EPS,
     AdamState,
+    DivergenceError,
     Matrix,
     MlpParams,
     adam_step,
@@ -40,14 +41,6 @@ from .prm import PseudoLabeledDataset
 
 INFERENCE_HEADS = ("supervised", "semi", "averaged")
 LOSS_STYLES = ("per_class_bce", "categorical_ce")
-
-
-class DivergenceError(RuntimeError):
-    """A loss term went non-finite during training."""
-
-    def __init__(self, term: str, epoch: int, step: int):
-        super().__init__(f"non-finite {term} at epoch {epoch}, step {step}")
-        self.term = term
 
 
 @dataclass
@@ -438,7 +431,7 @@ def _check_finite_parts(parts: dict, epoch: int, step: int) -> None:
     names = {"loss_l": "L_L", "loss_u": "L_U", "loss_adv": "L_adv"}
     for key, label in names.items():
         if not np.isfinite(parts[key]):
-            raise DivergenceError(label, epoch, step)
+            raise DivergenceError(f"non-finite {label} at epoch {epoch}, step {step}")
 
 
 def train(

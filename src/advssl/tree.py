@@ -3,6 +3,17 @@
 The weak learner behind gradient boosting: each internal node picks the
 (feature, threshold) pair with the largest SSE reduction, thresholds are
 midpoints between consecutive distinct values, leaves carry target means.
+
+No node sorts. The training matrix is sorted column-wise once (presort;
+boosting shares one presort across all its trees), and each node holds
+its rows as one sorted list per feature. A split divides those lists for
+the children by a stable partition, so every child's lists stay sorted
+and equal ties keep ascending row order. best_split searches all features
+of a node in one vectorised pass: one prefix sum per feature, gains at
+every position that leaves min_leaf_count rows per side and lies between
+two distinct values. Ties go to the lowest feature index, then to the
+smallest threshold. The trees are the ones a per-node stable sort of
+each feature would give, bit for bit.
 """
 
 from __future__ import annotations
@@ -93,53 +104,75 @@ class RegressionTree:
         )
 
 
-def best_split(
-    x: np.ndarray, targets: np.ndarray, min_leaf_count: int
-) -> tuple[float, int, float] | None:
-    """Best (gain, feature, threshold) over all exact splits, or None.
+def presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature row order of x (stable sort by value) and the values in that order.
 
+    Returns (rows, values), both shaped (F, n). Sort once per training
+    matrix and pass the result to every fit_regression_tree call on it.
+    """
+    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+    rows = np.argsort(xt, axis=1, kind="stable")
+    return rows, np.take_along_axis(xt, rows, axis=1)
+
+
+def best_split(
+    rows: np.ndarray,
+    values: np.ndarray,
+    targets: np.ndarray,
+    total: float,
+    min_leaf_count: int,
+) -> tuple[float, int, float] | None:
+    """Best (gain, feature, threshold) over all exact splits of one node, or None.
+
+    rows and values are the node's (F, n) presorted lists: row f holds the
+    node's row indices sorted by feature f and the matching values. targets
+    is indexed by row; total is the node's target sum in ascending row order.
     Gain is the SSE reduction sum_L^2/n_L + sum_R^2/n_R - sum^2/n. Ties go
     to the lowest feature index, then to the smallest threshold.
     """
-    n = targets.shape[0]
-    best: tuple[float, int, float] | None = None
-    total = targets.sum()
-    parent_term = total * total / n
-    for feat in range(x.shape[1]):
-        col = x[:, feat]
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        ys = targets[order]
-        prefix = np.cumsum(ys)
-        sizes = np.arange(1, n)  # candidate left-side sizes
-        distinct = xs[1:] != xs[:-1]
-        valid = distinct & (sizes >= min_leaf_count) & (n - sizes >= min_leaf_count)
-        if not valid.any():
-            continue
-        left_sum = prefix[:-1]
-        gains = (
-            left_sum * left_sum / sizes
-            + (total - left_sum) * (total - left_sum) / (n - sizes)
-            - parent_term
-        )
-        gains = np.where(valid, gains, -np.inf)
-        i = int(np.argmax(gains))  # first max -> smallest threshold wins ties
-        gain = float(gains[i])
-        if best is None or gain > best[0]:
-            threshold = float((xs[i] + xs[i + 1]) / 2.0)
-            best = (gain, feat, threshold)
-    if best is None or best[0] <= 0.0:
+    n = rows.shape[1]
+    lo, hi = min_leaf_count - 1, n - min_leaf_count  # split after position i in [lo, hi)
+    if lo >= hi or rows.size == 0:
         return None
-    return best
+    left_sum = np.cumsum(np.take(targets, rows), axis=1)[:, lo:hi]
+    sizes = np.arange(lo + 1, hi + 1, dtype=np.float64)  # left-side sizes
+    # In place, but in the order of L*L/nL + R*R/nR - total*total/n.
+    gains = left_sum * left_sum
+    gains /= sizes
+    right = total - left_sum
+    right *= right
+    right /= n - sizes
+    gains += right
+    gains -= total * total / n
+    np.copyto(gains, -np.inf, where=values[:, lo + 1 : hi + 1] == values[:, lo:hi])  # ties
+    pos = gains.argmax(axis=1)  # first max -> smallest threshold wins ties
+    per_feature = gains[np.arange(gains.shape[0]), pos]
+    feat = int(per_feature.argmax())  # first max -> lowest feature wins ties
+    gain = float(per_feature[feat])
+    if gain <= 0.0:
+        return None
+    i = lo + int(pos[feat])
+    return gain, feat, float((values[feat, i] + values[feat, i + 1]) / 2.0)
+
+
+def _keep(mask: np.ndarray, rows: np.ndarray, values: np.ndarray):
+    """The (F, n) sorted lists restricted to the masked entries, order kept."""
+    shape = (rows.shape[0], -1)  # every feature keeps the same rows
+    return np.compress(mask, rows).reshape(shape), np.compress(mask, values).reshape(shape)
 
 
 def fit_regression_tree(
-    x: np.ndarray, targets: np.ndarray, max_depth: int, min_leaf_count: int = 1
+    x: np.ndarray,
+    targets: np.ndarray,
+    max_depth: int,
+    min_leaf_count: int = 1,
+    presorted: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> RegressionTree:
     """Greedy exact least-squares tree.
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
-    side, on constant targets, and on zero SSE gain.
+    side, on constant targets, and on zero SSE gain. presorted, when given,
+    is presort(x); otherwise x is sorted here.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -153,25 +186,42 @@ def fit_regression_tree(
         )
     if min_leaf_count < 1:
         raise ValueError("min_leaf_count must be >= 1")
+    if presorted is None:
+        presorted = presort(x)
+    expected = (x.shape[1], x.shape[0])
+    if len(presorted) != 2 or any(np.shape(part) != expected for part in presorted):
+        raise ValueError(
+            f"presorted must be two arrays of shape {expected} (features, rows)"
+        )
+    n = x.shape[0]
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    def build(idx: np.ndarray, rows, values, depth: int) -> TreeNode:
         ys = targets[idx]
         leaf = TreeNode(value=float(ys.mean()))
         if depth >= max_depth or idx.shape[0] < 2 * min_leaf_count:
             return leaf
         if ys.min() == ys.max():  # constant targets: exact single leaf
             return leaf
-        found = best_split(x[idx], ys, min_leaf_count)
+        found = best_split(rows, values, targets, ys.sum(), min_leaf_count)
         if found is None:
             return leaf
         _, feat, threshold = found
         go_left = x[idx, feat] <= threshold
+        left_idx, right_idx = idx[go_left], idx[~go_left]
+        if depth + 1 < max_depth:  # children search: split the sorted lists stably
+            row_left = np.zeros(n, dtype=bool)
+            row_left[left_idx] = True
+            in_left = np.take(row_left, rows).ravel()
+            left = _keep(in_left, rows, values)
+            right = _keep(~in_left, rows, values)
+        else:  # children are leaves and never search
+            left = right = (None, None)
         return TreeNode(
             feature=feat,
             threshold=threshold,
-            left=build(idx[go_left], depth + 1),
-            right=build(idx[~go_left], depth + 1),
+            left=build(left_idx, *left, depth + 1),
+            right=build(right_idx, *right, depth + 1),
         )
 
-    root = build(np.arange(x.shape[0]), 0)
+    root = build(np.arange(n), *presorted, 0)
     return RegressionTree(root=root, max_depth=max_depth, min_leaf_count=min_leaf_count)

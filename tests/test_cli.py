@@ -87,6 +87,45 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path))
         assert code == 2
 
+    def test_gbdt_loss_increase_exits_4(self, tmp_path, capsys, monkeypatch):
+        from itertools import count
+
+        from advssl import prm
+
+        losses = count()
+        monkeypatch.setattr(prm, "multiclass_log_loss", lambda scores, labels: next(losses))
+        code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("error: code=4 ")
+
+    def test_output_root_under_a_file_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run_cli(
+            capsys, "run", "--config", SMOKE, "--out", str(blocker / "sub")
+        )
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: code=3 ")
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_32_bits_rejected_in_config(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        raw = json.loads(open(SMOKE).read())
+        raw["seeds"] = [seed]
+        cfg.write_text(json.dumps(raw))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: code=2 ") and str(seed) in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_32_bits_rejected_on_command_line(self, tmp_path, capsys, seed):
+        code, _, err = run_cli(
+            capsys, "run", "--config", SMOKE, "--out", str(tmp_path), f"--seeds={seed}"
+        )
+        assert code == 2
+        assert err.startswith("error: code=2 ") and str(seed) in err
+        assert not list(tmp_path.glob("run-*"))
+
     def test_seed_override_flag(self, tmp_path, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--config", SMOKE, "--out", str(tmp_path), "--seeds", "3"

@@ -3,7 +3,85 @@
 import numpy as np
 import pytest
 
-from advssl.tree import RegressionTree, fit_regression_tree
+from advssl.tree import RegressionTree, fit_regression_tree, presort
+
+
+def reference_best_split(x, targets, min_leaf_count):
+    """Per-node, per-feature argsort split search: the presort-free definition."""
+    n = targets.shape[0]
+    best = None
+    total = targets.sum()
+    parent_term = total * total / n
+    for feat in range(x.shape[1]):
+        col = x[:, feat]
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        prefix = np.cumsum(targets[order])
+        sizes = np.arange(1, n)
+        distinct = xs[1:] != xs[:-1]
+        valid = distinct & (sizes >= min_leaf_count) & (n - sizes >= min_leaf_count)
+        if not valid.any():
+            continue
+        left_sum = prefix[:-1]
+        gains = (
+            left_sum * left_sum / sizes
+            + (total - left_sum) * (total - left_sum) / (n - sizes)
+            - parent_term
+        )
+        gains = np.where(valid, gains, -np.inf)
+        i = int(np.argmax(gains))
+        gain = float(gains[i])
+        if best is None or gain > best[0]:
+            best = (gain, feat, float((xs[i] + xs[i + 1]) / 2.0))
+    if best is None or best[0] <= 0.0:
+        return None
+    return best
+
+
+def reference_tree(x, targets, max_depth, min_leaf_count):
+    """to_dict() of the tree grown with reference_best_split at every node."""
+
+    def build(idx, depth):
+        ys = targets[idx]
+        leaf = {"value": float(ys.mean())}
+        if depth >= max_depth or idx.shape[0] < 2 * min_leaf_count or ys.min() == ys.max():
+            return leaf
+        found = reference_best_split(x[idx], ys, min_leaf_count)
+        if found is None:
+            return leaf
+        _, feat, threshold = found
+        go_left = x[idx, feat] <= threshold
+        return {
+            "feature": feat,
+            "threshold": threshold,
+            "left": build(idx[go_left], depth + 1),
+            "right": build(idx[~go_left], depth + 1),
+        }
+
+    root = build(np.arange(x.shape[0]), 0)
+    return {"max_depth": max_depth, "min_leaf_count": min_leaf_count, "root": root}
+
+
+def random_fit_case(seed):
+    """Random (x, targets, depth, min_leaf): ties, constant columns and targets."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 201))
+    f = int(rng.integers(1, 8))
+    kind = seed % 4
+    if kind == 0:
+        x = rng.normal(size=(n, f))
+    elif kind == 1:  # integer-valued features: heavy ties
+        x = rng.integers(0, 4, size=(n, f)).astype(float)
+    elif kind == 2:  # a constant column among tied ones
+        x = rng.integers(0, 3, size=(n, f)).astype(float)
+        x[:, int(rng.integers(0, f))] = 1.5
+    else:
+        x = np.round(rng.normal(size=(n, f)), 1)
+    if seed % 5 == 0:  # few distinct targets: constant-target nodes
+        t = rng.integers(0, 2, size=n).astype(float)
+    else:
+        t = rng.normal(size=n)
+    return x, t, int(rng.integers(1, 5)), int(rng.integers(1, 7))
 
 
 def exhaustive_stump(x, targets, min_leaf):
@@ -108,6 +186,43 @@ class TestFitRegressionTree:
         )
         out = tree.predict(np.array([[-5.0], [0.49], [0.51], [9.0]]))
         np.testing.assert_array_equal(out, [-1.0, -1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_matches_per_node_sort_reference(self, block):
+        for seed in range(block * 30, block * 30 + 30):
+            x, t, depth, min_leaf = random_fit_case(seed)
+            tree = fit_regression_tree(x, t, max_depth=depth, min_leaf_count=min_leaf)
+            assert tree.to_dict() == reference_tree(x, t, depth, min_leaf), seed
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_presorted_fit_equals_plain_fit(self, seed):
+        x, t, depth, min_leaf = random_fit_case(1000 + seed)
+        plain = fit_regression_tree(x, t, max_depth=depth, min_leaf_count=min_leaf)
+        given = fit_regression_tree(
+            x, t, max_depth=depth, min_leaf_count=min_leaf, presorted=presort(x)
+        )
+        assert given.to_dict() == plain.to_dict()
+
+    def test_presort_orders_each_feature_stably(self):
+        x = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, -1.0]])
+        rows, values = presort(x)
+        np.testing.assert_array_equal(rows, [[1, 0, 2], [2, 0, 1]])
+        np.testing.assert_array_equal(values, [[1.0, 2.0, 2.0], [-1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda x: presort(x[:-1]),  # too few rows
+            lambda x: presort(x[:, :-1]),  # too few features
+            lambda x: tuple(p.T for p in presort(x)),  # (rows, features) layout
+            lambda x: presort(x)[:1],  # one array only
+        ],
+    )
+    def test_bad_presorted_rejected(self, bad):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(12, 3))
+        with pytest.raises(ValueError, match="presorted"):
+            fit_regression_tree(x, rng.normal(size=12), max_depth=2, presorted=bad(x))
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(4)
