@@ -46,12 +46,6 @@ def as_matrix(x, name: str = "input") -> Matrix:
     return arr
 
 
-def check_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or Inf")
-    return arr
-
-
 @dataclass
 class DenseLayer:
     """Fully connected layer: activation(X @ weights.T + bias)."""

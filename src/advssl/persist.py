@@ -8,7 +8,9 @@ making a saved model self-contained for prediction on raw CSV rows.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 
 import numpy as np
 
@@ -22,10 +24,19 @@ FORMAT_PLAIN = "advssl/plain-model/1"
 FORMAT_ASSL = "advssl/assl-model/1"
 
 
-def _dump(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+def write_json(path, payload) -> None:
+    """Write sorted, one-space-indented JSON plus a newline, atomically:
+    a temp file beside path replaces it, so a failed write leaves the old file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=1)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _load(path) -> dict:
@@ -89,7 +100,7 @@ def save_plain_model(
             "trees": [[t.to_dict() for t in rnd] for rnd in model.gbdt.trees],
             "train_loss": list(model.gbdt.train_loss),
         }
-    _dump(payload, path)
+    write_json(path, payload)
 
 
 def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:
@@ -145,7 +156,7 @@ def save_assl_model(
     }
     payload.update(_schema_block(schema))
     payload.update(_normalizer_block(normalizer))
-    _dump(payload, path)
+    write_json(path, payload)
 
 
 def load_assl_model(path) -> tuple[AsslModel, AsslConfig, DatasetSchema, Normalizer | None]:

@@ -10,6 +10,7 @@ Every artifact lands under output_root/run-<config hash>/.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -36,7 +37,7 @@ from .data import (
     stratified_split,
 )
 from .metrics import MetricsReport, aggregate_runs, classification_report, confusion_matrix
-from .persist import save_assl_model, save_plain_model
+from .persist import save_assl_model, save_plain_model, write_json
 from .prm import GbdtConfig, LogregConfig, PlainModel, PrmConfig, pseudo_label, train_prm
 from .trainer import AsslConfig, AsslModel, TrainHistory, predict_proba_matrix, train
 
@@ -339,9 +340,7 @@ def write_seed_artifacts(seed_dir: str, prep: PreparedSeed, result: SeedResult) 
         paths["history"] = history_path
 
     report_json = os.path.join(seed_dir, "report.json")
-    with open(report_json, "w", encoding="utf-8") as handle:
-        json.dump(result.report_payload(), handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(report_json, result.report_payload())
     paths["report_json"] = report_json
     report_txt = os.path.join(seed_dir, "report.txt")
     with open(report_txt, "w", encoding="utf-8") as handle:
@@ -357,18 +356,13 @@ def write_seed_artifacts(seed_dir: str, prep: PreparedSeed, result: SeedResult) 
     return paths
 
 
-def _write_manifest(run_dir: str, payload: dict) -> str:
-    path = os.path.join(run_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-    return path
-
-
-def execute_run(cfg: RunConfig, output_root: str) -> dict:
-    """cmd_run body: one variant (per config) across all seeds, plus aggregate."""
-    run_dir = os.path.join(output_root, f"run-{cfg.config_hash()}")
+@contextlib.contextmanager
+def _run_manifest(cfg: RunConfig, run_dir: str):
+    """Create run_dir and yield its manifest, written as "running" on entry,
+    then as "complete" with the total time, or as "failed" with the error
+    when the body raises (the exception goes on unchanged)."""
     os.makedirs(run_dir, exist_ok=True)
+    path = os.path.join(run_dir, "manifest.json")
     manifest = {
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
@@ -377,27 +371,37 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
         "artifacts": {},
         "timings_sec": {},
     }
-    _write_manifest(run_dir, manifest)
-
-    reports = []
+    write_json(path, manifest)
     t0 = time.monotonic()
-    for seed in cfg.seeds:
-        t_seed = time.monotonic()
-        prep = prepare_seed(cfg, seed)
-        result = run_variant(prep, cfg.variant)
-        seed_dir = os.path.join(run_dir, f"seed_{seed}")
-        manifest["artifacts"][f"seed_{seed}"] = write_seed_artifacts(seed_dir, prep, result)
-        manifest["timings_sec"][f"seed_{seed}"] = round(time.monotonic() - t_seed, 3)
-        reports.append(result.report)
-    if len(reports) >= 2:
-        agg_path = os.path.join(run_dir, "aggregate.json")
-        with open(agg_path, "w", encoding="utf-8") as handle:
-            json.dump(aggregate_runs(reports), handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        manifest["artifacts"]["aggregate"] = agg_path
+    try:
+        yield manifest
+    except BaseException as exc:
+        manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
+        with contextlib.suppress(OSError):  # keep the run's own error, not this one
+            write_json(path, manifest)
+        raise
     manifest["timings_sec"]["total"] = round(time.monotonic() - t0, 3)
     manifest["status"] = "complete"
-    _write_manifest(run_dir, manifest)
+    write_json(path, manifest)
+
+
+def execute_run(cfg: RunConfig, output_root: str) -> dict:
+    """cmd_run body: one variant (per config) across all seeds, plus aggregate."""
+    run_dir = os.path.join(output_root, f"run-{cfg.config_hash()}")
+    reports = []
+    with _run_manifest(cfg, run_dir) as manifest:
+        for seed in cfg.seeds:
+            t_seed = time.monotonic()
+            prep = prepare_seed(cfg, seed)
+            result = run_variant(prep, cfg.variant)
+            seed_dir = os.path.join(run_dir, f"seed_{seed}")
+            manifest["artifacts"][f"seed_{seed}"] = write_seed_artifacts(seed_dir, prep, result)
+            manifest["timings_sec"][f"seed_{seed}"] = round(time.monotonic() - t_seed, 3)
+            reports.append(result.report)
+        if len(reports) >= 2:
+            agg_path = os.path.join(run_dir, "aggregate.json")
+            write_json(agg_path, aggregate_runs(reports))
+            manifest["artifacts"]["aggregate"] = agg_path
     return {"run_dir": run_dir, "reports": reports}
 
 
@@ -407,61 +411,45 @@ ABLATION_VARIANTS = ("prm_only", "supervised_mlp", "no_adversarial", "full")
 def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
     """cmd_ablate body: all ablation variants on identical data and seeds."""
     run_dir = os.path.join(output_root, f"ablate-{cfg.config_hash()}")
-    os.makedirs(run_dir, exist_ok=True)
-    manifest = {
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
-        "status": "running",
-        "artifacts": {},
-        "timings_sec": {},
-    }
-    _write_manifest(run_dir, manifest)
-
     rows = []
     by_variant: dict[str, list[MetricsReport]] = {v: [] for v in ABLATION_VARIANTS}
-    t0 = time.monotonic()
-    for seed in cfg.seeds:
-        prep = prepare_seed(cfg, seed)
-        for variant in ABLATION_VARIANTS:
-            result = run_variant(prep, variant)
-            seed_dir = os.path.join(run_dir, f"seed_{seed}", variant)
-            manifest["artifacts"][f"seed_{seed}/{variant}"] = write_seed_artifacts(
-                seed_dir, prep, result
-            )
-            by_variant[variant].append(result.report)
-            rows.append(
-                {
-                    "variant": variant,
-                    "seed": seed,
-                    "macro_f1": result.report.macro_f1,
-                    "macro_precision": result.report.macro_precision,
-                    "macro_recall": result.report.macro_recall,
-                    "accuracy": result.report.accuracy,
+    with _run_manifest(cfg, run_dir) as manifest:
+        for seed in cfg.seeds:
+            prep = prepare_seed(cfg, seed)
+            for variant in ABLATION_VARIANTS:
+                result = run_variant(prep, variant)
+                seed_dir = os.path.join(run_dir, f"seed_{seed}", variant)
+                manifest["artifacts"][f"seed_{seed}/{variant}"] = write_seed_artifacts(
+                    seed_dir, prep, result
+                )
+                by_variant[variant].append(result.report)
+                rows.append(
+                    {
+                        "variant": variant,
+                        "seed": seed,
+                        "macro_f1": result.report.macro_f1,
+                        "macro_precision": result.report.macro_precision,
+                        "macro_recall": result.report.macro_recall,
+                        "accuracy": result.report.accuracy,
+                    }
+                )
+        summary = {}
+        for variant, reps in by_variant.items():
+            if len(reps) >= 2:
+                summary[variant] = aggregate_runs(reps)
+            else:
+                summary[variant] = {
+                    "macro_f1": {"mean": reps[0].macro_f1, "std": 0.0},
+                    "accuracy": {"mean": reps[0].accuracy, "std": 0.0},
+                    "runs": 1,
                 }
-            )
-    summary = {}
-    for variant, reps in by_variant.items():
-        if len(reps) >= 2:
-            summary[variant] = aggregate_runs(reps)
-        else:
-            summary[variant] = {
-                "macro_f1": {"mean": reps[0].macro_f1, "std": 0.0},
-                "accuracy": {"mean": reps[0].accuracy, "std": 0.0},
-                "runs": 1,
-            }
-    table_path = os.path.join(run_dir, "ablation.json")
-    with open(table_path, "w", encoding="utf-8") as handle:
-        json.dump({"rows": rows, "summary": summary}, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-    text_path = os.path.join(run_dir, "ablation.txt")
-    with open(text_path, "w", encoding="utf-8") as handle:
-        handle.write(format_ablation_table(rows, summary) + "\n")
-    manifest["artifacts"]["ablation_json"] = table_path
-    manifest["artifacts"]["ablation_txt"] = text_path
-    manifest["timings_sec"]["total"] = round(time.monotonic() - t0, 3)
-    manifest["status"] = "complete"
-    _write_manifest(run_dir, manifest)
+        table_path = os.path.join(run_dir, "ablation.json")
+        write_json(table_path, {"rows": rows, "summary": summary})
+        text_path = os.path.join(run_dir, "ablation.txt")
+        with open(text_path, "w", encoding="utf-8") as handle:
+            handle.write(format_ablation_table(rows, summary) + "\n")
+        manifest["artifacts"]["ablation_json"] = table_path
+        manifest["artifacts"]["ablation_txt"] = text_path
     return {"run_dir": run_dir, "rows": rows, "summary": summary}
 
 

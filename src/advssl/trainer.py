@@ -399,13 +399,6 @@ class TrainHistory:
                     ]
                 )
 
-    def best_epoch(self) -> int:
-        best = 0
-        for i, r in enumerate(self.records):
-            if r.val_macro_f1 > self.records[best].val_macro_f1:
-                best = i
-        return best
-
 
 def predict_proba_matrix(model: AsslModel, x: Matrix, inference_head: str = "supervised") -> Matrix:
     if inference_head not in INFERENCE_HEADS:
@@ -449,6 +442,10 @@ def train(
     update. The returned model is the parameter snapshot with the best
     validation macro-F1 (ties keep the earliest epoch). The optional
     on_step(step, model) hook fires after every completed step.
+
+    This is the only training loop: `baseline.train_supervised` is this
+    loop with the pseudo pool suppressed (suppress_pseudo=True), where each
+    step is one generator update of the encoder and the supervised head.
     """
     if len(labeled) == 0:
         raise ValueError("labeled training set is empty")

@@ -97,6 +97,10 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
         assert code == 4
         assert len(err.splitlines()) == 1 and err.startswith("error: code=4 ")
+        (run_dir,) = tmp_path.glob("run-*")
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("DivergenceError: ")
 
     def test_output_root_under_a_file_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "file"

@@ -1,6 +1,9 @@
 """Persistence round-trips must be bit-exact for 64-bit floats."""
 
+import os
+
 import numpy as np
+import pytest
 
 from advssl.data import Dataset, DatasetSchema, fit_normalizer
 from advssl.persist import (
@@ -8,6 +11,7 @@ from advssl.persist import (
     load_plain_model,
     save_assl_model,
     save_plain_model,
+    write_json,
 )
 from advssl.prm import GbdtConfig, LogregConfig, train_gbdt, train_logreg
 from advssl.trainer import AsslConfig, init_assl_model
@@ -88,3 +92,28 @@ class TestAsslModelRoundTrip:
         loaded, cfg2, schema2, _ = load_assl_model(p1)
         save_assl_model(p2, loaded, cfg2, schema2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestWriteJson:
+    def test_sorted_one_space_indent_trailing_newline(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(path, {"b": [1.5, 0.1], "a": {"z": None, "y": "s"}})
+        assert path.read_text(encoding="utf-8") == (
+            '{\n "a": {\n  "y": "s",\n  "z": null\n },\n "b": [\n  1.5,\n  0.1\n ]\n}\n'
+        )
+
+    def test_failed_serialization_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json(path, {"v": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_json(path, {"v": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["x.json"]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken.json"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_json(target, {"v": 1})
+        assert os.listdir(tmp_path) == ["taken.json"]

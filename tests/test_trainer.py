@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from advssl import trainer as trainer_module
 from advssl.baseline import train_supervised
 from advssl.data import Dataset, DatasetSchema, SynthConfig, generate_synthetic, stratified_split
 from advssl.nnet import DenseLayer, MlpParams, grad_check
@@ -388,6 +389,45 @@ class TestTrain:
                 np.testing.assert_array_equal(a, b)
 
 
+class TestKnobs:
+    def test_disc_steps_runs_that_many_discriminator_updates(self, monkeypatch):
+        train_ds, val_ds, _, pseudo = tiny_task(seed=3)
+        calls = []
+        real = trainer_module.discriminator_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "discriminator_step", counting)
+        seen = []
+        cfg = tiny_cfg(epochs=2, disc_steps=2, seed=23)
+        train(train_ds, pseudo, val_ds, cfg, on_step=lambda step, m: seen.append(len(calls)))
+        assert len(seen) == cfg.epochs * math.ceil(len(train_ds) / cfg.batch_size)
+        assert seen == [2 * step for step in range(1, len(seen) + 1)]
+
+    def test_encoder_weight_decay_adds_exactly_2_wd_w(self):
+        rng = np.random.default_rng(6)
+        wd = 0.03
+        model = init_assl_model(5, 3, tiny_cfg(seed=12))
+        x_l, y_l = rng.normal(size=(4, 5)), rng.integers(0, 3, 4)
+        x_u, y_u = rng.normal(size=(4, 5)), rng.integers(0, 3, 4)
+        parts_0, grads_0 = generator_objective(model, x_l, y_l, x_u, y_u, tiny_cfg(seed=12))
+        parts_wd, grads_wd = generator_objective(
+            model, x_l, y_l, x_u, y_u, tiny_cfg(seed=12, encoder_weight_decay=wd)
+        )
+        weights = model.encoder.param_arrays()
+        for g_wd, g_0, w in zip(grads_wd["encoder"], grads_0["encoder"], weights):
+            np.testing.assert_array_equal(g_wd, g_0 + 2.0 * wd * w)
+        for net in ("supervised_head", "semi_head"):
+            for a, b in zip(grads_wd[net], grads_0[net]):
+                np.testing.assert_array_equal(a, b)
+        for key in ("loss_l", "loss_u", "loss_adv"):
+            assert parts_wd[key] == parts_0[key]
+        penalty = wd * sum(float(np.sum(w * w)) for w in weights)
+        assert parts_wd["total"] == pytest.approx(parts_0["total"] + penalty, rel=1e-12)
+
+
 class TestPredictRating:
     def test_zero_weight_model_uniform_class_zero(self):
         d, f, m = 3, 4, 3
@@ -489,3 +529,17 @@ class TestBaseline:
         b, _ = train_supervised(train_ds, val_ds, cfg)
         for x, y in zip(a.encoder.param_arrays(), b.encoder.param_arrays()):
             np.testing.assert_array_equal(x, y)
+
+    def test_semi_inference_head_picks_the_same_snapshot(self):
+        train_ds, val_ds, _, _ = tiny_task(seed=9)
+        knobs = dict(epochs=6, learning_rate=0.01, seed=28)
+        a, hist_a = train_supervised(train_ds, val_ds, tiny_cfg(**knobs))
+        b, hist_b = train_supervised(train_ds, val_ds, tiny_cfg(**knobs, inference_head="semi"))
+        for x, y in zip(
+            a.encoder.param_arrays() + a.head.param_arrays(),
+            b.encoder.param_arrays() + b.head.param_arrays(),
+        ):
+            np.testing.assert_array_equal(x, y)
+        assert [r.val_macro_f1 for r in hist_a.records] == [
+            r.val_macro_f1 for r in hist_b.records
+        ]
