@@ -74,15 +74,17 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "DenseLayer":
-        return DenseLayer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 @dataclass
 class MlpParams:
-    """An ordered stack of dense layers with consistent dimensions."""
+    """An ordered stack of dense layers with consistent dimensions.
+
+    It holds new layers whose arrays are views into one contiguous buffer,
+    `flat`, in param_arrays() order: one Adam step updates all.
+    """
 
     layers: list[DenseLayer] = field(default_factory=list)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in zip(self.layers, self.layers[1:]):
@@ -90,6 +92,10 @@ class MlpParams:
                 raise ValueError(
                     f"layer output dim {a.out_dim} does not feed layer input dim {b.in_dim}"
                 )
+        self.flat = np.concatenate([a.ravel() for a in self.param_arrays()] or [np.empty(0)])
+        views = self.views(self.flat)
+        pairs = zip(self.layers, views[::2], views[1::2])
+        self.layers = [DenseLayer(w, b, layer.activation) for layer, w, b in pairs]
 
     @property
     def in_dim(self) -> int:
@@ -108,8 +114,16 @@ class MlpParams:
             out.append(layer.bias)
         return out
 
+    def views(self, buffer: np.ndarray) -> list[np.ndarray]:
+        """Views of a buffer laid out like `flat`, shaped like param_arrays()."""
+        out, start = [], 0
+        for a in self.param_arrays():
+            out.append(buffer[start : start + a.size].reshape(a.shape))
+            start += a.size
+        return out
+
     def copy(self) -> "MlpParams":
-        return MlpParams([layer.copy() for layer in self.layers])
+        return MlpParams(self.layers)
 
 
 def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
@@ -207,11 +221,13 @@ def mlp_forward(mlp: MlpParams, x: Matrix) -> tuple[Matrix, list[tuple]]:
 
 
 def mlp_backward(
-    mlp: MlpParams, cache: list[tuple], upstream: Matrix
-) -> tuple[list[np.ndarray], Matrix]:
+    mlp: MlpParams, cache: list[tuple], upstream: Matrix, params=True, inputs=True
+) -> tuple[np.ndarray | None, Matrix | None]:
     """Reverse-mode gradients of mlp_forward contracted with `upstream`.
 
-    Returns (grads, input_grad) where grads matches param_arrays() order.
+    Returns (grads, input_grad): grads is a new buffer laid out like mlp.flat
+    (mlp.views(grads) splits it per array). params=False skips grads and
+    inputs=False input_grad, returning None in their place.
     """
     if len(cache) != len(mlp.layers):
         raise ValueError(
@@ -222,14 +238,16 @@ def mlp_backward(
         raise ValueError(
             f"upstream gradient shape {grad.shape} does not match output shape {cache[-1][2].shape}"
         )
-    grads: list[np.ndarray] = [None] * (2 * len(mlp.layers))
+    grads = np.empty_like(mlp.flat) if params else None
+    views = mlp.views(grads) if params else None
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
-        x_in, z, out = cache[i]
-        dz = grad * activation_grad(layer.activation, z, out)
-        grads[2 * i] = dz.T @ x_in
-        grads[2 * i + 1] = dz.sum(axis=0)
-        grad = dz @ layer.weights
+        x_in, z, a = cache[i]
+        dz = grad * activation_grad(layer.activation, z, a)
+        if params:
+            np.matmul(dz.T, x_in, out=views[2 * i])
+            dz.sum(axis=0, out=views[2 * i + 1])
+        grad = dz @ layer.weights if i > 0 or inputs else None
     return grads, grad
 
 
@@ -299,52 +317,49 @@ def softmax_backward(probs: Matrix, dprobs: Matrix) -> Matrix:
 
 @dataclass
 class AdamState:
-    """Adam moments for one list of parameter arrays."""
+    """Adam moments for one parameter array (a network's flat buffer)."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
+    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], **kwargs) -> "AdamState":
+    def for_params(cls, params: np.ndarray, **kwargs) -> "AdamState":
         state = cls(**kwargs)
-        state.first_moment = [np.zeros_like(p) for p in params]
-        state.second_moment = [np.zeros_like(p) for p in params]
+        state.first_moment = np.zeros_like(params)
+        state.second_moment = np.zeros_like(params)
         return state
 
 
 def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One in-place Adam update with bias correction.
+    params: np.ndarray, grads: np.ndarray, state: AdamState
+) -> tuple[np.ndarray, AdamState]:
+    """One in-place, element-wise Adam update with bias correction.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps)
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValueError("params, grads and Adam state sizes do not match")
+    if params.shape != grads.shape or params.shape != state.first_moment.shape:
+        shapes = (params.shape, grads.shape, state.first_moment.shape)
+        raise ValueError(f"param, grad and Adam state shapes differ: {shapes}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.shape != g.shape:
-            raise ValueError(f"grad shape {g.shape} does not match param shape {p.shape}")
-        m = state.first_moment[i]
-        v = state.second_moment[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v = state.first_moment, state.second_moment
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return params, state
 
 

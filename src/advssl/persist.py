@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -39,9 +40,37 @@ def write_json(path, payload) -> None:
         raise
 
 
-def _load(path) -> dict:
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+def _load_model(path, fmt: str) -> tuple[dict, DatasetSchema, Normalizer | None]:
+    """(d, schema, normalizer) of the `fmt` model file at path, checked: a
+    wrong format, a number that is not finite (NaN, Infinity, 1e999) or a
+    schema_hash that is not the hash of the file's schema is a ValueError."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        d = json.load(handle, parse_float=_finite, parse_constant=_finite)
+    if not isinstance(d, dict) or d.get("format") != fmt:
+        raise ValueError(f"not a {fmt} file")
+    schema = DatasetSchema.from_dict(d["schema"])
+    if d["schema_hash"] != schema.schema_hash():
+        raise ValueError("schema_hash does not match its schema")
+    normalizer = None if d["normalizer"] is None else Normalizer.from_dict(d["normalizer"])
+    return d, schema, normalizer
+
+
+@contextlib.contextmanager
+def _model_file(path):
+    """Turn a bad model file's KeyError (missing key), TypeError or
+    ValueError (malformed field) into one ValueError naming the file."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{os.path.basename(str(path))}: {detail}") from None
 
 
 def mlp_to_dict(mlp: MlpParams) -> list[dict]:
@@ -56,16 +85,7 @@ def mlp_to_dict(mlp: MlpParams) -> list[dict]:
 
 
 def mlp_from_dict(layers: list[dict]) -> MlpParams:
-    return MlpParams(
-        [
-            DenseLayer(
-                np.asarray(d["weights"], dtype=np.float64),
-                np.asarray(d["bias"], dtype=np.float64),
-                d["activation"],
-            )
-            for d in layers
-        ]
-    )
+    return MlpParams([DenseLayer(d["weights"], d["bias"], d["activation"]) for d in layers])
 
 
 def _schema_block(schema: DatasetSchema) -> dict:
@@ -104,14 +124,15 @@ def save_plain_model(
 
 
 def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:
-    d = _load(path)
-    if d.get("format") != FORMAT_PLAIN:
-        raise ValueError(f"{path} is not a plain-model file")
-    schema = DatasetSchema.from_dict(d["schema"])
-    normalizer = None if d["normalizer"] is None else Normalizer.from_dict(d["normalizer"])
+    with _model_file(path):
+        d, schema, normalizer = _load_model(path, FORMAT_PLAIN)
+        return _plain_model(d), schema, normalizer
+
+
+def _plain_model(d: dict) -> PlainModel:
     if d["variant"] == "logistic_regression":
         lr = d["logreg"]
-        model = PlainModel(
+        return PlainModel(
             variant="logistic_regression",
             input_dim=int(d["input_dim"]),
             num_classes=int(d["num_classes"]),
@@ -120,21 +141,19 @@ def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None
                 bias=np.asarray(lr["bias"], dtype=np.float64),
             ),
         )
-    else:
-        g = d["gbdt"]
-        model = PlainModel(
-            variant="gbdt",
-            input_dim=int(d["input_dim"]),
-            num_classes=int(d["num_classes"]),
-            gbdt=GbdtModel(
-                num_classes=int(g["num_classes"]),
-                shrinkage=float(g["shrinkage"]),
-                base_score=np.asarray(g["base_score"], dtype=np.float64),
-                trees=[[RegressionTree.from_dict(t) for t in rnd] for rnd in g["trees"]],
-                train_loss=[float(v) for v in g["train_loss"]],
-            ),
-        )
-    return model, schema, normalizer
+    g = d["gbdt"]
+    return PlainModel(
+        variant="gbdt",
+        input_dim=int(d["input_dim"]),
+        num_classes=int(d["num_classes"]),
+        gbdt=GbdtModel(
+            num_classes=int(g["num_classes"]),
+            shrinkage=float(g["shrinkage"]),
+            base_score=np.asarray(g["base_score"], dtype=np.float64),
+            trees=[[RegressionTree.from_dict(t) for t in rnd] for rnd in g["trees"]],
+            train_loss=[float(v) for v in g["train_loss"]],
+        ),
+    )
 
 
 def save_assl_model(
@@ -160,24 +179,16 @@ def save_assl_model(
 
 
 def load_assl_model(path) -> tuple[AsslModel, AsslConfig, DatasetSchema, Normalizer | None]:
-    d = _load(path)
-    if d.get("format") != FORMAT_ASSL:
-        raise ValueError(f"{path} is not a phase-II model file")
-    nets = d["networks"]
-    model = AsslModel(
-        encoder=mlp_from_dict(nets["encoder"]),
-        supervised_head=mlp_from_dict(nets["supervised_head"]),
-        semi_head=mlp_from_dict(nets["semi_head"]),
-        discriminator=mlp_from_dict(nets["discriminator"]),
-    )
-    cfg = AsslConfig.from_dict(d["config"])
-    schema = DatasetSchema.from_dict(d["schema"])
-    normalizer = None if d["normalizer"] is None else Normalizer.from_dict(d["normalizer"])
-    return model, cfg, schema, normalizer
+    with _model_file(path):
+        d, schema, normalizer = _load_model(path, FORMAT_ASSL)
+        nets = {name: mlp_from_dict(layers) for name, layers in d["networks"].items()}
+        return AsslModel(**nets), AsslConfig.from_dict(d["config"]), schema, normalizer
 
 
 def detect_model_format(path) -> str:
-    fmt = _load(path).get("format", "")
+    with open(path, encoding="utf-8") as handle:
+        d = json.load(handle)
+    fmt = d.get("format", "") if isinstance(d, dict) else ""
     if fmt not in (FORMAT_PLAIN, FORMAT_ASSL):
         raise ValueError(f"{path} holds unknown model format {fmt!r}")
     return fmt

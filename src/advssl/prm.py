@@ -149,12 +149,12 @@ def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None) -> PlainMode
     f = labeled.schema.num_features
     rng = named_rng(cfg.seed, "logreg_init")
     limit = np.sqrt(6.0 / (f + m))
-    weights = rng.uniform(-limit, limit, size=(m, f))
-    bias = np.zeros(m)
-    state = AdamState.for_params([weights, bias], learning_rate=cfg.learning_rate)
+    params = np.concatenate([rng.uniform(-limit, limit, size=m * f), np.zeros(m)])
+    weights, bias = params[: m * f].reshape(m, f), params[m * f :]  # views of params
+    state = AdamState.for_params(params, learning_rate=cfg.learning_rate)
     for _ in range(cfg.iterations):
         _, dw, db = logreg_loss_and_grads(weights, bias, labeled.rows, labeled.labels, cfg.l2)
-        adam_step([weights, bias], [dw, db], state)
+        adam_step(params, np.concatenate([dw.ravel(), db]), state)
     return PlainModel(
         variant="logistic_regression",
         input_dim=f,
@@ -204,7 +204,8 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
             tree = fit_regression_tree(
                 x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count, presorted
             )
-            scores[:, k] += cfg.shrinkage * tree.predict(x)
+            scores[:, k] += cfg.shrinkage * tree.fitted
+            tree.fitted = None  # the model keeps the nodes, not n values per tree
             round_trees.append(tree)
         trees.append(round_trees)
         loss = multiclass_log_loss(scores, labels)

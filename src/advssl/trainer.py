@@ -6,12 +6,16 @@ pseudo labels, and a discriminator tries to tell the two pools apart. Each
 optimization step runs one discriminator update (ascending the adversarial
 value) followed by one generator update (descending supervised + semi +
 alpha * adversarial), the usual GAN-style alternation.
+
+The encoder runs once per step on each batch: it is frozen during the
+discriminator updates, so they and the generator update share its output.
+Each update is one Adam step on a network's flat buffer (see MlpParams).
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -137,12 +141,7 @@ class AsslModel:
         return self.supervised_head.out_dim
 
     def copy(self) -> "AsslModel":
-        return AsslModel(
-            self.encoder.copy(),
-            self.supervised_head.copy(),
-            self.semi_head.copy(),
-            self.discriminator.copy(),
-        )
+        return AsslModel(*(getattr(self, f.name).copy() for f in fields(self)))
 
 
 def init_assl_model(input_dim: int, num_classes: int, cfg: AsslConfig) -> AsslModel:
@@ -195,18 +194,28 @@ def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> 
     return value + l2_penalty(disc_params, lambda_adv)[0]
 
 
-def _head_loss(probs: Matrix, labels, style: str) -> float:
-    return bce_one_hot(probs, labels) if style == "per_class_bce" else categorical_ce(probs, labels)
+def _l2_value(net: MlpParams, lam: float) -> float:
+    """lam * ||net||^2 (computed per array, as l2_penalty does); 0.0 when lam is 0."""
+    return l2_penalty(net, lam)[0] if lam else 0.0
 
 
-def _head_grad(probs: Matrix, labels, style: str) -> Matrix:
+def _add_l2(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:
+    """Add the gradient 2*lam*params of _l2_value in place; nothing when lam is 0."""
+    if lam:
+        grads += 2.0 * lam * net.flat
+    return grads
+
+
+def _head_grads(head: MlpParams, emb: Matrix, labels, lam: float, style: str):
+    """(loss + L2 value, flat parameter gradient, embedding gradient) of a head."""
+    logits, cache = mlp_forward(head, emb)
+    probs = softmax(logits)
     if style == "per_class_bce":
-        return bce_one_hot_grad(probs, labels)
-    return categorical_ce_grad(probs, labels)
-
-
-def _with_l2(grads: list[np.ndarray], params: MlpParams, lam: float) -> list[np.ndarray]:
-    return [g + 2.0 * lam * a for g, a in zip(grads, params.param_arrays())]
+        loss, dprobs = bce_one_hot(probs, labels), bce_one_hot_grad(probs, labels)
+    else:
+        loss, dprobs = categorical_ce(probs, labels), categorical_ce_grad(probs, labels)
+    grads, d_emb = mlp_backward(head, cache, softmax_backward(probs, dprobs))
+    return loss + _l2_value(head, lam), _add_l2(grads, head, lam), d_emb
 
 
 def _log_grad_inside(p: np.ndarray) -> np.ndarray:
@@ -215,69 +224,77 @@ def _log_grad_inside(p: np.ndarray) -> np.ndarray:
     return inside / clamp_probs(p)
 
 
+def _generator_grads(model: AsslModel, enc_l, y_l, enc_u, y_u, cfg: AsslConfig):
+    """generator_objective on this step's encoder passes enc = (embeddings,
+    cache); enc_u is None when the pseudo pool is suppressed, and then grads
+    has no semi_head entry. Gradients are flat, one per network.
+    """
+    emb_l, cache_el = enc_l
+    loss_l, sup_grads, d_emb_l = _head_grads(
+        model.supervised_head, emb_l, y_l, cfg.lambda_l, cfg.loss_style
+    )
+    grads = {"supervised_head": sup_grads}
+    loss_u = loss_adv = 0.0
+    if enc_u is not None:
+        emb_u, cache_eu = enc_u
+        loss_u, grads["semi_head"], d_emb_u = _head_grads(
+            model.semi_head, emb_u, y_u, cfg.lambda_u, cfg.loss_style
+        )
+        if cfg.alpha > 0:
+            disc = model.discriminator
+            d_l, cache_dl = mlp_forward(disc, emb_l)
+            d_u, cache_du = mlp_forward(disc, emb_u)
+            loss_adv = loss_adversarial(d_l, d_u, cfg.lambda_adv, disc)
+            # generator descends alpha * loss_adv through both embeddings
+            up_l = cfg.alpha * _log_grad_inside(d_l) / d_l.shape[0]
+            up_u = -cfg.alpha * _log_grad_inside(1.0 - d_u) / d_u.shape[0]
+            d_emb_l = d_emb_l + mlp_backward(disc, cache_dl, up_l, params=False)[1]
+            d_emb_u = d_emb_u + mlp_backward(disc, cache_du, up_u, params=False)[1]
+
+    enc_grads = mlp_backward(model.encoder, cache_el, d_emb_l, inputs=False)[0]
+    if enc_u is not None:
+        enc_grads += mlp_backward(model.encoder, cache_eu, d_emb_u, inputs=False)[0]
+    wd = cfg.encoder_weight_decay
+    grads["encoder"] = _add_l2(enc_grads, model.encoder, wd)
+
+    total = loss_l + loss_u + cfg.alpha * loss_adv + _l2_value(model.encoder, wd)
+    parts = {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
+    return parts, grads
+
+
+def _discriminator_grads(model: AsslModel, emb_l: Matrix, emb_u: Matrix, cfg: AsslConfig):
+    """discriminator_objective on this step's embeddings, with a flat gradient."""
+    if emb_l.shape[0] == 0 or emb_u.shape[0] == 0:
+        raise ValueError("discriminator step needs a nonempty batch on each side")
+    disc = model.discriminator
+    d_l, cache_dl = mlp_forward(disc, emb_l)
+    d_u, cache_du = mlp_forward(disc, emb_u)
+    likelihood = float(np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean())
+    reg_value = _l2_value(disc, cfg.lambda_adv)
+    objective = -likelihood + reg_value
+    up_l = -_log_grad_inside(d_l) / d_l.shape[0]
+    up_u = _log_grad_inside(1.0 - d_u) / d_u.shape[0]
+    grads = mlp_backward(disc, cache_dl, up_l, inputs=False)[0]
+    grads += mlp_backward(disc, cache_du, up_u, inputs=False)[0]
+    _add_l2(grads, disc, cfg.lambda_adv)
+    adv_value = likelihood + reg_value
+    accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / (d_l.size + d_u.size))
+    return objective, grads, adv_value, accuracy
+
+
 def generator_objective(
     model: AsslModel, x_l: Matrix, y_l, x_u: Matrix | None, y_u, cfg: AsslConfig
 ) -> tuple[dict, dict]:
     """Loss parts and gradients for the generator update.
 
     Returns (parts, grads): parts has loss_l / loss_u / loss_adv / total,
-    grads has entries for encoder, supervised_head and semi_head. The
-    discriminator is treated as a constant.
+    grads maps encoder, supervised_head and semi_head (zeros without x_u)
+    to lists in param_arrays() order. The discriminator is treated as a constant.
     """
-    emb_l, cache_el = mlp_forward(model.encoder, x_l)
-    logits_l, cache_hl = mlp_forward(model.supervised_head, emb_l)
-    probs_l = softmax(logits_l)
-    loss_l = _head_loss(probs_l, y_l, cfg.loss_style) + l2_penalty(
-        model.supervised_head, cfg.lambda_l
-    )[0]
-    dlogits_l = softmax_backward(probs_l, _head_grad(probs_l, y_l, cfg.loss_style))
-    sup_grads, d_emb_l = mlp_backward(model.supervised_head, cache_hl, dlogits_l)
-    sup_grads = _with_l2(sup_grads, model.supervised_head, cfg.lambda_l)
-
-    suppressed = x_u is None
-    if suppressed:
-        loss_u = 0.0
-        loss_adv = 0.0
-        semi_grads = [np.zeros_like(a) for a in model.semi_head.param_arrays()]
-    else:
-        emb_u, cache_eu = mlp_forward(model.encoder, x_u)
-        logits_u, cache_hu = mlp_forward(model.semi_head, emb_u)
-        probs_u = softmax(logits_u)
-        loss_u = _head_loss(probs_u, y_u, cfg.loss_style) + l2_penalty(
-            model.semi_head, cfg.lambda_u
-        )[0]
-        dlogits_u = softmax_backward(probs_u, _head_grad(probs_u, y_u, cfg.loss_style))
-        semi_grads, d_emb_u = mlp_backward(model.semi_head, cache_hu, dlogits_u)
-        semi_grads = _with_l2(semi_grads, model.semi_head, cfg.lambda_u)
-
-        loss_adv = 0.0
-        if cfg.alpha > 0:
-            d_l, cache_dl = mlp_forward(model.discriminator, emb_l)
-            d_u, cache_du = mlp_forward(model.discriminator, emb_u)
-            loss_adv = loss_adversarial(d_l, d_u, cfg.lambda_adv, model.discriminator)
-            # generator descends alpha * loss_adv through both embeddings
-            up_l = cfg.alpha * _log_grad_inside(d_l) / d_l.shape[0]
-            up_u = -cfg.alpha * _log_grad_inside(1.0 - d_u) / d_u.shape[0]
-            _, d_emb_l_adv = mlp_backward(model.discriminator, cache_dl, up_l)
-            _, d_emb_u_adv = mlp_backward(model.discriminator, cache_du, up_u)
-            d_emb_l = d_emb_l + d_emb_l_adv
-            d_emb_u = d_emb_u + d_emb_u_adv
-
-    enc_grads, _ = mlp_backward(model.encoder, cache_el, d_emb_l)
-    if not suppressed:
-        enc_grads_u, _ = mlp_backward(model.encoder, cache_eu, d_emb_u)
-        enc_grads = [a + b for a, b in zip(enc_grads, enc_grads_u)]
-    enc_grads = _with_l2(enc_grads, model.encoder, cfg.encoder_weight_decay)
-
-    total = (
-        loss_l
-        + loss_u
-        + cfg.alpha * loss_adv
-        + l2_penalty(model.encoder, cfg.encoder_weight_decay)[0]
-    )
-    parts = {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
-    grads = {"encoder": enc_grads, "supervised_head": sup_grads, "semi_head": semi_grads}
-    return parts, grads
+    enc_u = None if x_u is None else mlp_forward(model.encoder, x_u)
+    parts, grads = _generator_grads(model, mlp_forward(model.encoder, x_l), y_l, enc_u, y_u, cfg)
+    grads.setdefault("semi_head", np.zeros_like(model.semi_head.flat))
+    return parts, {name: getattr(model, name).views(g) for name, g in grads.items()}
 
 
 def discriminator_objective(
@@ -290,25 +307,10 @@ def discriminator_objective(
     penalty, so descending it drives the discriminator toward telling
     labeled embeddings from pseudo-labeled ones. The encoder is frozen.
     """
-    if x_l.shape[0] == 0 or x_u.shape[0] == 0:
-        raise ValueError("discriminator step needs a nonempty batch on each side")
-    emb_l = encode(model.encoder, x_l)
-    emb_u = encode(model.encoder, x_u)
-    d_l, cache_dl = mlp_forward(model.discriminator, emb_l)
-    d_u, cache_du = mlp_forward(model.discriminator, emb_u)
-    likelihood = float(
-        np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean()
+    objective, grads, adv_value, accuracy = _discriminator_grads(
+        model, encode(model.encoder, x_l), encode(model.encoder, x_u), cfg
     )
-    reg_value, reg_grads = l2_penalty(model.discriminator, cfg.lambda_adv)
-    objective = -likelihood + reg_value
-    up_l = -_log_grad_inside(d_l) / d_l.shape[0]
-    up_u = _log_grad_inside(1.0 - d_u) / d_u.shape[0]
-    g_l, _ = mlp_backward(model.discriminator, cache_dl, up_l)
-    g_u, _ = mlp_backward(model.discriminator, cache_du, up_u)
-    grads = [a + b + r for a, b, r in zip(g_l, g_u, reg_grads)]
-    adv_value = likelihood + reg_value
-    accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / (d_l.size + d_u.size))
-    return objective, grads, adv_value, accuracy
+    return objective, model.discriminator.views(grads), adv_value, accuracy
 
 
 @dataclass
@@ -320,52 +322,32 @@ class OptimizerStates:
 
     @classmethod
     def create(cls, model: AsslModel, cfg: AsslConfig) -> "OptimizerStates":
-        return cls(
-            encoder=AdamState.for_params(
-                model.encoder.param_arrays(), learning_rate=cfg.learning_rate
-            ),
-            supervised_head=AdamState.for_params(
-                model.supervised_head.param_arrays(), learning_rate=cfg.learning_rate
-            ),
-            semi_head=AdamState.for_params(
-                model.semi_head.param_arrays(), learning_rate=cfg.learning_rate
-            ),
-            discriminator=AdamState.for_params(
-                model.discriminator.param_arrays(), learning_rate=cfg.disc_learning_rate
-            ),
-        )
+        nets = (model.encoder, model.supervised_head, model.semi_head, model.discriminator)
+        rates = (cfg.learning_rate,) * 3 + (cfg.disc_learning_rate,)
+        return cls(*(AdamState.for_params(n.flat, learning_rate=r) for n, r in zip(nets, rates)))
 
 
 def discriminator_step(
-    model: AsslModel, x_l: Matrix, x_u: Matrix, cfg: AsslConfig, state: AdamState
+    model: AsslModel, emb_l: Matrix, emb_u: Matrix, cfg: AsslConfig, state: AdamState
 ) -> tuple[float, float]:
-    """One Adam step on the discriminator; encoder untouched.
+    """One Adam step on the discriminator from this step's embeddings.
 
     Returns (adversarial value, batch accuracy), both measured before the
     update.
     """
-    _, grads, adv_value, accuracy = discriminator_objective(model, x_l, x_u, cfg)
-    adam_step(model.discriminator.param_arrays(), grads, state)
+    _, grads, adv_value, accuracy = _discriminator_grads(model, emb_l, emb_u, cfg)
+    adam_step(model.discriminator.flat, grads, state)
     return adv_value, accuracy
 
 
 def generator_step(
-    model: AsslModel,
-    x_l: Matrix,
-    y_l,
-    x_u: Matrix | None,
-    y_u,
-    cfg: AsslConfig,
-    states: OptimizerStates,
+    model: AsslModel, enc_l, y_l, enc_u, y_u, cfg: AsslConfig, states: OptimizerStates
 ) -> dict:
-    """One Adam step on encoder and both heads; discriminator frozen."""
-    parts, grads = generator_objective(model, x_l, y_l, x_u, y_u, cfg)
-    adam_step(model.encoder.param_arrays(), grads["encoder"], states.encoder)
-    adam_step(
-        model.supervised_head.param_arrays(), grads["supervised_head"], states.supervised_head
-    )
-    if x_u is not None:
-        adam_step(model.semi_head.param_arrays(), grads["semi_head"], states.semi_head)
+    """One Adam step on encoder and both heads (the semi head only when
+    enc_u is given) from this step's encoder passes; discriminator frozen."""
+    parts, grads = _generator_grads(model, enc_l, y_l, enc_u, y_u, cfg)
+    for name, grad in grads.items():
+        adam_step(getattr(model, name).flat, grad, getattr(states, name))
     return parts
 
 
@@ -438,8 +420,9 @@ def train(
 
     Per step one labeled and one equal-sized pseudo sub-batch are drawn
     (both pools reshuffle per epoch, the pseudo pool cycles when short);
-    each step runs cfg.disc_steps discriminator updates then one generator
-    update. The returned model is the parameter snapshot with the best
+    each step encodes both sub-batches once, then runs cfg.disc_steps
+    discriminator updates and one generator update on those encodings. The
+    returned model is the parameter snapshot with the best
     validation macro-F1 (ties keep the earliest epoch). The optional
     on_step(step, model) hook fires after every completed step.
 
@@ -489,23 +472,22 @@ def train(
             u_pos = 0
         sums = {"loss_l": 0.0, "loss_u": 0.0, "loss_adv": 0.0, "disc_acc": 0.0}
         for idx in batches:
-            x_l = labeled.rows[idx]
             y_l = labeled.labels[idx]
+            enc_l = mlp_forward(model.encoder, labeled.rows[idx])
+            disc_acc = 0.5
             if cfg.suppress_pseudo:
-                parts = generator_step(model, x_l, y_l, None, None, cfg, states)
-                disc_acc = 0.5
+                parts = generator_step(model, enc_l, y_l, None, None, cfg, states)
             else:
                 sel = draw_pseudo(idx.size)
-                x_u = pseudo.rows[sel]
+                enc_u = mlp_forward(model.encoder, pseudo.rows[sel])
                 y_u = pseudo.labels[sel]
-                disc_acc = 0.5
                 adv_from_disc = None
                 if cfg.train_discriminator:
                     for _ in range(cfg.disc_steps):
                         adv_from_disc, disc_acc = discriminator_step(
-                            model, x_l, x_u, cfg, states.discriminator
+                            model, enc_l[0], enc_u[0], cfg, states.discriminator
                         )
-                parts = generator_step(model, x_l, y_l, x_u, y_u, cfg, states)
+                parts = generator_step(model, enc_l, y_l, enc_u, y_u, cfg, states)
                 if cfg.alpha == 0 and adv_from_disc is not None:
                     parts = dict(parts, loss_adv=adv_from_disc)
             step += 1

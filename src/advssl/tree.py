@@ -18,7 +18,7 @@ each feature would give, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class RegressionTree:
     root: TreeNode
     max_depth: int
     min_leaf_count: int
+    # Set by the fit: each training row's leaf value, predict(x) bit for bit.
+    fitted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf value per row; rows go left when value <= threshold."""
@@ -172,7 +174,8 @@ def fit_regression_tree(
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
     side, on constant targets, and on zero SSE gain. presorted, when given,
-    is presort(x); otherwise x is sorted here.
+    is presort(x); otherwise x is sorted here. The tree's `fitted` holds
+    each row's leaf value.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -194,16 +197,17 @@ def fit_regression_tree(
             f"presorted must be two arrays of shape {expected} (features, rows)"
         )
     n = x.shape[0]
+    fitted = np.empty(n)
 
     def build(idx: np.ndarray, rows, values, depth: int) -> TreeNode:
         ys = targets[idx]
         leaf = TreeNode(value=float(ys.mean()))
-        if depth >= max_depth or idx.shape[0] < 2 * min_leaf_count:
-            return leaf
-        if ys.min() == ys.max():  # constant targets: exact single leaf
-            return leaf
-        found = best_split(rows, values, targets, ys.sum(), min_leaf_count)
+        found = None
+        # A split needs depth left, min_leaf_count rows per side and non-constant targets.
+        if depth < max_depth and idx.shape[0] >= 2 * min_leaf_count and ys.min() != ys.max():
+            found = best_split(rows, values, targets, ys.sum(), min_leaf_count)
         if found is None:
+            fitted[idx] = leaf.value
             return leaf
         _, feat, threshold = found
         go_left = x[idx, feat] <= threshold
@@ -224,4 +228,4 @@ def fit_regression_tree(
         )
 
     root = build(np.arange(n), *presorted, 0)
-    return RegressionTree(root=root, max_depth=max_depth, min_leaf_count=min_leaf_count)
+    return RegressionTree(root, max_depth, min_leaf_count, fitted)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -184,6 +186,78 @@ class TestPredict:
         bad.write_text("wrong_col\n1.0\n")
         code, _, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(bad))
         assert code == 3
+
+
+def _tampered(src, dst, edit):
+    """Copy a model file with `edit` applied to its JSON; return the copy's path."""
+    payload = json.loads(src.read_text())
+    edit(payload)
+    dst.write_text(json.dumps(payload))
+    return dst
+
+
+def _first_parameter(payload):
+    """The container and key of one trained parameter of either model format."""
+    if "networks" in payload:
+        return payload["networks"]["encoder"][0]["weights"][0], 0
+    if payload["variant"] == "gbdt":
+        return payload["gbdt"]["base_score"], 0
+    return payload["logreg"]["weights"][0], 0
+
+
+class TestPredictRejectsBadModelFiles:
+    """A tampered model file ends in exit 3 and one error line, never in output."""
+
+    @pytest.fixture()
+    def trained_run(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
+        assert code == 0, err
+        return next(tmp_path.glob("run-*/seed_0"))
+
+    def _predict_fails(self, capsys, model, trained_run):
+        code, out, err = run_cli(capsys, "predict", str(model), str(trained_run / "test_split.csv"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: code=3 ") and len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameter(self, trained_run, tmp_path, capsys, name, bad):
+        def edit(payload):
+            container, key = _first_parameter(payload)
+            container[key] = bad
+
+        model = _tampered(trained_run / name, tmp_path / name, edit)
+        assert "non-finite" in self._predict_fails(capsys, model, trained_run)
+
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_missing_key(self, trained_run, tmp_path, capsys, name):
+        model = _tampered(trained_run / name, tmp_path / name, lambda p: p.pop("normalizer"))
+        assert "normalizer" in self._predict_fails(capsys, model, trained_run)
+
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_wrong_schema_hash(self, trained_run, tmp_path, capsys, name):
+        def edit(payload):
+            payload["schema_hash"] = "0" * 16
+
+        model = _tampered(trained_run / name, tmp_path / name, edit)
+        assert "schema_hash" in self._predict_fails(capsys, model, trained_run)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_advssl_help(self):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        done = subprocess.run(
+            [sys.executable, "-m", "advssl", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: advssl")
 
 
 class TestSynth:

@@ -130,15 +130,14 @@ class TestMlpForwardBackward:
         x = np.random.default_rng(4).normal(size=(6, 3))
         out, cache = mlp_forward(mlp, x)
         grads, dx = mlp_backward(mlp, cache, np.zeros_like(out))
-        assert all(np.all(g == 0) for g in grads)
+        assert np.all(grads == 0)
         np.testing.assert_array_equal(dx, np.zeros_like(x))
 
     def test_hand_chain_rule_1x1(self):
         mlp = MlpParams([DenseLayer(np.array([[5.0]]), np.zeros(1), "identity")])
         _, cache = mlp_forward(mlp, np.array([[2.0]]))
         grads, _ = mlp_backward(mlp, cache, np.array([[3.0]]))
-        assert grads[0][0, 0] == 6.0  # dL/dW = upstream * x
-        assert grads[1][0] == 3.0
+        np.testing.assert_array_equal(grads, [6.0, 3.0])  # dL/dW = upstream * x, dL/db
 
     def test_cache_mismatch_rejected(self):
         mlp = init_mlp([3, 4, 2], ["relu", "identity"], seed=1, name="t")
@@ -160,7 +159,7 @@ class TestMlpForwardBackward:
             diff = out - target
             value = float((diff**2).sum() / batch)
             grads, _ = mlp_backward(mlp, cache, 2.0 * diff / batch)
-            return value, grads
+            return value, mlp.views(grads)
 
         err = grad_check(loss, mlp.param_arrays(), epsilon=1e-5)
         assert err < 1e-5
@@ -168,18 +167,18 @@ class TestMlpForwardBackward:
 
 class TestAdam:
     def test_zero_grad_keeps_params(self):
-        p = [np.array([1.0, -2.0])]
+        p = np.array([1.0, -2.0])
         state = AdamState.for_params(p, learning_rate=0.1)
-        adam_step(p, [np.zeros(2)], state)
-        np.testing.assert_array_equal(p[0], [1.0, -2.0])
+        adam_step(p, np.zeros(2), state)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
         assert state.step_count == 1
 
     def test_first_step_moves_by_lr_sign(self):
-        p = [np.array([1.0, 1.0, 1.0])]
-        g = [np.array([0.5, -3.0, 1e-3])]
+        p = np.array([1.0, 1.0, 1.0])
+        g = np.array([0.5, -3.0, 1e-3])
         state = AdamState.for_params(p, learning_rate=0.01, epsilon=1e-12)
         adam_step(p, g, state)
-        np.testing.assert_allclose(p[0], [1.0 - 0.01, 1.0 + 0.01, 1.0 - 0.01], atol=1e-8)
+        np.testing.assert_allclose(p, [1.0 - 0.01, 1.0 + 0.01, 1.0 - 0.01], atol=1e-8)
 
     def test_two_steps_match_hand_unrolled_recurrence(self):
         lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
@@ -193,26 +192,126 @@ class TestAdam:
             v_hat = v / (1 - b2**t)
             theta -= lr * m_hat / (math.sqrt(v_hat) + eps)
 
-        p = [np.array([0.7])]
+        p = np.array([0.7])
         state = AdamState.for_params(p, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
         for g in grads:
-            adam_step(p, [np.array([g])], state)
-        assert abs(p[0][0] - theta) < 1e-12
+            adam_step(p, np.array([g]), state)
+        assert abs(p[0] - theta) < 1e-12
 
     def test_lr_zero_is_identity(self):
         rng = np.random.default_rng(5)
-        p = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-        before = [a.copy() for a in p]
+        p = rng.normal(size=(3, 2))
+        before = p.copy()
         state = AdamState.for_params(p, learning_rate=0.0)
-        adam_step(p, [rng.normal(size=(3, 2)), rng.normal(size=3)], state)
-        for a, b in zip(p, before):
-            np.testing.assert_array_equal(a, b)
+        adam_step(p, rng.normal(size=(3, 2)), state)
+        np.testing.assert_array_equal(p, before)
 
     def test_shape_mismatch_rejected(self):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         state = AdamState.for_params(p)
         with pytest.raises(ValueError):
-            adam_step(p, [np.zeros(4)], state)
+            adam_step(p, np.zeros(4), state)
+        with pytest.raises(ValueError):
+            adam_step(np.zeros(4), np.zeros(4), state)
+
+
+def per_array_adam(params, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as one loop over a network's arrays: the flat step must equal it."""
+    for p, g, m, v in zip(params, grads, *moments):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+class TestFlatBuffer:
+    def test_layer_arrays_are_views_of_flat(self):
+        w0, b0 = np.arange(6.0).reshape(2, 3), np.array([10.0, 11.0])
+        w1, b1 = np.array([[20.0, 21.0]]), np.array([30.0])
+        mlp = MlpParams([DenseLayer(w0, b0, "relu"), DenseLayer(w1, b1, "identity")])
+        np.testing.assert_array_equal(mlp.flat, np.concatenate([w0.ravel(), b0, w1.ravel(), b1]))
+        assert mlp.flat.flags.c_contiguous and mlp.flat.dtype == np.float64
+        for a in mlp.param_arrays():
+            assert np.shares_memory(a, mlp.flat)
+        mlp.param_arrays()[2][0, 1] = -5.0  # in place through param_arrays()
+        assert mlp.flat[9] == -5.0
+        mlp.flat[-1] = 7.0
+        assert mlp.layers[1].bias[0] == 7.0
+
+    def test_views_follow_param_arrays_layout(self):
+        mlp = init_mlp([3, 5, 2], ["relu", "identity"], seed=0, name="t")
+        buffer = np.arange(mlp.flat.size, dtype=np.float64)
+        views = mlp.views(buffer)
+        assert [v.shape for v in views] == [a.shape for a in mlp.param_arrays()]
+        np.testing.assert_array_equal(np.concatenate([v.ravel() for v in views]), buffer)
+
+    def test_layers_given_twice_back_each_stack_by_its_own_buffer(self):
+        layers = init_mlp([3, 5, 2], ["relu", "identity"], seed=2, name="t").layers
+        first, second = MlpParams(layers), MlpParams(layers)
+        assert not np.shares_memory(first.flat, second.flat)
+        for mlp in (first, second):
+            for a in mlp.param_arrays():
+                assert np.shares_memory(a, mlp.flat)
+        second.flat[:] = 0.0
+        assert np.any(first.flat != 0.0)
+        np.testing.assert_array_equal(first.flat, MlpParams(layers).flat)
+
+    def test_copy_gets_its_own_buffer(self):
+        mlp = init_mlp([3, 5, 2], ["relu", "identity"], seed=1, name="t")
+        twin = mlp.copy()
+        assert not np.shares_memory(twin.flat, mlp.flat)
+        np.testing.assert_array_equal(twin.flat, mlp.flat)
+        for a in twin.param_arrays():
+            assert np.shares_memory(a, twin.flat)
+        twin.flat[:] = 0.0
+        assert np.any(mlp.flat != 0.0)
+
+    def test_loaded_model_has_views(self, tmp_path):
+        from advssl.data import DatasetSchema
+        from advssl.persist import load_assl_model, save_assl_model
+        from advssl.trainer import AsslConfig, init_assl_model
+
+        cfg = AsslConfig(embedding_dim=3, encoder_hidden=4, head_hidden=4, disc_hidden=4)
+        model = init_assl_model(5, 3, cfg)
+        schema = DatasetSchema(tuple(f"f{i}" for i in range(5)), ("a", "b", "c"))
+        save_assl_model(tmp_path / "m.json", model, cfg, schema)
+        loaded = load_assl_model(tmp_path / "m.json")[0]
+        for net in ("encoder", "supervised_head", "semi_head", "discriminator"):
+            mlp = getattr(loaded, net)
+            np.testing.assert_array_equal(mlp.flat, getattr(model, net).flat)
+            for a in mlp.param_arrays():
+                assert np.shares_memory(a, mlp.flat)
+
+    def test_flat_adam_step_equals_per_array_update_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        flat_net = init_mlp([6, 9, 4], ["relu", "identity"], seed=3, name="adam")
+        ref_net = flat_net.copy()
+        ref_arrays = [a.copy() for a in ref_net.param_arrays()]  # independent arrays
+        moments = ([np.zeros_like(a) for a in ref_arrays], [np.zeros_like(a) for a in ref_arrays])
+        state = AdamState.for_params(flat_net.flat, learning_rate=0.01)
+        for t in range(1, 6):
+            grad = rng.normal(size=flat_net.flat.size) * 10.0 ** rng.integers(-6, 3)
+            adam_step(flat_net.flat, grad, state)
+            per_array_adam(ref_arrays, flat_net.views(grad), moments, t, lr=0.01)
+        assert state.step_count == 5
+        np.testing.assert_array_equal(flat_net.flat, np.concatenate([a.ravel() for a in ref_arrays]))
+
+    def test_backward_flat_grads_and_skips(self):
+        rng = np.random.default_rng(12)
+        mlp = init_mlp([4, 6, 3], ["relu", "sigmoid"], seed=2, name="t")
+        out, cache = mlp_forward(mlp, rng.normal(size=(5, 4)))
+        upstream = rng.normal(size=out.shape)
+        grads, dx = mlp_backward(mlp, cache, upstream)
+        assert grads.shape == mlp.flat.shape and not np.shares_memory(grads, mlp.flat)
+        only_params, no_dx = mlp_backward(mlp, cache, upstream, inputs=False)
+        assert no_dx is None
+        np.testing.assert_array_equal(only_params, grads)
+        no_grads, dx_only = mlp_backward(mlp, cache, upstream, params=False)
+        assert no_grads is None
+        np.testing.assert_array_equal(dx_only, dx)
 
 
 class TestL2Penalty:
@@ -292,7 +391,7 @@ class TestNoNonFinite:
             probs = softmax(rng.uniform(-1e3, 1e3, size=(6, 3)))
             assert np.all(np.isfinite(probs))
             grads, dx = mlp_backward(mlp, cache, rng.normal(size=out.shape))
-            assert all(np.all(np.isfinite(g)) for g in grads)
+            assert np.all(np.isfinite(grads))
             assert np.all(np.isfinite(dx))
 
     def test_named_rng_streams_independent(self):

@@ -110,6 +110,7 @@ class TestGbdt:
         model = train_gbdt(ds, GbdtConfig(rounds=20, max_depth=2, shrinkage=0.3, min_leaf_count=1))
         preds = model.predict_proba_matrix(ds.rows).argmax(axis=1)
         assert (preds == labels).mean() == 1.0
+        assert all(t.fitted is None for rnd in model.gbdt.trees for t in rnd)  # not kept
 
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_log_loss_monotone_decreasing(self, seed):

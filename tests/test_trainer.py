@@ -8,14 +8,41 @@ import pytest
 
 from advssl import trainer as trainer_module
 from advssl.baseline import train_supervised
-from advssl.data import Dataset, DatasetSchema, SynthConfig, generate_synthetic, stratified_split
-from advssl.nnet import DenseLayer, MlpParams, grad_check
+from advssl.data import (
+    Dataset,
+    DatasetSchema,
+    SynthConfig,
+    generate_synthetic,
+    minibatch_indices,
+    stratified_split,
+)
+from advssl.metrics import macro_f1_score
+from advssl.nnet import (
+    PROB_EPS,
+    AdamState,
+    DenseLayer,
+    MlpParams,
+    activation_grad,
+    bce_one_hot,
+    bce_one_hot_grad,
+    categorical_ce,
+    categorical_ce_grad,
+    clamp_probs,
+    grad_check,
+    l2_penalty,
+    mlp_forward,
+    named_rng,
+    softmax,
+    softmax_backward,
+)
 from advssl.prm import PseudoLabeledDataset
 from advssl.trainer import (
     AsslConfig,
     AsslModel,
     DivergenceError,
+    EpochRecord,
     OptimizerStates,
+    TrainHistory,
     classify,
     discriminator_objective,
     discriminator_step,
@@ -29,7 +56,7 @@ from advssl.trainer import (
     predict_rating,
     train,
 )
-from advssl.nnet import AdamState
+from test_nnet import per_array_adam
 
 
 def tiny_cfg(**over):
@@ -239,8 +266,9 @@ class TestSteps:
         cfg = tiny_cfg(disc_learning_rate=0.0)
         model = init_assl_model(5, 3, cfg)
         before = [a.copy() for a in model.discriminator.param_arrays()]
-        state = AdamState.for_params(model.discriminator.param_arrays(), learning_rate=0.0)
-        discriminator_step(model, rng.normal(size=(4, 5)), rng.normal(size=(4, 5)), cfg, state)
+        state = AdamState.for_params(model.discriminator.flat, learning_rate=0.0)
+        emb_l, emb_u = (encode(model.encoder, rng.normal(size=(4, 5))) for _ in range(2))
+        discriminator_step(model, emb_l, emb_u, cfg, state)
         for a, b in zip(model.discriminator.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -252,9 +280,9 @@ class TestSteps:
         before = [a.copy() for a in model.encoder.param_arrays()]
         generator_step(
             model,
-            rng.normal(size=(4, 5)),
+            mlp_forward(model.encoder, rng.normal(size=(4, 5))),
             rng.integers(0, 3, 4),
-            rng.normal(size=(4, 5)),
+            mlp_forward(model.encoder, rng.normal(size=(4, 5))),
             rng.integers(0, 3, 4),
             cfg,
             states,
@@ -280,18 +308,18 @@ class TestSteps:
         cfg = tiny_cfg(embedding_dim=d, disc_learning_rate=0.05)
         x_l = rng.normal(size=(64, d)) + np.array([3.0, 0.0])
         x_u = rng.normal(size=(64, d)) + np.array([-3.0, 0.0])
-        state = AdamState.for_params(model.discriminator.param_arrays(), learning_rate=0.05)
+        state = AdamState.for_params(model.discriminator.flat, learning_rate=0.05)
         acc = 0.0
-        for _ in range(200):
+        for _ in range(200):  # identity encoder: the rows are their own embeddings
             _, acc = discriminator_step(model, x_l, x_u, cfg, state)
         assert acc >= 0.95
 
     def test_empty_batch_side_rejected(self):
         cfg = tiny_cfg()
         model = init_assl_model(5, 3, cfg)
-        state = AdamState.for_params(model.discriminator.param_arrays())
+        state = AdamState.for_params(model.discriminator.flat)
         with pytest.raises(ValueError):
-            discriminator_step(model, np.empty((0, 5)), np.ones((2, 5)), cfg, state)
+            discriminator_step(model, np.empty((0, 4)), np.ones((2, 4)), cfg, state)
 
 
 class TestTrain:
@@ -426,6 +454,216 @@ class TestKnobs:
             assert parts_wd[key] == parts_0[key]
         penalty = wd * sum(float(np.sum(w * w)) for w in weights)
         assert parts_wd["total"] == pytest.approx(parts_0["total"] + penalty, rel=1e-12)
+
+
+# Frozen reference: the Phase-II step as it was before flat parameters. Each
+# objective runs the encoder itself, mlp_backward builds every gradient, the
+# L2 terms are added also when their weight is 0, and Adam loops over arrays.
+# train() must reproduce it bit for bit (compare the reference best_split in
+# test_tree.py).
+
+
+def ref_backward(mlp, cache, upstream):
+    grad = upstream
+    grads = [None] * (2 * len(mlp.layers))
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        layer = mlp.layers[i]
+        x_in, z, out = cache[i]
+        dz = grad * activation_grad(layer.activation, z, out)
+        grads[2 * i] = dz.T @ x_in
+        grads[2 * i + 1] = dz.sum(axis=0)
+        grad = dz @ layer.weights
+    return grads, grad
+
+
+def ref_with_l2(grads, net, lam):
+    return [g + 2.0 * lam * a for g, a in zip(grads, net.param_arrays())]
+
+
+def ref_log_grad_inside(p):
+    inside = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
+    return inside / clamp_probs(p)
+
+
+def ref_head(probs, labels, style):
+    if style == "per_class_bce":
+        return bce_one_hot(probs, labels), bce_one_hot_grad(probs, labels)
+    return categorical_ce(probs, labels), categorical_ce_grad(probs, labels)
+
+
+def ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
+    emb_l, cache_el = mlp_forward(model.encoder, x_l)
+    logits_l, cache_hl = mlp_forward(model.supervised_head, emb_l)
+    probs_l = softmax(logits_l)
+    head_l, dprobs_l = ref_head(probs_l, y_l, cfg.loss_style)
+    loss_l = head_l + l2_penalty(model.supervised_head, cfg.lambda_l)[0]
+    sup_grads, d_emb_l = ref_backward(
+        model.supervised_head, cache_hl, softmax_backward(probs_l, dprobs_l)
+    )
+    sup_grads = ref_with_l2(sup_grads, model.supervised_head, cfg.lambda_l)
+    loss_u = loss_adv = 0.0
+    semi_grads = [np.zeros_like(a) for a in model.semi_head.param_arrays()]
+    if x_u is not None:
+        emb_u, cache_eu = mlp_forward(model.encoder, x_u)
+        logits_u, cache_hu = mlp_forward(model.semi_head, emb_u)
+        probs_u = softmax(logits_u)
+        head_u, dprobs_u = ref_head(probs_u, y_u, cfg.loss_style)
+        loss_u = head_u + l2_penalty(model.semi_head, cfg.lambda_u)[0]
+        semi_grads, d_emb_u = ref_backward(
+            model.semi_head, cache_hu, softmax_backward(probs_u, dprobs_u)
+        )
+        semi_grads = ref_with_l2(semi_grads, model.semi_head, cfg.lambda_u)
+        if cfg.alpha > 0:
+            d_l, cache_dl = mlp_forward(model.discriminator, emb_l)
+            d_u, cache_du = mlp_forward(model.discriminator, emb_u)
+            loss_adv = loss_adversarial(d_l, d_u, cfg.lambda_adv, model.discriminator)
+            up_l = cfg.alpha * ref_log_grad_inside(d_l) / d_l.shape[0]
+            up_u = -cfg.alpha * ref_log_grad_inside(1.0 - d_u) / d_u.shape[0]
+            d_emb_l = d_emb_l + ref_backward(model.discriminator, cache_dl, up_l)[1]
+            d_emb_u = d_emb_u + ref_backward(model.discriminator, cache_du, up_u)[1]
+    enc_grads, _ = ref_backward(model.encoder, cache_el, d_emb_l)
+    if x_u is not None:
+        enc_u = ref_backward(model.encoder, cache_eu, d_emb_u)[0]
+        enc_grads = [a + b for a, b in zip(enc_grads, enc_u)]
+    enc_grads = ref_with_l2(enc_grads, model.encoder, cfg.encoder_weight_decay)
+    total = (
+        loss_l
+        + loss_u
+        + cfg.alpha * loss_adv
+        + l2_penalty(model.encoder, cfg.encoder_weight_decay)[0]
+    )
+    parts = {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
+    grads = {"encoder": enc_grads, "supervised_head": sup_grads, "semi_head": semi_grads}
+    return parts, grads
+
+
+def ref_discriminator_objective(model, x_l, x_u, cfg):
+    emb_l = mlp_forward(model.encoder, x_l)[0]
+    emb_u = mlp_forward(model.encoder, x_u)[0]
+    d_l, cache_dl = mlp_forward(model.discriminator, emb_l)
+    d_u, cache_du = mlp_forward(model.discriminator, emb_u)
+    likelihood = float(np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean())
+    reg_value, reg_grads = l2_penalty(model.discriminator, cfg.lambda_adv)
+    up_l = -ref_log_grad_inside(d_l) / d_l.shape[0]
+    up_u = ref_log_grad_inside(1.0 - d_u) / d_u.shape[0]
+    g_l, _ = ref_backward(model.discriminator, cache_dl, up_l)
+    g_u, _ = ref_backward(model.discriminator, cache_du, up_u)
+    grads = [a + b + r for a, b, r in zip(g_l, g_u, reg_grads)]
+    accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / (d_l.size + d_u.size))
+    return -likelihood + reg_value, grads, likelihood + reg_value, accuracy
+
+
+def ref_train(labeled, pseudo, validation, cfg):
+    """The training loop around the reference step, with per-array Adam."""
+    m = labeled.schema.num_classes
+    model = init_assl_model(labeled.schema.num_features, m, cfg)
+    nets = ("encoder", "supervised_head", "semi_head", "discriminator")
+    moments = {
+        n: tuple([np.zeros_like(a) for a in getattr(model, n).param_arrays()] for _ in range(2))
+        for n in nets
+    }
+    counts = dict.fromkeys(nets, 0)
+
+    def adam(name, grads, lr):
+        counts[name] += 1
+        per_array_adam(getattr(model, name).param_arrays(), grads, moments[name], counts[name], lr)
+
+    shuffle_l = named_rng(cfg.seed, "labeled_shuffle")
+    shuffle_u = named_rng(cfg.seed, "pseudo_shuffle")
+    best_model, best_f1, history = model.copy(), -np.inf, TrainHistory()
+    for epoch in range(cfg.epochs):
+        batches = minibatch_indices(len(labeled), cfg.batch_size, shuffle_l)
+        pool = np.empty(0, dtype=np.int64)
+        if not cfg.suppress_pseudo:
+            pool = shuffle_u.permutation(len(pseudo))
+        sums = np.zeros(4)
+        for idx in batches:
+            x_l, y_l = labeled.rows[idx], labeled.labels[idx]
+            x_u = y_u = None
+            disc_acc, adv_from_disc = 0.5, None
+            if not cfg.suppress_pseudo:
+                while pool.size < idx.size:  # the pseudo pool cycles when short
+                    pool = np.concatenate([pool, shuffle_u.permutation(len(pseudo))])
+                sel, pool = pool[: idx.size], pool[idx.size :]
+                x_u, y_u = pseudo.rows[sel], pseudo.labels[sel]
+                for _ in range(cfg.disc_steps if cfg.train_discriminator else 0):
+                    _, grads, adv_from_disc, disc_acc = ref_discriminator_objective(
+                        model, x_l, x_u, cfg
+                    )
+                    adam("discriminator", grads, cfg.disc_learning_rate)
+            parts, grads = ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg)
+            for name in ("encoder", "supervised_head") + (("semi_head",) if x_u is not None else ()):
+                adam(name, grads[name], cfg.learning_rate)
+            if cfg.alpha == 0 and adv_from_disc is not None:
+                parts["loss_adv"] = adv_from_disc
+            sums += [parts["loss_l"], parts["loss_u"], parts["loss_adv"], disc_acc]
+        preds = predict_proba_matrix(model, validation.rows, cfg.inference_head).argmax(axis=1)
+        val_f1 = macro_f1_score(validation.labels, preds, m)
+        means = [float(v) / len(batches) for v in sums]
+        history.records.append(EpochRecord(epoch, *means, val_macro_f1=val_f1))
+        if val_f1 > best_f1:
+            best_f1, best_model = val_f1, model.copy()
+    return best_model, history
+
+
+class TestMatchesFrozenReferenceStep:
+    @pytest.mark.parametrize(
+        "over",
+        [
+            {},
+            {"alpha": 0.0},
+            {"train_discriminator": False},
+            {"suppress_pseudo": True},
+            {"disc_steps": 2},
+            {"encoder_weight_decay": 0.01},
+            {"loss_style": "categorical_ce"},
+            {"lambda_l": 0.0, "lambda_u": 0.0, "lambda_adv": 0.0},
+        ],
+        ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()) or "full",
+    )
+    def test_bit_equal_parameters_and_history(self, over):
+        train_ds, val_ds, _, pseudo = tiny_task(seed=7, n_per=40)
+        cfg = tiny_cfg(epochs=4, seed=31, **over)
+        model, history = train(train_ds, None if cfg.suppress_pseudo else pseudo, val_ds, cfg)
+        ref_model, ref_history = ref_train(train_ds, pseudo, val_ds, cfg)
+        for net in ("encoder", "supervised_head", "semi_head", "discriminator"):
+            arrays = zip(getattr(model, net).param_arrays(), getattr(ref_model, net).param_arrays())
+            for a, b in arrays:
+                np.testing.assert_array_equal(a, b)
+        assert history.records == ref_history.records
+
+    def test_objectives_match_the_reference(self):
+        rng = np.random.default_rng(13)
+        cfg = tiny_cfg(seed=14)
+        model = init_assl_model(5, 3, cfg)
+        x_l, y_l = rng.normal(size=(6, 5)), rng.integers(0, 3, 6)
+        x_u, y_u = rng.normal(size=(6, 5)), rng.integers(0, 3, 6)
+        parts, grads = generator_objective(model, x_l, y_l, x_u, y_u, cfg)
+        ref_parts, ref_grads = ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg)
+        assert parts == ref_parts
+        for net in ("encoder", "supervised_head", "semi_head"):
+            for a, b in zip(grads[net], ref_grads[net], strict=True):
+                np.testing.assert_array_equal(a, b)
+        got, ref = discriminator_objective(model, x_l, x_u, cfg), ref_discriminator_objective(
+            model, x_l, x_u, cfg
+        )
+        assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
+        for a, b in zip(got[1], ref[1], strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_generator_objective_without_pseudo_batch_matches_the_reference(self):
+        rng = np.random.default_rng(15)
+        cfg = tiny_cfg(seed=16)
+        model = init_assl_model(5, 3, cfg)
+        x_l, y_l = rng.normal(size=(6, 5)), rng.integers(0, 3, 6)
+        parts, grads = generator_objective(model, x_l, y_l, None, None, cfg)
+        ref_parts, ref_grads = ref_generator_objective(model, x_l, y_l, None, None, cfg)
+        assert parts == ref_parts
+        assert sorted(grads) == ["encoder", "semi_head", "supervised_head"]
+        for net in ("encoder", "supervised_head", "semi_head"):
+            for a, b in zip(grads[net], ref_grads[net], strict=True):
+                np.testing.assert_array_equal(a, b)
+        assert all(not g.any() for g in grads["semi_head"])
 
 
 class TestPredictRating:

@@ -203,6 +203,13 @@ class TestFitRegressionTree:
         )
         assert given.to_dict() == plain.to_dict()
 
+    @pytest.mark.parametrize("block", range(2))
+    def test_fitted_equals_predict_on_training_rows(self, block):
+        for seed in range(2000 + block * 30, 2000 + block * 30 + 30):
+            x, t, depth, min_leaf = random_fit_case(seed)
+            tree = fit_regression_tree(x, t, depth, min_leaf)
+            np.testing.assert_array_equal(tree.fitted, tree.predict(x))
+
     def test_presort_orders_each_feature_stably(self):
         x = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, -1.0]])
         rows, values = presort(x)
