@@ -20,7 +20,7 @@ from .pipeline import (
     load_config,
     resolve_output_root,
 )
-from .persist import FORMAT_ASSL, detect_model_format, load_assl_model, load_plain_model
+from .persist import FORMAT_ASSL, load_model
 from .trainer import DivergenceError, predict_proba_matrix
 
 EXIT_CONFIG = 2
@@ -63,15 +63,15 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    fmt = detect_model_format(args.model)
+    fmt, loaded = load_model(args.model)
     if fmt == FORMAT_ASSL:
-        model, cfg, schema, normalizer = load_assl_model(args.model)
+        model, cfg, schema, normalizer = loaded
 
         def proba(rows):
             return predict_proba_matrix(model, rows, cfg.inference_head)
 
     else:
-        model, schema, normalizer = load_plain_model(args.model)
+        model, schema, normalizer = loaded
         proba = model.predict_proba_matrix
 
     ds = load_csv(args.csv, schema)

@@ -8,9 +8,11 @@ Gaussian class clusters whose difficulty is fully controllable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -424,10 +426,25 @@ def load_csv(path, schema: DatasetSchema, missing_policy: str = "reject") -> Dat
     return Dataset(schema, data, label_arr)
 
 
+@contextlib.contextmanager
+def atomic_write(path, newline: str | None = None):
+    """Text handle on a temp file that replaces path when the block succeeds;
+    if the block raises, the temp file goes and path is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def save_csv(ds: Dataset, path, include_labels: bool = True) -> None:
-    """Write a Dataset back to CSV; floats use repr so values round-trip."""
+    """Write a Dataset back to CSV, atomically; floats use repr so values round-trip."""
     with_labels = include_labels and ds.is_labeled
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         header = list(ds.schema.feature_names) + ([LABEL_COLUMN] if with_labels else [])
         writer.writerow(header)

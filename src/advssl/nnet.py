@@ -363,14 +363,13 @@ def adam_step(
     return params, state
 
 
-def l2_penalty(params, lam: float) -> tuple[float, list[np.ndarray]]:
-    """lam * sum of squares over every entry (weights and biases alike)."""
+def l2_penalty(params, lam: float) -> float:
+    """lam * sum of squares over every entry (weights and biases alike); its
+    gradient 2 * lam * a is added by the trainer, in place."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     arrays = params.param_arrays() if isinstance(params, MlpParams) else list(params)
-    value = lam * float(sum(np.sum(a * a) for a in arrays))
-    grads = [2.0 * lam * a for a in arrays]
-    return value, grads
+    return lam * float(sum(np.sum(a * a) for a in arrays))
 
 
 def grad_check(loss_fn, params: list[np.ndarray], epsilon: float = 1e-5) -> float:

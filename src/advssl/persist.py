@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .data import Dataset, DatasetSchema, Normalizer
+from .data import DatasetSchema, Normalizer, atomic_write
 from .nnet import DenseLayer, MlpParams
 from .prm import GbdtModel, LogregParams, PlainModel
 from .trainer import AsslConfig, AsslModel
@@ -26,18 +26,10 @@ FORMAT_ASSL = "advssl/assl-model/1"
 
 
 def write_json(path, payload) -> None:
-    """Write sorted, one-space-indented JSON plus a newline, atomically:
-    a temp file beside path replaces it, so a failed write leaves the old file."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=1)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write sorted, one-space-indented JSON plus a newline, atomically."""
+    with atomic_write(path) as handle:
+        json.dump(payload, handle, sort_keys=True, indent=1)
+        handle.write("\n")
 
 
 def _finite(text: str) -> float:
@@ -45,21 +37,6 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
     return value
-
-
-def _load_model(path, fmt: str) -> tuple[dict, DatasetSchema, Normalizer | None]:
-    """(d, schema, normalizer) of the `fmt` model file at path, checked: a
-    wrong format, a number that is not finite (NaN, Infinity, 1e999) or a
-    schema_hash that is not the hash of the file's schema is a ValueError."""
-    with open(path, encoding="utf-8") as handle:
-        d = json.load(handle, parse_float=_finite, parse_constant=_finite)
-    if not isinstance(d, dict) or d.get("format") != fmt:
-        raise ValueError(f"not a {fmt} file")
-    schema = DatasetSchema.from_dict(d["schema"])
-    if d["schema_hash"] != schema.schema_hash():
-        raise ValueError("schema_hash does not match its schema")
-    normalizer = None if d["normalizer"] is None else Normalizer.from_dict(d["normalizer"])
-    return d, schema, normalizer
 
 
 @contextlib.contextmanager
@@ -123,10 +100,30 @@ def save_plain_model(
     write_json(path, payload)
 
 
-def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:
+def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
+    """(format, what load_plain/assl_model returns) of the file, parsed once.
+    A format other than expect (when given), a number that is not finite
+    (NaN, Infinity, 1e999) or a schema_hash that is not the hash of the
+    file's schema is a ValueError."""
     with _model_file(path):
-        d, schema, normalizer = _load_model(path, FORMAT_PLAIN)
-        return _plain_model(d), schema, normalizer
+        with open(path, encoding="utf-8") as handle:
+            d = json.load(handle, parse_float=_finite, parse_constant=_finite)
+        fmt = d.get("format") if isinstance(d, dict) else None
+        accepted = (expect,) if expect else (FORMAT_PLAIN, FORMAT_ASSL)
+        if fmt not in accepted:
+            raise ValueError(f"format {fmt!r} is not {' or '.join(accepted)}")
+        schema = DatasetSchema.from_dict(d["schema"])
+        if d["schema_hash"] != schema.schema_hash():
+            raise ValueError("schema_hash does not match its schema")
+        normalizer = None if d["normalizer"] is None else Normalizer.from_dict(d["normalizer"])
+        if fmt == FORMAT_PLAIN:
+            return fmt, (_plain_model(d), schema, normalizer)
+        nets = {name: mlp_from_dict(layers) for name, layers in d["networks"].items()}
+        return fmt, (AsslModel(**nets), AsslConfig.from_dict(d["config"]), schema, normalizer)
+
+
+def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:
+    return load_model(path, FORMAT_PLAIN)[1]
 
 
 def _plain_model(d: dict) -> PlainModel:
@@ -179,16 +176,4 @@ def save_assl_model(
 
 
 def load_assl_model(path) -> tuple[AsslModel, AsslConfig, DatasetSchema, Normalizer | None]:
-    with _model_file(path):
-        d, schema, normalizer = _load_model(path, FORMAT_ASSL)
-        nets = {name: mlp_from_dict(layers) for name, layers in d["networks"].items()}
-        return AsslModel(**nets), AsslConfig.from_dict(d["config"]), schema, normalizer
-
-
-def detect_model_format(path) -> str:
-    with open(path, encoding="utf-8") as handle:
-        d = json.load(handle)
-    fmt = d.get("format", "") if isinstance(d, dict) else ""
-    if fmt not in (FORMAT_PLAIN, FORMAT_ASSL):
-        raise ValueError(f"{path} holds unknown model format {fmt!r}")
-    return fmt
+    return load_model(path, FORMAT_ASSL)[1]

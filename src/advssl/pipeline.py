@@ -29,6 +29,7 @@ from .data import (
     Normalizer,
     SynthConfig,
     apply_normalizer,
+    atomic_write,
     default_schema,
     fit_normalizer,
     generate_synthetic,
@@ -306,7 +307,7 @@ def run_variant(prep: PreparedSeed, variant: str) -> SeedResult:
 
 
 def write_predictions_csv(path, schema: DatasetSchema, preds: np.ndarray, probs: np.ndarray):
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["predicted_rating"] + [f"p_{name}" for name in schema.label_names])
         for i in range(preds.shape[0]):
@@ -343,7 +344,7 @@ def write_seed_artifacts(seed_dir: str, prep: PreparedSeed, result: SeedResult) 
     write_json(report_json, result.report_payload())
     paths["report_json"] = report_json
     report_txt = os.path.join(seed_dir, "report.txt")
-    with open(report_txt, "w", encoding="utf-8") as handle:
+    with atomic_write(report_txt) as handle:
         handle.write(result.report.to_text(prep.schema.label_names) + "\n")
     paths["report_txt"] = report_txt
 
@@ -446,7 +447,7 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
         table_path = os.path.join(run_dir, "ablation.json")
         write_json(table_path, {"rows": rows, "summary": summary})
         text_path = os.path.join(run_dir, "ablation.txt")
-        with open(text_path, "w", encoding="utf-8") as handle:
+        with atomic_write(text_path) as handle:
             handle.write(format_ablation_table(rows, summary) + "\n")
         manifest["artifacts"]["ablation_json"] = table_path
         manifest["artifacts"]["ablation_txt"] = text_path

@@ -72,12 +72,15 @@ class GbdtModel:
     train_loss: list[float] = field(default_factory=list)
 
     def raw_scores(self, x: np.ndarray) -> np.ndarray:
+        """base + shrinkage * tree, summed per class in round order; (n, m)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        scores = np.tile(self.base_score, (x.shape[0], 1))
+        xt = np.ascontiguousarray(x.T)  # each tree test reads one contiguous row
+        scores = np.tile(self.base_score[:, None], (1, x.shape[0]))  # (m, n)
+        out = np.empty(x.shape[0])
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
-                scores[:, k] += self.shrinkage * tree.predict(x)
-        return scores
+                scores[k] += self.shrinkage * tree.predict_transposed(xt, out)
+        return np.ascontiguousarray(scores.T)
 
 
 @dataclass
@@ -163,10 +166,6 @@ def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None) -> PlainMode
     )
 
 
-def multiclass_log_loss(scores: np.ndarray, labels: np.ndarray) -> float:
-    return categorical_ce(softmax(scores), labels)
-
-
 def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     """Multiclass softmax boosting.
 
@@ -194,11 +193,11 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     scores = np.tile(base, (n, 1))
     y = np.zeros((n, m))
     y[np.arange(n), labels] = 1.0
-    losses = [multiclass_log_loss(scores, labels)]
+    probs = softmax(scores)
+    losses = [categorical_ce(probs, labels)]
     trees: list[list[RegressionTree]] = []
     presorted = presort(x)  # every tree fits the same x
     for t in range(cfg.rounds):
-        probs = softmax(scores)
         round_trees = []
         for k in range(m):
             tree = fit_regression_tree(
@@ -208,7 +207,8 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
             tree.fitted = None  # the model keeps the nodes, not n values per tree
             round_trees.append(tree)
         trees.append(round_trees)
-        loss = multiclass_log_loss(scores, labels)
+        probs = softmax(scores)  # this round's loss and the next round's residuals
+        loss = categorical_ce(probs, labels)
         if loss > losses[-1] + 1e-12:
             raise DivergenceError(
                 f"training log-loss increased at round {t}: {losses[-1]} -> {loss}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, minibatch_indices
+from .data import Dataset, atomic_write, minibatch_indices
 from .metrics import macro_f1_score
 from .nnet import (
     PROB_EPS,
@@ -174,7 +174,7 @@ def classify(head: MlpParams, embeddings: Matrix) -> Matrix:
 
 def loss_bce_l2(probs: Matrix, labels, lam: float, params) -> float:
     """Per-class binary cross-entropy over one-hot targets + lam*||params||^2."""
-    return bce_one_hot(probs, labels) + l2_penalty(params, lam)[0]
+    return bce_one_hot(probs, labels) + l2_penalty(params, lam)
 
 
 def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> float:
@@ -191,12 +191,12 @@ def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> 
     value = float(
         np.log(clamp_probs(d_labeled)).mean() + np.log(1.0 - clamp_probs(d_unlabeled)).mean()
     )
-    return value + l2_penalty(disc_params, lambda_adv)[0]
+    return value + l2_penalty(disc_params, lambda_adv)
 
 
 def _l2_value(net: MlpParams, lam: float) -> float:
     """lam * ||net||^2 (computed per array, as l2_penalty does); 0.0 when lam is 0."""
-    return l2_penalty(net, lam)[0] if lam else 0.0
+    return l2_penalty(net, lam) if lam else 0.0
 
 
 def _add_l2(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:
@@ -366,7 +366,7 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
+        with atomic_write(path, newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["epoch", "L_L", "L_U", "L_adv", "disc_acc", "val_macro_f1"])
             for r in self.records:

@@ -14,6 +14,8 @@ every position that leaves min_leaf_count rows per side and lies between
 two distinct values. Ties go to the lowest feature index, then to the
 smallest threshold. The trees are the ones a per-node stable sort of
 each feature would give, bit for bit.
+Prediction walks a tree in blocks of three levels over x.T (_evaluate):
+a depth-3 tree is seven vectorised tests and one gather, bit for bit.
 """
 
 from __future__ import annotations
@@ -68,27 +70,16 @@ class RegressionTree:
     fitted: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value per row; rows go left when value <= threshold."""
+        """Leaf value per row; rows go left when value <= threshold (NaN goes right)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 1:
             x = x.reshape(1, -1)
-        out = np.empty(x.shape[0])
-        self._fill(self.root, x, np.arange(x.shape[0]), out)
+        return self.predict_transposed(x.T, np.empty(x.shape[0]))
+
+    def predict_transposed(self, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """predict(x) into out, from xt = x.T; fastest when xt is C-contiguous."""
+        _evaluate(self.root, xt, None, out)
         return out
-
-    def _fill(self, node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray):
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = x[idx, node.feature] <= node.threshold
-        self._fill(node.left, x, idx[go_left], out)
-        self._fill(node.right, x, idx[~go_left], out)
-
-    def depth(self) -> int:
-        def _d(node):
-            return 0 if node.is_leaf else 1 + max(_d(node.left), _d(node.right))
-
-        return _d(self.root)
 
     def to_dict(self) -> dict:
         return {
@@ -104,6 +95,42 @@ class RegressionTree:
             max_depth=int(d["max_depth"]),
             min_leaf_count=int(d["min_leaf_count"]),
         )
+
+
+def _evaluate(node: TreeNode, xt: np.ndarray, rows: np.ndarray | None, out: np.ndarray):
+    """Write the leaf value of the columns rows of xt (None: all) under node into out.
+
+    The top three levels form a block: each of its <= 7 tests runs on all
+    the block's rows and bit-select arithmetic picks each row's exit (<= 8).
+    A leaf above the bottom is padded: it sends every row left and both its
+    exits are itself. Only exits that are subtrees recurse, on their rows.
+    """
+    at = slice(None) if rows is None else rows
+    if node.is_leaf:
+        out[at] = node.value
+        return
+    levels, exits = [], [node]
+    while len(levels) < 3 and not all(n.is_leaf for n in exits):
+        levels.append(exits)
+        exits = [c for n in exits for c in ((n, n) if n.is_leaf else (n.left, n.right))]
+    column = xt.__getitem__ if rows is None else lambda f: xt[f][rows]
+    path = []  # per level, the test of each row's node there: True = go left
+    for level in levels:
+        tests = [n.is_leaf or column(n.feature) <= n.threshold for n in level]
+        for went_left in reversed(path):  # select between sibling subtrees, deepest first
+            tests = [b ^ ((b ^ a) & went_left) for a, b in zip(tests[::2], tests[1::2])]
+        path.append(tests[0])
+    code = path[0].view(np.uint8)  # the path's left turns as bits: exit = top - code
+    for went_left in path[1:]:
+        code += code
+        code |= went_left
+    out[at] = np.array([n.value for n in reversed(exits)]).take(code)
+    top = len(exits) - 1
+    for j, sub in enumerate(exits):
+        if not sub.is_leaf:
+            sel = np.flatnonzero(code == top - j)
+            if sel.size:
+                _evaluate(sub, xt, sel if rows is None else rows[sel], out)
 
 
 def presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

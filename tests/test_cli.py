@@ -95,7 +95,7 @@ class TestRun:
         from advssl import prm
 
         losses = count()
-        monkeypatch.setattr(prm, "multiclass_log_loss", lambda scores, labels: next(losses))
+        monkeypatch.setattr(prm, "categorical_ce", lambda probs, labels: next(losses))
         code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
         assert code == 4
         assert len(err.splitlines()) == 1 and err.startswith("error: code=4 ")
@@ -181,6 +181,17 @@ class TestPredict:
         assert code == 0, err
         assert out == ""
 
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_model_file_parsed_once(self, trained_run, capsys, monkeypatch, name):
+        loads = []
+        real_load = json.load
+        monkeypatch.setattr(json, "load", lambda *a, **k: loads.append(1) or real_load(*a, **k))
+        code, _, err = run_cli(
+            capsys, "predict", str(trained_run / name), str(trained_run / "test_split.csv")
+        )
+        assert code == 0, err
+        assert len(loads) == 1
+
     def test_schema_mismatch_exits_3(self, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong_col\n1.0\n")
@@ -235,6 +246,15 @@ class TestPredictRejectsBadModelFiles:
     def test_missing_key(self, trained_run, tmp_path, capsys, name):
         model = _tampered(trained_run / name, tmp_path / name, lambda p: p.pop("normalizer"))
         assert "normalizer" in self._predict_fails(capsys, model, trained_run)
+
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    @pytest.mark.parametrize("fmt", ["advssl/other-model/1", None, 7])
+    def test_unknown_format(self, trained_run, tmp_path, capsys, name, fmt):
+        def edit(payload):
+            payload["format"] = fmt
+
+        model = _tampered(trained_run / name, tmp_path / name, edit)
+        assert "format" in self._predict_fails(capsys, model, trained_run)
 
     @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
     def test_wrong_schema_hash(self, trained_run, tmp_path, capsys, name):

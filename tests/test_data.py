@@ -1,5 +1,7 @@
 """Data pipeline tests: schema, normalization, splits, synthesis, CSV I/O."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from advssl.data import (
     generate_synthetic,
     largest_remainder,
     load_csv,
+    atomic_write,
     save_csv,
     stratified_split,
 )
@@ -290,6 +293,37 @@ class TestCsv:
             load_csv(path, schema)
         ds = load_csv(path, schema, missing_policy="mean_impute")
         assert ds.rows[0, 0] == 4.0  # imputed from the only numeric value
+
+
+class TestAtomicWrite:
+    def test_writer_raising_part_way_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError):
+            with atomic_write(path) as handle:
+                handle.write("partial")
+                raise RuntimeError("writer failed")
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
+    def test_success_replaces_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("previous\n")
+        with atomic_write(path, newline="") as handle:
+            handle.write("a,b\r\n")
+        assert path.read_bytes() == b"a,b\r\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_save_csv_failing_part_way_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "toy.csv"
+        save_csv(_toy_labeled(3), path)
+        before = path.read_bytes()
+        bad = _toy_labeled(12)
+        bad.labels[8] = 99  # no such label: the writer raises on row 8
+        with pytest.raises(IndexError):
+            save_csv(bad, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["toy.csv"]
 
 
 def _toy_labeled(n, num_classes=3):

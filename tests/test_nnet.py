@@ -316,32 +316,35 @@ class TestFlatBuffer:
 
 class TestL2Penalty:
     def test_zero_lambda(self):
-        value, grads = l2_penalty([np.array([1.0, 2.0])], 0.0)
-        assert value == 0.0
-        np.testing.assert_array_equal(grads[0], [0.0, 0.0])
+        assert l2_penalty([np.array([1.0, 2.0])], 0.0) == 0.0
 
     def test_hand_single_weight(self):
-        value, grads = l2_penalty([np.array([2.0])], 0.5)
-        assert value == 2.0
-        assert grads[0][0] == 2.0
+        assert l2_penalty([np.array([2.0])], 0.5) == 2.0
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             l2_penalty([np.zeros(2)], -0.1)
 
     def test_gradient_matches_finite_differences(self):
+        """The trainer's L2 gradient is the derivative of this value."""
+        from advssl.trainer import _add_l2
+
         rng = np.random.default_rng(6)
-        params = [rng.normal(size=(2, 3)), rng.normal(size=4)]
+        mlp = MlpParams(
+            [
+                DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "relu"),
+                DenseLayer(rng.normal(size=(1, 2)), rng.normal(size=1), "identity"),
+            ]
+        )
 
-        def loss(ps):
-            return l2_penalty(ps, 0.37)
+        def loss(ps):  # ps are mlp's own arrays, views of mlp.flat
+            return l2_penalty(mlp, 0.37), mlp.views(_add_l2(np.zeros_like(mlp.flat), mlp, 0.37))
 
-        assert grad_check(loss, params, epsilon=1e-6) < 1e-8
+        assert grad_check(loss, mlp.param_arrays(), epsilon=1e-6) < 1e-8
 
     def test_covers_biases_too(self):
         mlp = MlpParams([DenseLayer(np.zeros((1, 1)), np.array([3.0]), "identity")])
-        value, _ = l2_penalty(mlp, 1.0)
-        assert value == 9.0
+        assert l2_penalty(mlp, 1.0) == 9.0
 
 
 class TestGradCheck:

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from advssl.data import Dataset
+from advssl.data import Dataset, DatasetSchema
 from advssl.pipeline import (
     ConfigError,
     RunConfig,
@@ -14,6 +14,7 @@ from advssl.pipeline import (
     prepare_seed,
     run_variant,
     variant_config,
+    write_predictions_csv,
 )
 from advssl.trainer import train
 
@@ -123,3 +124,16 @@ class TestRunConfig:
         raw["ablation"] = {"no_adversarial": True, "no_semi": True}
         with pytest.raises(ConfigError):
             RunConfig.from_dict(raw)
+
+
+class TestArtifactWriters:
+    def test_predictions_csv_failing_part_way_keeps_previous_file(self, tmp_path):
+        schema = DatasetSchema(("a",), ("L0", "L1"))
+        path = tmp_path / "predictions.csv"
+        probs = np.full((4, 2), 0.5)
+        write_predictions_csv(path, schema, np.array([0, 1, 0, 1]), probs)
+        before = path.read_bytes()
+        with pytest.raises(IndexError):  # no label 5: the writer raises on row 2
+            write_predictions_csv(path, schema, np.array([0, 1, 5, 1]), probs)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["predictions.csv"]

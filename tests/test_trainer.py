@@ -496,7 +496,7 @@ def ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
     logits_l, cache_hl = mlp_forward(model.supervised_head, emb_l)
     probs_l = softmax(logits_l)
     head_l, dprobs_l = ref_head(probs_l, y_l, cfg.loss_style)
-    loss_l = head_l + l2_penalty(model.supervised_head, cfg.lambda_l)[0]
+    loss_l = head_l + l2_penalty(model.supervised_head, cfg.lambda_l)
     sup_grads, d_emb_l = ref_backward(
         model.supervised_head, cache_hl, softmax_backward(probs_l, dprobs_l)
     )
@@ -508,7 +508,7 @@ def ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
         logits_u, cache_hu = mlp_forward(model.semi_head, emb_u)
         probs_u = softmax(logits_u)
         head_u, dprobs_u = ref_head(probs_u, y_u, cfg.loss_style)
-        loss_u = head_u + l2_penalty(model.semi_head, cfg.lambda_u)[0]
+        loss_u = head_u + l2_penalty(model.semi_head, cfg.lambda_u)
         semi_grads, d_emb_u = ref_backward(
             model.semi_head, cache_hu, softmax_backward(probs_u, dprobs_u)
         )
@@ -530,7 +530,7 @@ def ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
         loss_l
         + loss_u
         + cfg.alpha * loss_adv
-        + l2_penalty(model.encoder, cfg.encoder_weight_decay)[0]
+        + l2_penalty(model.encoder, cfg.encoder_weight_decay)
     )
     parts = {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
     grads = {"encoder": enc_grads, "supervised_head": sup_grads, "semi_head": semi_grads}
@@ -543,7 +543,8 @@ def ref_discriminator_objective(model, x_l, x_u, cfg):
     d_l, cache_dl = mlp_forward(model.discriminator, emb_l)
     d_u, cache_du = mlp_forward(model.discriminator, emb_u)
     likelihood = float(np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean())
-    reg_value, reg_grads = l2_penalty(model.discriminator, cfg.lambda_adv)
+    reg_value = l2_penalty(model.discriminator, cfg.lambda_adv)
+    reg_grads = [2.0 * cfg.lambda_adv * a for a in model.discriminator.param_arrays()]
     up_l = -ref_log_grad_inside(d_l) / d_l.shape[0]
     up_u = ref_log_grad_inside(1.0 - d_u) / d_u.shape[0]
     g_l, _ = ref_backward(model.discriminator, cache_dl, up_l)

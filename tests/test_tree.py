@@ -1,9 +1,12 @@
-"""Regression-tree tests; the oracle is an exhaustive split search."""
+"""Regression-tree tests; the oracles are an exhaustive split search and a
+frozen copy of the recursive row-partitioning predict."""
 
 import numpy as np
 import pytest
 
-from advssl.tree import RegressionTree, fit_regression_tree, presort
+from advssl.data import Dataset, DatasetSchema
+from advssl.prm import GbdtConfig, train_gbdt
+from advssl.tree import RegressionTree, TreeNode, fit_regression_tree, presort
 
 
 def reference_best_split(x, targets, min_leaf_count):
@@ -151,7 +154,7 @@ class TestFitRegressionTree:
         t = rng.normal(size=60)
         for depth in (1, 2, 3):
             tree = fit_regression_tree(x, t, max_depth=depth)
-            assert tree.depth() <= depth
+            assert _depth(tree.root) <= depth
 
     @pytest.mark.parametrize("seed", range(10))
     def test_depth1_matches_exhaustive_search(self, seed):
@@ -241,9 +244,136 @@ class TestFitRegressionTree:
         np.testing.assert_array_equal(tree.predict(grid), clone.predict(grid))
 
 
+def _depth(node):
+    return 0 if node.is_leaf else 1 + max(_depth(node.left), _depth(node.right))
+
+
 def _partition_gain(x, t, feature, threshold):
     def sse(vals):
         return float(((vals - vals.mean()) ** 2).sum()) if vals.size else 0.0
 
     left = x[:, feature] <= threshold
     return sse(t) - sse(t[left]) - sse(t[~left])
+
+
+def reference_predict(tree, x):
+    """Frozen recursive predict: partition the rows at every node, root to leaf."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x.reshape(1, -1)
+    out = np.empty(x.shape[0])
+
+    def fill(node, idx):
+        if node.is_leaf:
+            out[idx] = node.value
+            return
+        go_left = x[idx, node.feature] <= node.threshold
+        fill(node.left, idx[go_left])
+        fill(node.right, idx[~go_left])
+
+    fill(tree.root, np.arange(x.shape[0]))
+    return out
+
+
+def reference_raw_scores(model, x):
+    """Frozen per-tree GBDT score loop over reference_predict."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    scores = np.tile(model.base_score, (x.shape[0], 1))
+    for round_trees in model.trees:
+        for k, tree in enumerate(round_trees):
+            scores[:, k] += model.shrinkage * reference_predict(tree, x)
+    return scores
+
+
+def _thresholds(node):
+    if node.is_leaf:
+        return []
+    return [(node.feature, node.threshold)] + _thresholds(node.left) + _thresholds(node.right)
+
+
+def probe_rows(tree, n_features, rng, n=400):
+    """Random rows plus NaN, +-inf, -0.0, 0.0 and values equal to each threshold."""
+    x = rng.normal(size=(n, n_features))
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    mask = rng.random(size=x.shape) < 0.15
+    x[mask] = rng.choice(specials, size=int(mask.sum()))
+    for feature, threshold in _thresholds(tree.root):
+        x[rng.integers(0, n, size=5), feature] = threshold
+        x[rng.integers(0, n), feature] = np.nextafter(threshold, np.inf)
+    return x
+
+
+def _node(feature, threshold, left, right):
+    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+
+
+def _leaf(value):
+    return TreeNode(value=value)
+
+
+def hand_built_trees():
+    """Unbalanced shapes: early leaves in a block, subtrees below a block's exits."""
+    chain_right = _leaf(9.0)
+    for depth in range(7):  # a right-leaning chain seven tests deep
+        chain_right = _node(depth % 3, 0.1 * depth - 0.3, _leaf(float(depth)), chain_right)
+    chain_left = _leaf(-9.0)
+    for depth in range(5):
+        chain_left = _node((depth + 1) % 3, -0.2 * depth, chain_left, _leaf(-float(depth)))
+    mixed = _node(
+        0,
+        0.0,
+        _leaf(1.0),
+        _node(1, -0.0, _node(2, 0.5, chain_left, _leaf(2.0)), _node(0, 1.0, _leaf(3.0), chain_right)),
+    )
+    return {
+        "single_leaf": RegressionTree(_leaf(4.25), max_depth=3, min_leaf_count=1),
+        "stump": RegressionTree(_node(1, 0.0, _leaf(-1.0), _leaf(1.0)), 1, 1),
+        "right_chain_deeper_than_max_depth": RegressionTree(chain_right, max_depth=2, min_leaf_count=1),
+        "left_chain": RegressionTree(chain_left, max_depth=5, min_leaf_count=1),
+        "mixed": RegressionTree(mixed, max_depth=10, min_leaf_count=1),
+    }
+
+
+class TestPredictMatchesRecursiveReference:
+    """The block evaluator gives the recursive predict's values bit for bit."""
+
+    @pytest.mark.parametrize("depth", range(1, 11))
+    def test_fitted_trees(self, depth):
+        rng = np.random.default_rng(300 + depth)
+        x = rng.normal(size=(600, 5))
+        x[:, 3] = np.round(x[:, 3], 1)  # ties
+        t = np.sin(3 * x[:, 0]) + x[:, 1] * x[:, 2] + rng.normal(scale=0.1, size=600)
+        tree = fit_regression_tree(x, t, max_depth=depth, min_leaf_count=1)
+        assert _depth(tree.root) == depth
+        for rows in (x, probe_rows(tree, 5, rng)):
+            assert tree.predict(rows).tobytes() == reference_predict(tree, rows).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(hand_built_trees()))
+    def test_hand_built_trees(self, name):
+        tree = hand_built_trees()[name]
+        x = probe_rows(tree, 3, np.random.default_rng(7))
+        assert tree.predict(x).tobytes() == reference_predict(tree, x).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(hand_built_trees()))
+    def test_one_row_and_no_rows(self, name):
+        tree = hand_built_trees()[name]
+        row = np.array([0.05, -0.0, np.nan])
+        assert tree.predict(row).tobytes() == reference_predict(tree, row).tobytes()
+        assert tree.predict(np.empty((0, 3))).shape == (0,)
+
+    def test_predict_transposed_writes_into_out(self):
+        tree = hand_built_trees()["mixed"]
+        x = probe_rows(tree, 3, np.random.default_rng(8))
+        out = np.full(x.shape[0], np.nan)
+        assert tree.predict_transposed(np.ascontiguousarray(x.T), out) is out
+        assert out.tobytes() == reference_predict(tree, x).tobytes()
+
+    def test_gbdt_raw_scores(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(300, 4))
+        labels = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5).astype(int)
+        schema = DatasetSchema(tuple(f"f{i}" for i in range(4)), ("A", "B", "C"))
+        model = train_gbdt(Dataset(schema, x, labels), GbdtConfig(rounds=12, max_depth=4)).gbdt
+        for rows in (x, probe_rows(model.trees[0][0], 4, rng), x[0]):
+            got, want = model.raw_scores(rows), reference_raw_scores(model, rows)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
