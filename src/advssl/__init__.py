@@ -36,7 +36,6 @@ from .prm import (  # noqa: F401
     PlainModel,
     PrmConfig,
     PseudoLabeledDataset,
-    predict_proba,
     pseudo_label,
     train_gbdt,
     train_logreg,
@@ -52,7 +51,6 @@ from .trainer import (  # noqa: F401
     init_assl_model,
     loss_adversarial,
     loss_bce_l2,
-    predict_rating,
     train,
 )
 from .baseline import SupervisedMlp, train_supervised  # noqa: F401

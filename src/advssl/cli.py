@@ -8,6 +8,7 @@ training divergence. Failures print one machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -39,7 +40,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             seeds = tuple(int(s) for s in args.seeds.split(","))
         except ValueError:
             raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}")
-        return RunConfig.from_dict({**cfg.to_dict(), "seeds": list(seeds)})
+        return dataclasses.replace(cfg, seeds=seeds)
     return cfg
 
 
@@ -93,12 +94,12 @@ def cmd_predict(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    if cfg.synth is None:
+    if cfg.data.synth is None:
         raise ConfigError("synth command needs a config with a data.synth section")
     out_root = resolve_output_root(cfg, args.out)
     out_dir = os.path.join(out_root, f"synth-{cfg.config_hash()}")
     os.makedirs(out_dir, exist_ok=True)
-    labeled, unlabeled, truth = generate_synthetic(cfg.synth)
+    labeled, unlabeled, truth = generate_synthetic(cfg.data.synth)
     save_csv(labeled, os.path.join(out_dir, "labeled.csv"))
     save_csv(unlabeled, os.path.join(out_dir, "unlabeled.csv"))
     truth_ds = Dataset(labeled.schema, unlabeled.rows, truth)

@@ -63,10 +63,7 @@ class DatasetSchema:
         return len(self.label_names)
 
     def schema_hash(self) -> str:
-        payload = json.dumps(
-            {"features": list(self.feature_names), "labels": list(self.label_names)},
-            sort_keys=True,
-        )
+        payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def label_index(self, token: str) -> int:
@@ -86,7 +83,12 @@ class DatasetSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSchema":
-        return cls(tuple(d["features"]), tuple(d["labels"]))
+        names = [d.get("features"), d.get("labels")]
+        if d.keys() != {"features", "labels"} or not all(
+            isinstance(v, list) and all(isinstance(n, str) for n in v) for v in names
+        ):
+            raise DataError('a schema is {"features": [str, ...], "labels": [str, ...]}')
+        return cls(*map(tuple, names))
 
 
 def default_schema() -> DatasetSchema:
@@ -166,6 +168,8 @@ class Normalizer:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Normalizer":
+        if d.keys() != {"mean", "std", "constant"}:
+            raise DataError(f"a normalizer has keys mean, std and constant, not {sorted(d)}")
         return cls(
             mean=np.asarray(d["mean"], dtype=np.float64),
             std=np.asarray(d["std"], dtype=np.float64),
@@ -282,22 +286,6 @@ class SynthConfig:
             raise DataError("label_noise_rate must lie in [0, 1]")
         if self.separation_scale < 0 or self.noise_std < 0:
             raise DataError("separation_scale and noise_std must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {
-            "num_features": self.num_features,
-            "num_classes": self.num_classes,
-            "samples_per_class": self.samples_per_class,
-            "labeled_fraction": self.labeled_fraction,
-            "separation_scale": self.separation_scale,
-            "noise_std": self.noise_std,
-            "label_noise_rate": self.label_noise_rate,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d)
 
 
 def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:

@@ -178,16 +178,6 @@ def activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def dense_forward(layer: DenseLayer, x: Matrix) -> Matrix:
-    """activation(x @ W.T + b), broadcasting the bias per row."""
-    x = as_matrix(x, "x")
-    if x.shape[1] != layer.in_dim:
-        raise ValueError(
-            f"shape mismatch: input has {x.shape[1]} columns, layer expects {layer.in_dim}"
-        )
-    return activate(layer.activation, x @ layer.weights.T + layer.bias)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax; 1-D input is treated as a single row."""
     arr = np.asarray(logits, dtype=np.float64)

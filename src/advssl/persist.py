@@ -1,4 +1,17 @@
-"""JSON persistence for models, normalizers and reports.
+"""JSON persistence: one dataclass codec, the model files and the JSON writer.
+
+`to_plain(obj)` and `from_plain(tp, raw, where)` map dataclasses (nested,
+`X | None`, tuples, lists, float64 arrays) to JSON values and back, driven
+by their fields and type hints. from_plain rejects an unknown or missing key
+or a wrong JSON type with a ConfigError naming the path, as in
+`config.prm.gbdt.rounds must be int, got str`; an int given for a float
+stays an int, so a config hashes as written. to_plain leaves out a None
+field whose default is None, unless the field's metadata "omit" (a
+predicate on the object and the value) decides. Three classes' JSON is not
+their list of fields, so the codec calls their to_dict/from_dict:
+DatasetSchema (keys "features", "labels"), Normalizer ("constant" as 0/1)
+and TreeNode (a leaf {"value"} or a split {"feature", "threshold", "left",
+"right"}).
 
 Floats are serialized with Python's shortest round-trip repr, so every
 64-bit value survives save -> load -> save byte-for-byte. Each model file
@@ -9,17 +22,20 @@ making a saved model self-contained for prediction on raw CSV rows.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import json
 import math
 import os
+import types
+import typing
 
 import numpy as np
 
 from .data import DatasetSchema, Normalizer, atomic_write
 from .nnet import DenseLayer, MlpParams
-from .prm import GbdtModel, LogregParams, PlainModel
+from .prm import PlainModel
 from .trainer import AsslConfig, AsslModel
-from .tree import RegressionTree
 
 FORMAT_PLAIN = "advssl/plain-model/1"
 FORMAT_ASSL = "advssl/assl-model/1"
@@ -39,140 +55,157 @@ def _finite(text: str) -> float:
     return value
 
 
+class ConfigError(ValueError):
+    """Raised when a run config (or any value from_plain decodes) is invalid."""
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """name -> (type hint, required, omit predicate or None) per init field of cls."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        if f.init:
+            required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+            omit_none = (lambda obj, value: value is None) if f.default is None else None
+            omit = f.metadata.get("omit", omit_none)
+            out[f.name] = (hints[f.name], required, omit)
+    return out
+
+
+def to_plain(obj):
+    """obj as JSON values: dataclasses become dicts, tuples lists, arrays nested lists."""
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if dataclasses.is_dataclass(obj):
+        plain = {}
+        for name, (_, _, omit) in _fields(type(obj)).items():
+            value = getattr(obj, name)
+            if omit is None or not omit(obj, value):
+                plain[name] = to_plain(value)
+        return plain
+    if isinstance(obj, (list, tuple)):
+        return [to_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
+def _wrong(where: str, expected: str, raw) -> ConfigError:
+    return ConfigError(f"{where} must be {expected}, got {type(raw).__name__}")
+
+
 @contextlib.contextmanager
-def _model_file(path):
-    """Turn a bad model file's KeyError (missing key), TypeError or
-    ValueError (malformed field) into one ValueError naming the file."""
+def _named(where: str, error=ConfigError):
+    """Re-raise a KeyError (missing key), TypeError, AttributeError or
+    ValueError from the block as one error(f"{where}: ...")."""
     try:
         yield
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{os.path.basename(str(path))}: {detail}") from None
+        raise error(f"{where}: {detail}") from None
 
 
-def mlp_to_dict(mlp: MlpParams) -> list[dict]:
-    return [
-        {
-            "weights": layer.weights.tolist(),
-            "bias": layer.bias.tolist(),
-            "activation": layer.activation,
-        }
-        for layer in mlp.layers
-    ]
+def from_plain(tp, raw, where: str):
+    """The tp value whose to_plain form is raw; where names raw in errors."""
+    if type(raw) is tp:  # an int, float, str or bool as written
+        return raw
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None, so args[0] is X
+        return None if raw is None else from_plain(args[0], raw, where)
+    if origin in (list, tuple):
+        if not isinstance(raw, list):
+            raise _wrong(where, "list", raw)
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(raw)
+        elif len(raw) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} items, got {len(raw)}")
+        items = [from_plain(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, raw))]
+        return items if origin is list else tuple(items)
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise _wrong(where, "dict", raw)
+        if hasattr(tp, "from_dict"):
+            with _named(where):
+                return tp.from_dict(raw)
+        known = _fields(tp)
+        if unknown := raw.keys() - known.keys():
+            raise ConfigError(f"{where} has unknown key {min(unknown)!r}")
+        kwargs = {}
+        for name, (hint, required, _) in known.items():
+            if name in raw:
+                kwargs[name] = from_plain(hint, raw[name], f"{where}.{name}")
+            elif required:
+                raise ConfigError(f"{where}: missing key {name!r}")
+        with _named(where):
+            return tp(**kwargs)
+    if tp is np.ndarray:
+        with contextlib.suppress(ValueError):  # a ragged list is not an array
+            array = np.asarray(raw)
+            if isinstance(raw, list) and array.dtype.kind in "iuf":
+                return array.astype(np.float64)
+        raise _wrong(where, "a list of numbers", raw)
+    if tp is float and type(raw) is int:  # kept as written; bool is not an int here
+        return raw
+    raise _wrong(where, tp.__name__, raw)
 
 
-def mlp_from_dict(layers: list[dict]) -> MlpParams:
-    return MlpParams([DenseLayer(d["weights"], d["bias"], d["activation"]) for d in layers])
-
-
-def _schema_block(schema: DatasetSchema) -> dict:
-    return {"schema": schema.to_dict(), "schema_hash": schema.schema_hash()}
-
-
-def _normalizer_block(normalizer: Normalizer | None) -> dict:
-    return {"normalizer": None if normalizer is None else normalizer.to_dict()}
+def _envelope(fmt: str, schema: DatasetSchema, normalizer: Normalizer | None) -> dict:
+    return {
+        "format": fmt,
+        "schema": schema.to_dict(),
+        "schema_hash": schema.schema_hash(),
+        "normalizer": to_plain(normalizer),
+    }
 
 
 def save_plain_model(
     path, model: PlainModel, schema: DatasetSchema, normalizer: Normalizer | None = None
 ) -> None:
-    payload: dict = {
-        "format": FORMAT_PLAIN,
-        "variant": model.variant,
-        "input_dim": model.input_dim,
-        "num_classes": model.num_classes,
-    }
-    payload.update(_schema_block(schema))
-    payload.update(_normalizer_block(normalizer))
-    if model.variant == "logistic_regression":
-        payload["logreg"] = {
-            "weights": model.logreg.weights.tolist(),
-            "bias": model.logreg.bias.tolist(),
-        }
-    else:
-        payload["gbdt"] = {
-            "num_classes": model.gbdt.num_classes,
-            "shrinkage": model.gbdt.shrinkage,
-            "base_score": model.gbdt.base_score.tolist(),
-            "trees": [[t.to_dict() for t in rnd] for rnd in model.gbdt.trees],
-            "train_loss": list(model.gbdt.train_loss),
-        }
-    write_json(path, payload)
+    write_json(path, {**_envelope(FORMAT_PLAIN, schema, normalizer), **to_plain(model)})
 
 
 def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
     """(format, what load_plain/assl_model returns) of the file, parsed once.
     A format other than expect (when given), a number that is not finite
-    (NaN, Infinity, 1e999) or a schema_hash that is not the hash of the
-    file's schema is a ValueError."""
-    with _model_file(path):
+    (NaN, Infinity, 1e999), a schema_hash that is not the hash of the
+    file's schema, or a missing or unknown key is a ValueError."""
+    with _named(os.path.basename(str(path)), ValueError):
         with open(path, encoding="utf-8") as handle:
             d = json.load(handle, parse_float=_finite, parse_constant=_finite)
-        fmt = d.get("format") if isinstance(d, dict) else None
+        fmt = d.pop("format", None) if isinstance(d, dict) else None
         accepted = (expect,) if expect else (FORMAT_PLAIN, FORMAT_ASSL)
         if fmt not in accepted:
             raise ValueError(f"format {fmt!r} is not {' or '.join(accepted)}")
-        schema = DatasetSchema.from_dict(d["schema"])
-        if d["schema_hash"] != schema.schema_hash():
+        schema = from_plain(DatasetSchema, d.pop("schema"), "schema")
+        if d.pop("schema_hash") != schema.schema_hash():
             raise ValueError("schema_hash does not match its schema")
-        normalizer = None if d["normalizer"] is None else Normalizer.from_dict(d["normalizer"])
+        normalizer = from_plain(Normalizer | None, d.pop("normalizer"), "normalizer")
         if fmt == FORMAT_PLAIN:
-            return fmt, (_plain_model(d), schema, normalizer)
-        nets = {name: mlp_from_dict(layers) for name, layers in d["networks"].items()}
-        return fmt, (AsslModel(**nets), AsslConfig.from_dict(d["config"]), schema, normalizer)
+            model = from_plain(PlainModel, d, "model")
+            if {"logistic_regression": model.logreg, "gbdt": model.gbdt}.get(model.variant) is None:
+                raise ValueError(f"no parameters for a {model.variant!r} model")
+            return fmt, (model, schema, normalizer)
+        cfg = from_plain(AsslConfig, d.pop("config"), "config")
+        nets = {
+            name: MlpParams(from_plain(list[DenseLayer], layers, f"networks.{name}"))
+            for name, layers in d.pop("networks").items()
+        }
+        if d:
+            raise ValueError(f"unknown key {next(iter(d))!r}")
+        return fmt, (AsslModel(**nets), cfg, schema, normalizer)
 
 
 def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:
     return load_model(path, FORMAT_PLAIN)[1]
 
 
-def _plain_model(d: dict) -> PlainModel:
-    if d["variant"] == "logistic_regression":
-        lr = d["logreg"]
-        return PlainModel(
-            variant="logistic_regression",
-            input_dim=int(d["input_dim"]),
-            num_classes=int(d["num_classes"]),
-            logreg=LogregParams(
-                weights=np.asarray(lr["weights"], dtype=np.float64),
-                bias=np.asarray(lr["bias"], dtype=np.float64),
-            ),
-        )
-    g = d["gbdt"]
-    return PlainModel(
-        variant="gbdt",
-        input_dim=int(d["input_dim"]),
-        num_classes=int(d["num_classes"]),
-        gbdt=GbdtModel(
-            num_classes=int(g["num_classes"]),
-            shrinkage=float(g["shrinkage"]),
-            base_score=np.asarray(g["base_score"], dtype=np.float64),
-            trees=[[RegressionTree.from_dict(t) for t in rnd] for rnd in g["trees"]],
-            train_loss=[float(v) for v in g["train_loss"]],
-        ),
-    )
-
-
 def save_assl_model(
-    path,
-    model: AsslModel,
-    cfg: AsslConfig,
-    schema: DatasetSchema,
-    normalizer: Normalizer | None = None,
+    path, model: AsslModel, cfg: AsslConfig, schema: DatasetSchema, normalizer=None
 ) -> None:
-    payload: dict = {
-        "format": FORMAT_ASSL,
-        "config": cfg.to_dict(),
-        "networks": {
-            "encoder": mlp_to_dict(model.encoder),
-            "supervised_head": mlp_to_dict(model.supervised_head),
-            "semi_head": mlp_to_dict(model.semi_head),
-            "discriminator": mlp_to_dict(model.discriminator),
-        },
-    }
-    payload.update(_schema_block(schema))
-    payload.update(_normalizer_block(normalizer))
-    write_json(path, payload)
+    networks = {f.name: to_plain(getattr(model, f.name).layers) for f in dataclasses.fields(model)}
+    payload = {**_envelope(FORMAT_ASSL, schema, normalizer), "config": to_plain(cfg)}
+    write_json(path, {**payload, "networks": networks})
 
 
 def load_assl_model(path) -> tuple[AsslModel, AsslConfig, DatasetSchema, Normalizer | None]:

@@ -1,11 +1,13 @@
 """End-to-end orchestration: config file -> data -> Phase I -> Phase II -> report.
 
 A run is fully described by one JSON config (data source, PRM and Phase-II
-hyperparameters, split fractions, seeds, ablation flags). Per seed the
-pipeline generates or loads data, splits it, fits the normalizer on the
-labeled training split only, trains the plain model, pseudo-labels the
-unlabeled pool, trains Phase II and evaluates on the held-out test split.
-Every artifact lands under output_root/run-<config hash>/.
+hyperparameters, split fractions, seeds, variant), decoded strictly by
+persist.from_plain. There are no ablation flags: VARIANTS is the one table
+of variants, and `ablate` runs them all. Per seed the pipeline generates or
+loads data, splits it, fits the normalizer on the labeled training split
+only, trains the plain model, pseudo-labels the unlabeled pool, trains
+Phase II and evaluates on the held-out test split. Every artifact lands
+under output_root/run-<config hash>/.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,24 +40,43 @@ from .data import (
     stratified_split,
 )
 from .metrics import MetricsReport, aggregate_runs, classification_report, confusion_matrix
-from .persist import save_assl_model, save_plain_model, write_json
-from .prm import GbdtConfig, LogregConfig, PlainModel, PrmConfig, pseudo_label, train_prm
+from .persist import ConfigError, from_plain, save_assl_model, save_plain_model, to_plain, write_json
+from .prm import PlainModel, PrmConfig, pseudo_label, train_prm
 from .trainer import AsslConfig, AsslModel, TrainHistory, predict_proba_matrix, train
 
-VARIANTS = ("full", "no_adversarial", "no_semi", "supervised_mlp", "prm_only")
+# Variant name -> AsslConfig overrides (None: the Phase-I model alone), in ablate order.
+VARIANTS = {
+    "prm_only": None,
+    "supervised_mlp": {"suppress_pseudo": True},
+    "no_adversarial": {"alpha": 0.0},
+    "full": {},
+}
 
 ENV_OUTPUT_ROOT = "ADVSSL_OUTPUT_ROOT"
 
 
-class ConfigError(ValueError):
-    """Raised when a run config cannot be parsed or validated."""
+@dataclass
+class DataSource:
+    """Where a run's rows come from: data.synth, or data.labeled_csv (plus
+    an optional unlabeled pool in data.unlabeled_csv)."""
+
+    synth: SynthConfig | None = None
+    labeled_csv: str | None = None
+    # A CSV source hashes its unlabeled_csv even when it is null.
+    unlabeled_csv: str | None = field(
+        default=None, metadata={"omit": lambda src, value: src.labeled_csv is None}
+    )
+
+    def __post_init__(self):
+        if (self.synth is None) == (self.labeled_csv is None):
+            raise ConfigError("config needs exactly one data source (synth or labeled_csv)")
+        if self.unlabeled_csv is not None and self.labeled_csv is None:
+            raise ConfigError("unlabeled_csv needs labeled_csv")
 
 
 @dataclass
 class RunConfig:
-    synth: SynthConfig | None = None
-    labeled_csv: str | None = None
-    unlabeled_csv: str | None = None
+    data: DataSource
     schema: DatasetSchema | None = None  # for CSV sources; synth builds its own
     prm: PrmConfig = field(default_factory=PrmConfig)
     assl: AsslConfig = field(default_factory=AsslConfig)
@@ -65,10 +86,6 @@ class RunConfig:
     variant: str = "full"
 
     def __post_init__(self):
-        has_synth = self.synth is not None
-        has_csv = self.labeled_csv is not None
-        if has_synth == has_csv:
-            raise ConfigError("config needs exactly one data source (synth or labeled_csv)")
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
         for seed in self.seeds:
@@ -77,80 +94,14 @@ class RunConfig:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        try:
-            data = raw.get("data", {})
-            synth = SynthConfig.from_dict(data["synth"]) if "synth" in data else None
-            schema = None
-            if "schema" in raw:
-                schema = DatasetSchema.from_dict(raw["schema"])
-            prm_raw = raw.get("prm", {})
-            prm = PrmConfig(
-                variant=prm_raw.get("variant", "gbdt"),
-                gbdt=GbdtConfig(**prm_raw.get("gbdt", {})),
-                logreg=LogregConfig(**prm_raw.get("logreg", {})),
-            )
-            assl = AsslConfig.from_dict(raw.get("assl", {}))
-            ablation = raw.get("ablation", {})
-            flags = [
-                name
-                for name in ("baseline_supervised_only", "no_adversarial", "no_semi")
-                if ablation.get(name)
-            ]
-            if len(flags) > 1:
-                raise ConfigError(f"at most one ablation flag may be set, got {flags}")
-            variant = raw.get("variant", "full")
-            if flags == ["baseline_supervised_only"]:
-                variant = "supervised_mlp"
-            elif flags == ["no_adversarial"]:
-                variant = "no_adversarial"
-            elif flags == ["no_semi"]:
-                variant = "no_semi"
-            return cls(
-                synth=synth,
-                labeled_csv=data.get("labeled_csv"),
-                unlabeled_csv=data.get("unlabeled_csv"),
-                schema=schema,
-                prm=prm,
-                assl=assl,
-                split=tuple(raw.get("split", (0.7, 0.15, 0.15))),
-                seeds=tuple(int(s) for s in raw.get("seeds", (0,))),
-                output_dir=raw.get("output_dir"),
-                variant=variant,
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
-
-    def to_dict(self) -> dict:
-        out: dict = {
-            "data": {},
-            "prm": {
-                "variant": self.prm.variant,
-                "gbdt": asdict(self.prm.gbdt),
-                "logreg": asdict(self.prm.logreg),
-            },
-            "assl": self.assl.to_dict(),
-            "split": list(self.split),
-            "seeds": list(self.seeds),
-            "variant": self.variant,
-        }
-        if self.synth is not None:
-            out["data"]["synth"] = self.synth.to_dict()
-        else:
-            out["data"]["labeled_csv"] = self.labeled_csv
-            out["data"]["unlabeled_csv"] = self.unlabeled_csv
-        if self.schema is not None:
-            out["schema"] = self.schema.to_dict()
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        return out
-
     def config_hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
+        payload = json.dumps(to_plain(self), sort_keys=True)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def parse_config(raw) -> RunConfig:
+    """The RunConfig of a parsed JSON config; anything else is a ConfigError."""
+    return from_plain(RunConfig, raw, "config")
 
 
 def load_config(path) -> RunConfig:
@@ -159,11 +110,9 @@ def load_config(path) -> RunConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {os.path.basename(str(path))}: {exc.strerror}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return RunConfig.from_dict(raw)
+    return parse_config(raw)
 
 
 def resolve_output_root(cfg: RunConfig, override: str | None = None) -> str:
@@ -191,17 +140,17 @@ class PreparedSeed:
 
 
 def _load_source(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset | None]:
-    if cfg.synth is not None:
-        synth = SynthConfig(**{**cfg.synth.to_dict(), "seed": seed})
-        labeled, unlabeled, _ = generate_synthetic(synth)
+    src = cfg.data
+    if src.synth is not None:
+        labeled, unlabeled, _ = generate_synthetic(replace(src.synth, seed=seed))
         return labeled, unlabeled
     schema = cfg.schema or default_schema()
-    labeled = load_csv(cfg.labeled_csv, schema)
+    labeled = load_csv(src.labeled_csv, schema)
     if not labeled.is_labeled:
-        raise DataError(f"{os.path.basename(cfg.labeled_csv)} has no rating column")
+        raise DataError(f"{os.path.basename(src.labeled_csv)} has no rating column")
     unlabeled = None
-    if cfg.unlabeled_csv:
-        unlabeled = load_csv(cfg.unlabeled_csv, schema)
+    if src.unlabeled_csv:
+        unlabeled = load_csv(src.unlabeled_csv, schema)
         if unlabeled.is_labeled:
             unlabeled = Dataset(schema, unlabeled.rows, None)
     return labeled, unlabeled
@@ -216,13 +165,11 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     train = apply_normalizer(normalizer, train_raw)
     val = apply_normalizer(normalizer, val_raw)
     test = apply_normalizer(normalizer, test_raw)
-    prm_cfg = cfg.prm
-    prm_model = train_prm(train, prm_cfg, seed=seed)
+    prm_model = train_prm(train, cfg.prm, seed=seed)
     if unlabeled is not None and len(unlabeled) > 0:
         pseudo = pseudo_label(prm_model, apply_normalizer(normalizer, unlabeled))
     else:
         pseudo = pseudo_label(prm_model, Dataset(labeled.schema, np.empty((0, labeled.schema.num_features)), None))
-    assl_cfg = AsslConfig.from_dict({**cfg.assl.to_dict(), "seed": seed})
     return PreparedSeed(
         seed=seed,
         schema=labeled.schema,
@@ -233,18 +180,8 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
         test_raw=test_raw,
         pseudo=pseudo,
         prm_model=prm_model,
-        assl_cfg=assl_cfg,
+        assl_cfg=replace(cfg.assl, seed=seed),
     )
-
-
-def variant_config(base: AsslConfig, variant: str) -> AsslConfig:
-    d = base.to_dict()
-    if variant == "no_adversarial":
-        d["alpha"] = 0.0
-    elif variant == "no_semi":
-        d["lambda_u"] = 0.0
-        d["suppress_pseudo"] = True
-    return AsslConfig.from_dict(d)
 
 
 @dataclass
@@ -274,15 +211,16 @@ def run_variant(prep: PreparedSeed, variant: str) -> SeedResult:
     """Train one variant on an already-prepared seed and evaluate on test."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    cfg = variant_config(prep.assl_cfg, variant)
+    overrides = VARIANTS[variant]
     history: TrainHistory | None = None
-    if variant == "prm_only":
+    if overrides is None:
         model = prep.prm_model
         probs = model.predict_proba_matrix(prep.test.rows)
-    elif variant == "supervised_mlp":
-        model, history = train_supervised(prep.train, prep.val, cfg)
+    elif overrides.get("suppress_pseudo"):  # the supervised baseline, without model.json
+        model, history = train_supervised(prep.train, prep.val, replace(prep.assl_cfg, **overrides))
         probs = model.predict_proba_matrix(prep.test.rows)
     else:
+        cfg = replace(prep.assl_cfg, **overrides)
         if len(prep.pseudo) == 0 and not cfg.suppress_pseudo:
             raise DataError("no unlabeled rows to pseudo-label; cannot train phase II")
         pseudo = None if cfg.suppress_pseudo else prep.pseudo
@@ -327,13 +265,8 @@ def write_seed_artifacts(seed_dir: str, prep: PreparedSeed, result: SeedResult) 
 
     if isinstance(result.model, AsslModel):
         model_path = os.path.join(seed_dir, "model.json")
-        save_assl_model(
-            model_path,
-            result.model,
-            variant_config(prep.assl_cfg, result.variant),
-            prep.schema,
-            prep.normalizer,
-        )
+        cfg = replace(prep.assl_cfg, **VARIANTS[result.variant])
+        save_assl_model(model_path, result.model, cfg, prep.schema, prep.normalizer)
         paths["model"] = model_path
     if result.history is not None:
         history_path = os.path.join(seed_dir, "history.csv")
@@ -365,7 +298,7 @@ def _run_manifest(cfg: RunConfig, run_dir: str):
     os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, "manifest.json")
     manifest = {
-        "config": cfg.to_dict(),
+        "config": to_plain(cfg),
         "config_hash": cfg.config_hash(),
         "version": __version__,
         "status": "running",
@@ -406,18 +339,15 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
     return {"run_dir": run_dir, "reports": reports}
 
 
-ABLATION_VARIANTS = ("prm_only", "supervised_mlp", "no_adversarial", "full")
-
-
 def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
     """cmd_ablate body: all ablation variants on identical data and seeds."""
     run_dir = os.path.join(output_root, f"ablate-{cfg.config_hash()}")
     rows = []
-    by_variant: dict[str, list[MetricsReport]] = {v: [] for v in ABLATION_VARIANTS}
+    by_variant: dict[str, list[MetricsReport]] = {v: [] for v in VARIANTS}
     with _run_manifest(cfg, run_dir) as manifest:
         for seed in cfg.seeds:
             prep = prepare_seed(cfg, seed)
-            for variant in ABLATION_VARIANTS:
+            for variant in VARIANTS:
                 result = run_variant(prep, variant)
                 seed_dir = os.path.join(run_dir, f"seed_{seed}", variant)
                 manifest["artifacts"][f"seed_{seed}/{variant}"] = write_seed_artifacts(

@@ -8,7 +8,7 @@ pseudo rating labels onto unlabeled rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,11 +103,6 @@ class PlainModel:
             logits = x @ self.logreg.weights.T + self.logreg.bias
             return softmax(logits)
         return softmax(self.gbdt.raw_scores(x))
-
-
-def predict_proba(model: PlainModel, x: np.ndarray) -> np.ndarray:
-    """Probability simplex over the m rating levels for one feature vector."""
-    return model.predict_proba_matrix(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
 
 
 @dataclass
@@ -231,24 +226,14 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
 def train_prm(labeled: Dataset, cfg: PrmConfig, seed: int = 0) -> PlainModel:
     """Train the configured plain model variant on labeled data."""
     if cfg.variant == "logistic_regression":
-        lr_cfg = LogregConfig(
-            iterations=cfg.logreg.iterations,
-            learning_rate=cfg.logreg.learning_rate,
-            l2=cfg.logreg.l2,
-            seed=seed,
-        )
-        return train_logreg(labeled, lr_cfg)
+        return train_logreg(labeled, replace(cfg.logreg, seed=seed))
     return train_gbdt(labeled, cfg.gbdt)
 
 
-def pseudo_label(
-    model: PlainModel, unlabeled: Dataset, min_confidence: float | None = None
-) -> PseudoLabeledDataset:
-    """Stamp argmax labels and max-probability confidences onto rows.
+def pseudo_label(model: PlainModel, unlabeled: Dataset) -> PseudoLabeledDataset:
+    """Stamp argmax labels and max-probability confidences onto every row.
 
-    Ties break to the lowest class index; row order is preserved. The
-    optional confidence filter drops rows below the threshold (default:
-    keep everything).
+    Ties break to the lowest class index; row order is preserved.
     """
     if len(unlabeled) == 0:
         empty = np.empty(0)
@@ -260,8 +245,4 @@ def pseudo_label(
     probs = model.predict_proba_matrix(unlabeled.rows)
     labels = probs.argmax(axis=1).astype(np.int64)  # argmax keeps lowest index on ties
     confidences = probs[np.arange(probs.shape[0]), labels]
-    rows = unlabeled.rows.copy()
-    if min_confidence is not None:
-        keep = confidences >= min_confidence
-        rows, labels, confidences = rows[keep], labels[keep], confidences[keep]
-    return PseudoLabeledDataset(rows=rows, labels=labels, confidences=confidences.copy())
+    return PseudoLabeledDataset(rows=unlabeled.rows.copy(), labels=labels, confidences=confidences)

@@ -93,13 +93,6 @@ class AsslConfig:
         if self.loss_style not in LOSS_STYLES:
             raise ValueError(f"loss_style must be one of {LOSS_STYLES}")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AsslConfig":
-        return cls(**d)
-
 
 @dataclass
 class AsslModel:
@@ -391,15 +384,6 @@ def predict_proba_matrix(model: AsslModel, x: Matrix, inference_head: str = "sup
     if inference_head == "semi":
         return classify(model.semi_head, emb)
     return 0.5 * (classify(model.supervised_head, emb) + classify(model.semi_head, emb))
-
-
-def predict_rating(
-    model: AsslModel, x: np.ndarray, inference_head: str = "supervised"
-) -> tuple[int, np.ndarray]:
-    """(class index, probability vector) for one row; ties pick the lowest index."""
-    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    probs = predict_proba_matrix(model, row, inference_head)[0]
-    return int(probs.argmax()), probs
 
 
 def _check_finite_parts(parts: dict, epoch: int, step: int) -> None:

@@ -51,8 +51,10 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeNode":
-        if "value" in d:
+        if len(d) == 1:
             return cls(value=float(d["value"]))
+        if len(d) != 4:  # with the four lookups below: exactly a split's keys
+            raise ValueError(f"a tree node has 1 key (a leaf) or 4 (a split), not {len(d)}")
         return cls(
             feature=int(d["feature"]),
             threshold=float(d["threshold"]),
@@ -67,7 +69,7 @@ class RegressionTree:
     max_depth: int
     min_leaf_count: int
     # Set by the fit: each training row's leaf value, predict(x) bit for bit.
-    fitted: np.ndarray | None = field(default=None, repr=False, compare=False)
+    fitted: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf value per row; rows go left when value <= threshold (NaN goes right)."""
@@ -80,21 +82,6 @@ class RegressionTree:
         """predict(x) into out, from xt = x.T; fastest when xt is C-contiguous."""
         _evaluate(self.root, xt, None, out)
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_leaf_count": self.min_leaf_count,
-            "root": self.root.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(
-            root=TreeNode.from_dict(d["root"]),
-            max_depth=int(d["max_depth"]),
-            min_leaf_count=int(d["min_leaf_count"]),
-        )
 
 
 def _evaluate(node: TreeNode, xt: np.ndarray, rows: np.ndarray | None, out: np.ndarray):
@@ -254,5 +241,6 @@ def fit_regression_tree(
             right=build(right_idx, *right, depth + 1),
         )
 
-    root = build(np.arange(n), *presorted, 0)
-    return RegressionTree(root, max_depth, min_leaf_count, fitted)
+    tree = RegressionTree(build(np.arange(n), *presorted, 0), max_depth, min_leaf_count)
+    tree.fitted = fitted
+    return tree

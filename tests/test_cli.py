@@ -264,6 +264,18 @@ class TestPredictRejectsBadModelFiles:
         model = _tampered(trained_run / name, tmp_path / name, edit)
         assert "schema_hash" in self._predict_fails(capsys, model, trained_run)
 
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_extra_top_level_key(self, trained_run, tmp_path, capsys, name):
+        model = _tampered(trained_run / name, tmp_path / name, lambda p: p.update(extra=1))
+        assert "unknown key 'extra'" in self._predict_fails(capsys, model, trained_run)
+
+    def test_tree_node_missing_key(self, trained_run, tmp_path, capsys):
+        def edit(payload):
+            del payload["gbdt"]["trees"][0][0]["root"]["threshold"]
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        assert "tree node" in self._predict_fails(capsys, model, trained_run)
+
 
 class TestModuleEntryPoint:
     def test_python_m_advssl_help(self):
@@ -347,13 +359,58 @@ class TestAblate:
 class TestConfigRoundTrip:
     def test_seed_override_preserves_variant(self, tmp_path):
         raw = json.loads(open(SMOKE).read())
-        raw["ablation"] = {"no_adversarial": True}
+        raw["variant"] = "no_adversarial"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         cfg = load_config(cfg_path)
         assert cfg.variant == "no_adversarial"
-        from advssl.pipeline import RunConfig
+        from advssl.persist import to_plain
+        from advssl.pipeline import parse_config
 
-        again = RunConfig.from_dict({**cfg.to_dict(), "seeds": [5]})
+        again = parse_config({**to_plain(cfg), "seeds": [5]})
         assert again.variant == "no_adversarial"
         assert again.seeds == (5,)
+
+
+# Edits of the smoke config that the codec must reject (None: a JSON list as the root).
+REJECTED_CONFIGS = {
+    "seed_typo": lambda raw: raw.update(seed=[7]),
+    "data_synht": lambda raw: raw["data"].update(synht=raw["data"].pop("synth")),
+    "prm_gbtd": lambda raw: raw["prm"].update(gbtd=raw["prm"].pop("gbdt")),
+    "ablation_key": lambda raw: raw.update(ablation={"no_adversarial": True}),
+    "seeds_string": lambda raw: raw.update(seeds="12"),
+    "seeds_float": lambda raw: raw.update(seeds=[1.7]),
+    "seeds_bool": lambda raw: raw.update(seeds=[True]),
+    "split_two": lambda raw: raw.update(split=[0.5, 0.5]),
+    "rounds_string": lambda raw: raw["prm"]["gbdt"].update(rounds="3"),
+    "data_list": lambda raw: raw.update(data=[1]),
+    "variant_no_semi": lambda raw: raw.update(variant="no_semi"),
+    "list_root": None,
+}
+
+
+class TestConfigFailsClosed:
+    """A config the codec cannot map onto RunConfig exactly ends in exit 2
+    and one error line, before any run directory exists."""
+
+    def _run(self, tmp_path, capsys, edit):
+        raw = json.loads(open(SMOKE).read())
+        if edit is None:
+            raw = [raw]
+        else:
+            edit(raw)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        return run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path))
+
+    @pytest.mark.parametrize("edit", REJECTED_CONFIGS.values(), ids=REJECTED_CONFIGS.keys())
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, edit):
+        code, out, err = self._run(tmp_path, capsys, edit)
+        assert code == 2
+        assert err.startswith("error: code=2 ") and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err and out == ""
+        assert not list(tmp_path.glob("run-*"))
+
+    def test_error_names_the_path(self, tmp_path, capsys):
+        _, _, err = self._run(tmp_path, capsys, REJECTED_CONFIGS["rounds_string"])
+        assert "config.prm.gbdt.rounds must be int, got str" in err

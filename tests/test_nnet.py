@@ -14,7 +14,6 @@ from advssl.nnet import (
     adam_step,
     bce_one_hot,
     bce_one_hot_grad,
-    dense_forward,
     grad_check,
     init_mlp,
     l2_penalty,
@@ -26,26 +25,31 @@ from advssl.nnet import (
 )
 
 
+def one_layer_forward(layer, x):
+    """mlp_forward of the one-layer network [layer]."""
+    return mlp_forward(MlpParams([layer]), x)[0]
+
+
 class TestDenseForward:
     def test_identity_weights(self):
         layer = DenseLayer(np.eye(2), np.zeros(2), "identity")
-        out = dense_forward(layer, np.array([[3.0, 4.0]]))
+        out = one_layer_forward(layer, np.array([[3.0, 4.0]]))
         np.testing.assert_array_equal(out, [[3.0, 4.0]])
 
     def test_zero_weights_bias_passthrough(self):
         layer = DenseLayer(np.zeros((2, 2)), np.array([1.0, 2.0]), "identity")
-        out = dense_forward(layer, np.array([[5.0, 5.0]]))
+        out = one_layer_forward(layer, np.array([[5.0, 5.0]]))
         np.testing.assert_array_equal(out, [[1.0, 2.0]])
 
     def test_hand_matrix_product(self):
         layer = DenseLayer(np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2), "identity")
-        out = dense_forward(layer, np.array([[1.0, 1.0]]))
+        out = one_layer_forward(layer, np.array([[1.0, 1.0]]))
         np.testing.assert_allclose(out, [[3.0, 7.0]])
 
     def test_shape_error_names_both_dims(self):
         layer = DenseLayer(np.zeros((2, 3)), np.zeros(2), "identity")
         with pytest.raises(ValueError, match="4.*3|3.*4"):
-            dense_forward(layer, np.zeros((1, 4)))
+            one_layer_forward(layer, np.zeros((1, 4)))
 
     def test_linear_before_activation(self):
         # f(aX + bY) == a f(X) + b f(Y) for identity activation, zero bias
@@ -53,8 +57,8 @@ class TestDenseForward:
         layer = DenseLayer(rng.normal(size=(3, 4)), np.zeros(3), "identity")
         x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
         a, b = 2.5, -1.25
-        lhs = dense_forward(layer, a * x + b * y)
-        rhs = a * dense_forward(layer, x) + b * dense_forward(layer, y)
+        lhs = one_layer_forward(layer, a * x + b * y)
+        rhs = a * one_layer_forward(layer, x) + b * one_layer_forward(layer, y)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -122,7 +126,7 @@ class TestMlpForwardBackward:
         mlp = init_mlp([3, 5, 2], ["relu", "identity"], seed=0, name="t")
         x = np.random.default_rng(3).normal(size=(4, 3))
         out, _ = mlp_forward(mlp, x)
-        manual = dense_forward(mlp.layers[1], dense_forward(mlp.layers[0], x))
+        manual = one_layer_forward(mlp.layers[1], one_layer_forward(mlp.layers[0], x))
         np.testing.assert_array_equal(out, manual)
 
     def test_zero_upstream_gives_zero_grads(self):

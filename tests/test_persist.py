@@ -1,20 +1,33 @@
-"""Persistence round-trips must be bit-exact for 64-bit floats."""
+"""Persistence round-trips must be bit-exact for 64-bit floats, and the
+codec must map exactly the JSON its dataclasses describe, nothing else."""
 
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from advssl.data import Dataset, DatasetSchema, fit_normalizer
+from advssl.data import Dataset, DatasetSchema, SynthConfig, fit_normalizer
 from advssl.persist import (
+    ConfigError,
+    from_plain,
     load_assl_model,
     load_plain_model,
     save_assl_model,
     save_plain_model,
+    to_plain,
     write_json,
 )
-from advssl.prm import GbdtConfig, LogregConfig, train_gbdt, train_logreg
-from advssl.trainer import AsslConfig, init_assl_model
+from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
+from advssl.prm import GbdtConfig, LogregConfig, PrmConfig, train_gbdt, train_logreg
+from advssl.trainer import INFERENCE_HEADS, LOSS_STYLES, AsslConfig, init_assl_model
+from advssl.tree import RegressionTree, fit_regression_tree
+
+SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
+with open(SMOKE, encoding="utf-8") as _handle:
+    SMOKE_TEXT = _handle.read()
 
 
 def make_dataset(seed=0, n=60, m=3, f=4):
@@ -79,7 +92,7 @@ class TestAsslModelRoundTrip:
                 getattr(model, net).param_arrays(), getattr(loaded, net).param_arrays()
             ):
                 np.testing.assert_array_equal(a, b)
-        assert cfg2.to_dict() == cfg.to_dict()
+        assert cfg2 == cfg
         assert schema.label_names == ds.schema.label_names
         np.testing.assert_array_equal(norm.constant, norm2.constant)
 
@@ -117,3 +130,142 @@ class TestWriteJson:
         with pytest.raises(OSError):
             write_json(target, {"v": 1})
         assert os.listdir(tmp_path) == ["taken.json"]
+
+
+class TestCodec:
+    def test_fresh_tree_has_no_fitted_key(self):
+        rng = np.random.default_rng(1)
+        tree = fit_regression_tree(rng.normal(size=(30, 2)), rng.normal(size=30), 2)
+        assert tree.fitted is not None
+        assert set(to_plain(tree)) == {"max_depth", "min_leaf_count", "root"}
+        assert from_plain(RegressionTree, to_plain(tree), "tree").fitted is None
+
+    def test_int_for_float_is_kept_as_written(self):
+        cfg = from_plain(AsslConfig, {"alpha": 0, "lambda_l": 0.5}, "assl")
+        assert type(cfg.alpha) is int and type(cfg.lambda_l) is float
+        with pytest.raises(ConfigError, match="assl.epochs must be int, got float"):
+            from_plain(AsslConfig, {"epochs": 3.0}, "assl")
+
+    @pytest.mark.parametrize("bad", [["1.5"], [[1.0], [1.0, 2.0]], [True], "1.5", None])
+    def test_array_must_be_a_list_of_numbers(self, bad):
+        with pytest.raises(ConfigError, match="x must be a list of numbers"):
+            from_plain(np.ndarray, bad, "x")
+
+    def test_missing_required_key_is_named(self):
+        with pytest.raises(ConfigError, match="config: missing key 'data'"):
+            from_plain(RunConfig, {"seeds": [0]}, "config")
+
+    def test_post_init_errors_name_the_path(self):
+        with pytest.raises(ConfigError, match="config.data.synth: labeled_fraction"):
+            from_plain(RunConfig, {"data": {"synth": {"labeled_fraction": 2}}}, "config")
+
+    def test_synth_source_takes_no_unlabeled_csv(self):
+        with pytest.raises(ConfigError, match="unlabeled_csv needs labeled_csv"):
+            from_plain(DataSource, {"synth": {}, "unlabeled_csv": "u.csv"}, "data")
+
+
+# Property tests. Floats exclude NaN, which equals nothing, itself included.
+finite = st.floats(allow_nan=False, allow_infinity=False)
+weight = st.floats(0, 10) | st.integers(0, 10)  # an int is a valid float as written
+name = st.text(min_size=1, max_size=8)
+synth_configs = st.builds(
+    SynthConfig,
+    num_features=st.integers(1, 50),
+    num_classes=st.integers(2, 12),
+    samples_per_class=st.integers(1, 5000),
+    labeled_fraction=st.floats(0, 1),
+    separation_scale=weight,
+    noise_std=weight,
+    label_noise_rate=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+sources = st.builds(DataSource, synth=synth_configs) | st.builds(
+    DataSource, labeled_csv=name, unlabeled_csv=st.none() | name
+)
+schemas = st.builds(
+    DatasetSchema,
+    st.lists(name.filter(lambda n: n != "rating"), min_size=1, max_size=5, unique=True).map(tuple),
+    st.lists(name, min_size=2, max_size=5).map(tuple),
+)
+prm_configs = st.builds(
+    PrmConfig,
+    variant=st.sampled_from(["gbdt", "logistic_regression"]),
+    gbdt=st.builds(GbdtConfig, rounds=st.integers(), shrinkage=finite),
+    logreg=st.builds(LogregConfig, iterations=st.integers(), l2=finite),
+)
+assl_configs = st.builds(
+    AsslConfig,
+    embedding_dim=st.integers(1, 64),
+    lambda_u=weight,
+    alpha=weight,
+    batch_size=st.integers(2, 256),
+    epochs=st.integers(1, 100),
+    inference_head=st.sampled_from(INFERENCE_HEADS),
+    loss_style=st.sampled_from(LOSS_STYLES),
+    suppress_pseudo=st.booleans(),
+)
+run_configs = st.builds(
+    RunConfig,
+    data=sources,
+    schema=st.none() | schemas,
+    prm=prm_configs,
+    assl=assl_configs,
+    split=st.tuples(finite, finite, finite),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).map(tuple),
+    output_dir=st.none() | name,
+    variant=st.sampled_from(list(VARIANTS)),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _dicts(plain):
+    """Every JSON object inside plain, plain included."""
+    if isinstance(plain, dict):
+        return [plain] + [d for v in plain.values() for d in _dicts(v)]
+    if isinstance(plain, list):
+        return [d for v in plain for d in _dicts(v)]
+    return []
+
+
+class TestCodecProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(run_configs)
+    def test_round_trip_through_json(self, cfg):
+        plain = json.loads(json.dumps(to_plain(cfg)))
+        again = from_plain(RunConfig, plain, "config")
+        assert again == cfg
+        assert again.config_hash() == cfg.config_hash()
+
+    @settings(max_examples=80, deadline=None)
+    @given(run_configs, st.data())
+    def test_extra_key_at_any_depth_rejected(self, cfg, data):
+        plain = to_plain(cfg)
+        target = data.draw(st.sampled_from(_dicts(plain)))
+        target["unknown_" + data.draw(st.text(max_size=5))] = data.draw(json_values)
+        with pytest.raises(ConfigError):
+            from_plain(RunConfig, plain, "config")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_load_config_returns_a_config_or_raises_config_error(self, tmp_path_factory, data):
+        smoke = json.loads(SMOKE_TEXT)
+        kind = data.draw(st.sampled_from(["mutated", "json", "bytes"]))
+        if kind == "mutated":  # one node of the smoke config replaced by any JSON value
+            target = data.draw(st.sampled_from(_dicts(smoke)))
+            key = data.draw(st.sampled_from(sorted(target)) | st.text(max_size=5))
+            target[key] = data.draw(json_values)
+            text = json.dumps(smoke).encode()
+        elif kind == "json":
+            text = json.dumps(data.draw(json_values)).encode()
+        else:
+            text = data.draw(st.binary(max_size=40))
+        path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+        path.write_bytes(text)
+        try:
+            assert isinstance(load_config(path), RunConfig)
+        except ConfigError:
+            pass

@@ -2,18 +2,20 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from advssl.data import Dataset, DatasetSchema
+from advssl.persist import to_plain
 from advssl.pipeline import (
+    VARIANTS,
     ConfigError,
-    RunConfig,
     load_config,
+    parse_config,
     prepare_seed,
     run_variant,
-    variant_config,
     write_predictions_csv,
 )
 from advssl.trainer import train
@@ -40,10 +42,11 @@ class TestPrepareSeed:
 
     def test_variant_config_adjustments(self, smoke_cfg):
         base = prepare_seed(smoke_cfg, 0).assl_cfg
-        assert variant_config(base, "no_adversarial").alpha == 0.0
-        no_semi = variant_config(base, "no_semi")
-        assert no_semi.lambda_u == 0.0 and no_semi.suppress_pseudo
-        assert variant_config(base, "full").to_dict() == base.to_dict()
+        assert list(VARIANTS) == ["prm_only", "supervised_mlp", "no_adversarial", "full"]
+        assert VARIANTS["prm_only"] is None
+        assert replace(base, **VARIANTS["no_adversarial"]).alpha == 0.0
+        assert replace(base, **VARIANTS["supervised_mlp"]).suppress_pseudo
+        assert replace(base, **VARIANTS["full"]) == base
 
 
 class TestLeakageAudit:
@@ -96,7 +99,7 @@ class TestLeakageAudit:
 class TestRunVariant:
     def test_all_variants_produce_reports(self, smoke_cfg):
         prep = prepare_seed(smoke_cfg, 0)
-        for variant in ("prm_only", "supervised_mlp", "no_adversarial", "full", "no_semi"):
+        for variant in VARIANTS:
             result = run_variant(prep, variant)
             assert result.predictions.shape[0] == len(prep.test)
             assert 0.0 <= result.report.accuracy <= 1.0
@@ -109,21 +112,50 @@ class TestRunVariant:
 
 class TestRunConfig:
     def test_hash_changes_with_content(self, smoke_cfg):
-        other = RunConfig.from_dict({**smoke_cfg.to_dict(), "seeds": [1]})
+        other = replace(smoke_cfg, seeds=(1,))
         assert other.config_hash() != smoke_cfg.config_hash()
 
     def test_hash_stable(self, smoke_cfg):
         assert smoke_cfg.config_hash() == load_config(SMOKE).config_hash()
 
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (None, "d75511507399"),
+            # A CSV source keeps "unlabeled_csv": null in the hashed payload.
+            (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "a42127298784"),
+            # An int given for a float field is hashed as written, not as a float.
+            (
+                lambda raw: {
+                    **raw,
+                    "data": {"synth": {**raw["data"]["synth"], "noise_std": 1}},
+                    "assl": {**raw["assl"], "alpha": 0},
+                },
+                "4e5f2e45e2a5",
+            ),
+        ],
+        ids=["smoke", "csv_source", "ints_for_floats"],
+    )
+    def test_hash_pinned(self, tmp_path, edit, expected):
+        """run-<hash> directory names must not change with the config code."""
+        raw = json.loads(open(SMOKE).read())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(edit(raw) if edit else raw))
+        assert load_config(path).config_hash() == expected
+
     def test_missing_source_rejected(self):
         with pytest.raises(ConfigError):
-            RunConfig.from_dict({"seeds": [0]})
+            parse_config({"seeds": [0]})
 
     def test_conflicting_ablation_flags_rejected(self, smoke_cfg):
-        raw = smoke_cfg.to_dict()
+        """There are no ablation flags: the key is unknown, set or not."""
+        raw = to_plain(smoke_cfg)
         raw["ablation"] = {"no_adversarial": True, "no_semi": True}
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(raw)
+        with pytest.raises(ConfigError, match="unknown key 'ablation'"):
+            parse_config(raw)
+
+    def test_round_trip_through_the_codec(self, smoke_cfg):
+        assert parse_config(to_plain(smoke_cfg)) == smoke_cfg
 
 
 class TestArtifactWriters:

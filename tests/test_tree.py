@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from advssl.data import Dataset, DatasetSchema
+from advssl.persist import from_plain, to_plain
 from advssl.prm import GbdtConfig, train_gbdt
 from advssl.tree import RegressionTree, TreeNode, fit_regression_tree, presort
 
@@ -42,7 +43,7 @@ def reference_best_split(x, targets, min_leaf_count):
 
 
 def reference_tree(x, targets, max_depth, min_leaf_count):
-    """to_dict() of the tree grown with reference_best_split at every node."""
+    """to_plain() of the tree grown with reference_best_split at every node."""
 
     def build(idx, depth):
         ys = targets[idx]
@@ -195,7 +196,7 @@ class TestFitRegressionTree:
         for seed in range(block * 30, block * 30 + 30):
             x, t, depth, min_leaf = random_fit_case(seed)
             tree = fit_regression_tree(x, t, max_depth=depth, min_leaf_count=min_leaf)
-            assert tree.to_dict() == reference_tree(x, t, depth, min_leaf), seed
+            assert to_plain(tree) == reference_tree(x, t, depth, min_leaf), seed
 
     @pytest.mark.parametrize("seed", range(6))
     def test_presorted_fit_equals_plain_fit(self, seed):
@@ -204,7 +205,7 @@ class TestFitRegressionTree:
         given = fit_regression_tree(
             x, t, max_depth=depth, min_leaf_count=min_leaf, presorted=presort(x)
         )
-        assert given.to_dict() == plain.to_dict()
+        assert to_plain(given) == to_plain(plain)
 
     @pytest.mark.parametrize("block", range(2))
     def test_fitted_equals_predict_on_training_rows(self, block):
@@ -239,7 +240,7 @@ class TestFitRegressionTree:
         x = rng.normal(size=(40, 3))
         t = rng.normal(size=40)
         tree = fit_regression_tree(x, t, max_depth=3, min_leaf_count=2)
-        clone = RegressionTree.from_dict(tree.to_dict())
+        clone = from_plain(RegressionTree, to_plain(tree), "tree")
         grid = rng.normal(size=(25, 3))
         np.testing.assert_array_equal(tree.predict(grid), clone.predict(grid))
 
