@@ -22,9 +22,6 @@ from .nnet import named_rng
 
 LABEL_COLUMN = "rating"
 
-# Values treated as missing under the mean_impute policy.
-MISSING_TOKENS = {"", "n/a", "na", "nan", "null", "none"}
-
 DEFAULT_FEATURE_GROUPS = {
     "profit": 7,
     "operation": 7,
@@ -333,16 +330,14 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     return labeled, unlabeled, hidden_truth
 
 
-def load_csv(path, schema: DatasetSchema, missing_policy: str = "reject") -> Dataset:
+def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Load a UTF-8 CSV with a header row into a Dataset.
 
     Columns are mapped to schema order by header name; a `rating` column is
-    optional and may hold label names or integer indices. Unparsable or
-    missing feature cells are an error under `reject` (listing 1-based data
-    row numbers) and are replaced by the column mean under `mean_impute`.
+    optional and may hold label names or integer indices. Unparsable,
+    missing or non-finite feature cells are an error that lists the 1-based
+    data row numbers.
     """
-    if missing_policy not in ("reject", "mean_impute"):
-        raise DataError(f"unknown missing_policy {missing_policy!r}")
     try:
         handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -366,50 +361,25 @@ def load_csv(path, schema: DatasetSchema, missing_policy: str = "reject") -> Dat
 
         rows: list[list[float]] = []
         labels: list[int] = []
-        bad_rows: list[int] = []
         for row_num, record in enumerate(reader, start=1):
             if len(record) != len(header):
                 raise DataError(
                     f"row {row_num} has {len(record)} cells, header has {len(header)}"
                 )
             values = []
-            ok = True
             for name in schema.feature_names:
-                cell = record[col_of[name]].strip()
                 try:
-                    parsed = float(cell)
+                    values.append(float(record[col_of[name]]))
                 except ValueError:
-                    parsed = np.nan  # float('nan'/'inf') parses, so check finiteness below
-                if np.isfinite(parsed):
-                    values.append(parsed)
-                elif missing_policy == "reject":
-                    ok = False
-                    values.append(np.nan)
-                elif cell.lower() in MISSING_TOKENS:
-                    values.append(np.nan)
-                else:
-                    raise DataError(
-                        f"row {row_num}: cannot parse {cell!r} in column {name!r}"
-                    )
-            if not ok:
-                bad_rows.append(row_num)
+                    values.append(np.nan)  # float('nan'/'inf') parses too: both fail below
             rows.append(values)
             if label_col is not None:
                 labels.append(schema.label_index(record[label_col]))
-        if bad_rows:
-            raise DataError(
-                "unparsable values in row(s): " + ", ".join(str(r) for r in bad_rows)
-            )
 
     data = np.asarray(rows, dtype=np.float64).reshape(len(rows), schema.num_features)
-    if missing_policy == "mean_impute" and len(rows):
-        for j in range(schema.num_features):
-            col = data[:, j]
-            mask = np.isnan(col)
-            if mask.all():
-                raise DataError(f"column {schema.feature_names[j]!r} has no numeric values")
-            if mask.any():
-                col[mask] = col[~mask].mean()
+    bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1)) + 1
+    if bad_rows.size:
+        raise DataError("unparsable values in row(s): " + ", ".join(map(str, bad_rows)))
     label_arr = np.asarray(labels, dtype=np.int64) if label_col is not None else None
     return Dataset(schema, data, label_arr)
 
@@ -429,16 +399,15 @@ def atomic_write(path, newline: str | None = None):
         raise
 
 
-def save_csv(ds: Dataset, path, include_labels: bool = True) -> None:
+def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV, atomically; floats use repr so values round-trip."""
-    with_labels = include_labels and ds.is_labeled
     with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
-        header = list(ds.schema.feature_names) + ([LABEL_COLUMN] if with_labels else [])
+        header = list(ds.schema.feature_names) + ([LABEL_COLUMN] if ds.is_labeled else [])
         writer.writerow(header)
         for i in range(len(ds)):
             record = [repr(float(v)) for v in ds.rows[i]]
-            if with_labels:
+            if ds.is_labeled:
                 record.append(ds.schema.label_names[ds.labels[i]])
             writer.writerow(record)
 

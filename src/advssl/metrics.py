@@ -23,14 +23,6 @@ class ConfusionMatrix:
         if (self.counts < 0).any():
             raise ValueError("confusion matrix counts must be nonnegative")
 
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 def confusion_matrix(y_true, y_pred, num_classes: int) -> ConfusionMatrix:
     y_true = np.asarray(y_true, dtype=np.int64)

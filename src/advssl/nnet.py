@@ -8,6 +8,7 @@ finite differences.
 
 from __future__ import annotations
 
+import copy
 import zlib
 from dataclasses import dataclass, field
 
@@ -92,10 +93,13 @@ class MlpParams:
                 raise ValueError(
                     f"layer output dim {a.out_dim} does not feed layer input dim {b.in_dim}"
                 )
-        self.flat = np.concatenate([a.ravel() for a in self.param_arrays()] or [np.empty(0)])
-        views = self.views(self.flat)
+        self._store(np.concatenate([a.ravel() for a in self.param_arrays()] or [np.empty(0)]))
+
+    def _store(self, buffer: np.ndarray) -> None:
+        views = self.views(buffer)
         pairs = zip(self.layers, views[::2], views[1::2])
         self.layers = [DenseLayer(w, b, layer.activation) for layer, w, b in pairs]
+        self.flat = buffer
 
     @property
     def in_dim(self) -> int:
@@ -122,8 +126,15 @@ class MlpParams:
             start += a.size
         return out
 
+    def on(self, buffer: np.ndarray) -> "MlpParams":
+        """A twin of this stack whose arrays are views of `buffer`, which
+        already holds its values laid out like `flat`."""
+        twin = copy.copy(self)
+        twin._store(buffer)
+        return twin
+
     def copy(self) -> "MlpParams":
-        return MlpParams(self.layers)
+        return self.on(self.flat.copy())
 
 
 def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
@@ -155,22 +166,17 @@ def activate(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
-        # Split by sign so exp() never overflows.
-        out = np.empty_like(z, dtype=np.float64)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) below: never overflows
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if kind == "identity":
         return np.asarray(z, dtype=np.float64)
     raise ValueError(f"unknown activation {kind!r}")
 
 
 def activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d z, given pre-activation z and output a."""
+    """d activation / d z, given pre-activation z and output a (a bool mask for relu)."""
     if kind == "relu":
-        return (z > 0).astype(np.float64)
+        return z > 0
     if kind == "sigmoid":
         return a * (1.0 - a)
     if kind == "identity":
@@ -203,7 +209,8 @@ def mlp_forward(mlp: MlpParams, x: Matrix) -> tuple[Matrix, list[tuple]]:
         )
     cache = []
     for layer in mlp.layers:
-        z = a @ layer.weights.T + layer.bias
+        z = a @ layer.weights.T
+        z += layer.bias
         out = activate(layer.activation, z)
         cache.append((a, z, out))
         a = out
@@ -211,13 +218,14 @@ def mlp_forward(mlp: MlpParams, x: Matrix) -> tuple[Matrix, list[tuple]]:
 
 
 def mlp_backward(
-    mlp: MlpParams, cache: list[tuple], upstream: Matrix, params=True, inputs=True
+    mlp: MlpParams, cache: list[tuple], upstream: Matrix, out=None, inputs=True
 ) -> tuple[np.ndarray | None, Matrix | None]:
     """Reverse-mode gradients of mlp_forward contracted with `upstream`.
 
-    Returns (grads, input_grad): grads is a new buffer laid out like mlp.flat
-    (mlp.views(grads) splits it per array). params=False skips grads and
-    inputs=False input_grad, returning None in their place.
+    Returns (out, input_grad): the parameter gradients are written into
+    `out`, a buffer laid out like mlp.flat (mlp.views(out) splits it per
+    array). out=None skips them and inputs=False input_grad, returning
+    None in their place.
     """
     if len(cache) != len(mlp.layers):
         raise ValueError(
@@ -228,17 +236,18 @@ def mlp_backward(
         raise ValueError(
             f"upstream gradient shape {grad.shape} does not match output shape {cache[-1][2].shape}"
         )
-    grads = np.empty_like(mlp.flat) if params else None
-    views = mlp.views(grads) if params else None
+    views = None if out is None else mlp.views(out)
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
         x_in, z, a = cache[i]
-        dz = grad * activation_grad(layer.activation, z, a)
-        if params:
+        dz = grad
+        if layer.activation != "identity":
+            dz = grad * activation_grad(layer.activation, z, a)
+        if out is not None:
             np.matmul(dz.T, x_in, out=views[2 * i])
             dz.sum(axis=0, out=views[2 * i + 1])
         grad = dz @ layer.weights if i > 0 or inputs else None
-    return grads, grad
+    return out, grad
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -251,31 +260,27 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 
 def clamp_probs(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
+    return np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)  # np.clip, without its wrapper
 
 
-def bce_one_hot(probs: Matrix, labels: np.ndarray, num_classes: int | None = None) -> float:
-    """Per-class binary cross-entropy against one-hot targets, batch mean.
+def bce_one_hot_and_grad(probs: Matrix, labels: np.ndarray) -> tuple[float, Matrix]:
+    """Per-class binary cross-entropy against one-hot targets (batch mean)
+    and its gradient in probs, zero where the clamp is active.
 
     For each sample with one-hot target y and prediction p:
         -(sum_i y_i*log(p_i) + (1 - y_i)*log(1 - p_i))
     """
     probs = as_matrix(probs, "probs")
-    m = probs.shape[1] if num_classes is None else num_classes
-    y = one_hot(labels, m)
-    pc = clamp_probs(probs)
-    per_sample = -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum(axis=1)
-    return float(per_sample.mean())
-
-
-def bce_one_hot_grad(probs: Matrix, labels: np.ndarray) -> Matrix:
-    """d(bce_one_hot)/d(probs); zero where the clamp is active."""
-    probs = as_matrix(probs, "probs")
     y = one_hot(labels, probs.shape[1])
     pc = clamp_probs(probs)
+    not_y, not_pc = 1.0 - y, 1.0 - pc
+    loss = float((-(y * np.log(pc) + not_y * np.log(not_pc)).sum(axis=1)).mean())
     inside = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
-    grad = -(y / pc - (1.0 - y) / (1.0 - pc)) * inside
-    return grad / probs.shape[0]
+    return loss, -(y / pc - not_y / not_pc) * inside / probs.shape[0]
+
+
+def bce_one_hot(probs: Matrix, labels: np.ndarray) -> float:
+    return bce_one_hot_and_grad(probs, labels)[0]
 
 
 def categorical_ce(probs: Matrix, labels: np.ndarray) -> float:
@@ -307,7 +312,8 @@ def softmax_backward(probs: Matrix, dprobs: Matrix) -> Matrix:
 
 @dataclass
 class AdamState:
-    """Adam moments for one parameter array (a network's flat buffer)."""
+    """Adam moments for one parameter array (a network's flat buffer), and
+    two arrays of its shape that adam_step works in."""
 
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -316,6 +322,7 @@ class AdamState:
     step_count: int = 0
     first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
     second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    workspace: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
@@ -326,6 +333,7 @@ class AdamState:
         state = cls(**kwargs)
         state.first_moment = np.zeros_like(params)
         state.second_moment = np.zeros_like(params)
+        state.workspace = np.empty((2,) + params.shape)
         return state
 
 
@@ -335,6 +343,9 @@ def adam_step(
     """One in-place, element-wise Adam update with bias correction.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps)
+
+    It allocates nothing: each product goes to state.workspace in this
+    expression's evaluation order, so the bits are the expression's.
     """
     if params.shape != grads.shape or params.shape != state.first_moment.shape:
         shapes = (params.shape, grads.shape, state.first_moment.shape)
@@ -343,23 +354,28 @@ def adam_step(
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     m, v = state.first_moment, state.second_moment
+    step, root = state.workspace
     m *= b1
-    m += (1.0 - b1) * grads
+    m += np.multiply(1.0 - b1, grads, out=step)
     v *= b2
-    v += (1.0 - b2) * grads * grads
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    v += np.multiply(np.multiply(1.0 - b2, grads, out=step), grads, out=step)
+    np.multiply(state.learning_rate, np.divide(m, 1.0 - b1**t, out=step), out=step)  # lr * m_hat
+    np.sqrt(np.divide(v, 1.0 - b2**t, out=root), out=root)  # sqrt(v_hat)
+    root += state.epsilon
+    step /= root
+    params -= step
     return params, state
 
 
 def l2_penalty(params, lam: float) -> float:
-    """lam * sum of squares over every entry (weights and biases alike); its
-    gradient 2 * lam * a is added by the trainer, in place."""
+    """lam * sum of squares over every entry (weights and biases alike), one
+    dot product over an MlpParams' flat buffer; its gradient 2 * lam * a is
+    added by the trainer, in place."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    arrays = params.param_arrays() if isinstance(params, MlpParams) else list(params)
-    return lam * float(sum(np.sum(a * a) for a in arrays))
+    if isinstance(params, MlpParams):
+        return lam * float(params.flat @ params.flat)
+    return lam * float(sum(np.sum(a * a) for a in params))
 
 
 def grad_check(loss_fn, params: list[np.ndarray], epsilon: float = 1e-5) -> float:

@@ -24,11 +24,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
 import types
 import typing
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -42,13 +44,60 @@ FORMAT_ASSL = "advssl/assl-model/1"
 
 
 def write_json(path, payload) -> None:
-    """Write sorted, one-space-indented JSON plus a newline, atomically."""
+    """Write sorted, one-space-indented JSON plus a newline, atomically.
+
+    The bytes are json.dump(payload, sort_keys=True, indent=1) + "\n" (dict
+    keys must be strings). That encoder is pure Python; here each container
+    of scalars is one call of json's C encoder, and the text goes out in
+    chunks, never built whole.
+    """
     with atomic_write(path) as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+        parts: list[str] = []
+        _emit_json(parts, payload, 0, handle)
+        handle.write("".join(parts) + "\n")
 
 
-def _finite(text: str) -> float:
+@functools.cache
+def _scalars_encoder(depth: int):
+    """Encodes a value at depth whose items are scalars, one item per line."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + " " * (depth + 1), ": ")).encode
+
+
+def _emit_json(parts: list[str], value, depth: int, handle) -> None:
+    """Append value's text at depth to parts, flushing them to handle now and then."""
+    kind = type(value)
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        children = [child for _, child in items]
+    elif isinstance(value, (list, tuple)):
+        items, children = None, value
+    else:
+        if kind is float and value - value == 0.0:  # finite: json writes its repr
+            parts.append(float.__repr__(value))
+        elif kind is int or kind is str:
+            parts.append(int.__repr__(value) if kind is int else encode_basestring_ascii(value))
+        else:
+            parts.append(_scalars_encoder(depth)(value))
+        return
+    close = "\n" + " " * depth
+    if not any(map(isinstance, children, itertools.repeat((dict, list, tuple)))):
+        text = _scalars_encoder(depth)(value)
+        parts.append(text[0] + close + " " + text[1:-1] + close + text[-1] if children else text)
+        return
+    parts.append("{" if items else "[")
+    sep = close + " "
+    for i, child in enumerate(children):
+        parts.append(sep + encode_basestring_ascii(items[i][0]) + ": " if items else sep)
+        _emit_json(parts, child, depth + 1, handle)
+        sep = "," + close + " "
+    if len(parts) > 4096:
+        handle.write("".join(parts))
+        parts.clear()
+    parts.append(close + ("}" if items else "]"))
+
+
+def finite_number(text: str) -> float:
+    """The float of a JSON number literal; NaN, Infinity or 1e999 is a ValueError."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text}")
@@ -172,7 +221,7 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
     file's schema, or a missing or unknown key is a ValueError."""
     with _named(os.path.basename(str(path)), ValueError):
         with open(path, encoding="utf-8") as handle:
-            d = json.load(handle, parse_float=_finite, parse_constant=_finite)
+            d = json.load(handle, parse_float=finite_number, parse_constant=finite_number)
         fmt = d.pop("format", None) if isinstance(d, dict) else None
         accepted = (expect,) if expect else (FORMAT_PLAIN, FORMAT_ASSL)
         if fmt not in accepted:

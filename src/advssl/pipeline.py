@@ -40,7 +40,8 @@ from .data import (
     stratified_split,
 )
 from .metrics import MetricsReport, aggregate_runs, classification_report, confusion_matrix
-from .persist import ConfigError, from_plain, save_assl_model, save_plain_model, to_plain, write_json
+from .persist import ConfigError, finite_number, from_plain, to_plain, write_json
+from .persist import save_assl_model, save_plain_model
 from .prm import PlainModel, PrmConfig, pseudo_label, train_prm
 from .trainer import AsslConfig, AsslModel, TrainHistory, predict_proba_matrix, train
 
@@ -107,10 +108,10 @@ def parse_config(raw) -> RunConfig:
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, parse_float=finite_number, parse_constant=finite_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {os.path.basename(str(path))}: {exc.strerror}")
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, not finite, or too deep
         raise ConfigError(f"config is not valid JSON: {exc}")
     return parse_config(raw)
 
@@ -166,10 +167,9 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     val = apply_normalizer(normalizer, val_raw)
     test = apply_normalizer(normalizer, test_raw)
     prm_model = train_prm(train, cfg.prm, seed=seed)
-    if unlabeled is not None and len(unlabeled) > 0:
-        pseudo = pseudo_label(prm_model, apply_normalizer(normalizer, unlabeled))
-    else:
-        pseudo = pseudo_label(prm_model, Dataset(labeled.schema, np.empty((0, labeled.schema.num_features)), None))
+    if unlabeled is None:
+        unlabeled = Dataset(labeled.schema, np.empty((0, labeled.schema.num_features)))
+    pseudo = pseudo_label(prm_model, apply_normalizer(normalizer, unlabeled))
     return PreparedSeed(
         seed=seed,
         schema=labeled.schema,

@@ -7,15 +7,19 @@ optimization step runs one discriminator update (ascending the adversarial
 value) followed by one generator update (descending supervised + semi +
 alpha * adversarial), the usual GAN-style alternation.
 
-The encoder runs once per step on each batch: it is frozen during the
-discriminator updates, so they and the generator update share its output.
-Each update is one Adam step on a network's flat buffer (see MlpParams).
+The encoder runs once per step, forward and backward, over the stacked
+rows [x_l; x_u] (as DANN does); it is frozen during the discriminator
+updates, so they share that pass, and the discriminator sees [emb_l; emb_u]
+in one pass per update. Only the two heads run per pool. A full step makes
+5 mlp_forward and 5 mlp_backward calls and 2 Adam steps: one on the
+discriminator, one on the generator's slice of the model buffer (AsslModel).
 """
 
 from __future__ import annotations
 
+import copy
 import csv
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .nnet import (
     MlpParams,
     adam_step,
     bce_one_hot,
-    bce_one_hot_grad,
+    bce_one_hot_and_grad,
     categorical_ce,
     categorical_ce_grad,
     clamp_probs,
@@ -96,7 +100,12 @@ class AsslConfig:
 
 @dataclass
 class AsslModel:
-    """Shared encoder, both classifier heads and the discriminator."""
+    """Shared encoder, both classifier heads and the discriminator.
+
+    The four networks are views of one buffer, `flat`, laid out as
+    [encoder | supervised_head | semi_head | discriminator]; `slices` maps
+    each name to its part. Neither is a dataclass field.
+    """
 
     encoder: MlpParams
     supervised_head: MlpParams
@@ -104,37 +113,35 @@ class AsslModel:
     discriminator: MlpParams
 
     def __post_init__(self):
-        d = self.encoder.out_dim
-        for name, net in (
-            ("supervised_head", self.supervised_head),
-            ("semi_head", self.semi_head),
-            ("discriminator", self.discriminator),
-        ):
-            if net.in_dim != d:
-                raise ValueError(
-                    f"{name} expects input dim {net.in_dim} but encoder emits {d}"
-                )
+        d, self.slices, start = self.encoder.out_dim, {}, 0
+        for f in fields(self):
+            net = getattr(self, f.name)
+            if f.name != "encoder" and net.in_dim != d:
+                raise ValueError(f"{f.name} expects input dim {net.in_dim} but encoder emits {d}")
+            self.slices[f.name] = slice(start, start + net.flat.size)
+            start += net.flat.size
         if self.supervised_head.out_dim != self.semi_head.out_dim:
             raise ValueError("classifier heads disagree on the number of classes")
         if self.discriminator.out_dim != 1:
             raise ValueError("discriminator must emit a single probability")
         if self.discriminator.layers[-1].activation != "sigmoid":
             raise ValueError("discriminator output layer must be sigmoid")
+        self._store(np.concatenate([getattr(self, name).flat for name in self.slices]))
 
-    @property
-    def input_dim(self) -> int:
-        return self.encoder.in_dim
+    def _store(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        for name, part in self.slices.items():
+            setattr(self, name, getattr(self, name).on(flat[part]))
 
-    @property
-    def embedding_dim(self) -> int:
-        return self.encoder.out_dim
-
-    @property
-    def num_classes(self) -> int:
-        return self.supervised_head.out_dim
+    def generator_slice(self, suppress_pseudo: bool) -> slice:
+        """The part of `flat` one generator update steps: encoder through the
+        semi head, or through the supervised head when the pseudo pool is off."""
+        return slice(0, self.slices["supervised_head" if suppress_pseudo else "semi_head"].stop)
 
     def copy(self) -> "AsslModel":
-        return AsslModel(*(getattr(self, f.name).copy() for f in fields(self)))
+        twin = copy.copy(self)
+        twin._store(self.flat.copy())
+        return twin
 
 
 def init_assl_model(input_dim: int, num_classes: int, cfg: AsslConfig) -> AsslModel:
@@ -188,7 +195,7 @@ def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> 
 
 
 def _l2_value(net: MlpParams, lam: float) -> float:
-    """lam * ||net||^2 (computed per array, as l2_penalty does); 0.0 when lam is 0."""
+    """lam * ||net||^2 (as l2_penalty computes it); 0.0 when lam is 0."""
     return l2_penalty(net, lam) if lam else 0.0
 
 
@@ -199,80 +206,80 @@ def _add_l2(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:
     return grads
 
 
-def _head_grads(head: MlpParams, emb: Matrix, labels, lam: float, style: str):
-    """(loss + L2 value, flat parameter gradient, embedding gradient) of a head."""
+def _head_grads(model: AsslModel, name: str, emb: Matrix, labels, lam: float, cfg, grads):
+    """(loss + L2 value, embedding gradient) of the head `name`; its flat
+    parameter gradient is written into its slice of grads."""
+    head, out = getattr(model, name), grads[model.slices[name]]
     logits, cache = mlp_forward(head, emb)
     probs = softmax(logits)
-    if style == "per_class_bce":
-        loss, dprobs = bce_one_hot(probs, labels), bce_one_hot_grad(probs, labels)
+    if cfg.loss_style == "per_class_bce":
+        loss, dprobs = bce_one_hot_and_grad(probs, labels)
     else:
         loss, dprobs = categorical_ce(probs, labels), categorical_ce_grad(probs, labels)
-    grads, d_emb = mlp_backward(head, cache, softmax_backward(probs, dprobs))
-    return loss + _l2_value(head, lam), _add_l2(grads, head, lam), d_emb
+    d_emb = mlp_backward(head, cache, softmax_backward(probs, dprobs), out)[1]
+    _add_l2(out, head, lam)
+    return loss + _l2_value(head, lam), d_emb
 
 
-def _log_grad_inside(p: np.ndarray) -> np.ndarray:
-    """d log(clamp(p))/dp: 1/p inside the clamp window, 0 where clamped."""
-    inside = (p > PROB_EPS) & (p < 1.0 - PROB_EPS)
-    return inside / clamp_probs(p)
+def _adversarial_grad(d: Matrix, n_l: int, scale: float) -> Matrix:
+    """scale * d(adversarial likelihood)/dD for D over [emb_l; emb_u], whose
+    first n_l rows are labeled. The two per-side means become per-row
+    weights: scale/n_l on the labeled rows, -scale/n_u on the pseudo rows."""
+    q = d.copy()  # D on labeled rows, 1 - D on pseudo rows
+    np.subtract(1.0, d[n_l:], out=q[n_l:])
+    grad = ((q > PROB_EPS) & (q < 1.0 - PROB_EPS)) / clamp_probs(q)  # d log(clamp(q))/dq
+    grad[:n_l] *= scale / n_l
+    grad[n_l:] *= -scale / (d.shape[0] - n_l)
+    return grad
 
 
-def _generator_grads(model: AsslModel, enc_l, y_l, enc_u, y_u, cfg: AsslConfig):
-    """generator_objective on this step's encoder passes enc = (embeddings,
-    cache); enc_u is None when the pseudo pool is suppressed, and then grads
-    has no semi_head entry. Gradients are flat, one per network.
-    """
-    emb_l, cache_el = enc_l
-    loss_l, sup_grads, d_emb_l = _head_grads(
-        model.supervised_head, emb_l, y_l, cfg.lambda_l, cfg.loss_style
-    )
-    grads = {"supervised_head": sup_grads}
+def _generator_grads(model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, grads) -> dict:
+    """generator_objective on this step's encoder pass enc = (embeddings,
+    cache) over [x_l; x_u], or x_l alone when y_u is None (no semi head).
+    Gradients go to each network's slice of grads; returns the loss parts."""
+    emb, cache = enc
+    n_l = len(y_l)
+    loss_l, d_emb = _head_grads(model, "supervised_head", emb[:n_l], y_l, cfg.lambda_l, cfg, grads)
     loss_u = loss_adv = 0.0
-    if enc_u is not None:
-        emb_u, cache_eu = enc_u
-        loss_u, grads["semi_head"], d_emb_u = _head_grads(
-            model.semi_head, emb_u, y_u, cfg.lambda_u, cfg.loss_style
-        )
+    if y_u is not None:
+        loss_u, d_emb_u = _head_grads(model, "semi_head", emb[n_l:], y_u, cfg.lambda_u, cfg, grads)
+        d_heads = (d_emb, d_emb_u)
         if cfg.alpha > 0:
             disc = model.discriminator
-            d_l, cache_dl = mlp_forward(disc, emb_l)
-            d_u, cache_du = mlp_forward(disc, emb_u)
-            loss_adv = loss_adversarial(d_l, d_u, cfg.lambda_adv, disc)
-            # generator descends alpha * loss_adv through both embeddings
-            up_l = cfg.alpha * _log_grad_inside(d_l) / d_l.shape[0]
-            up_u = -cfg.alpha * _log_grad_inside(1.0 - d_u) / d_u.shape[0]
-            d_emb_l = d_emb_l + mlp_backward(disc, cache_dl, up_l, params=False)[1]
-            d_emb_u = d_emb_u + mlp_backward(disc, cache_du, up_u, params=False)[1]
+            d, cache_d = mlp_forward(disc, emb)
+            loss_adv = loss_adversarial(d[:n_l], d[n_l:], cfg.lambda_adv, disc)
+            # generator descends alpha * loss_adv through every embedding
+            up = _adversarial_grad(d, n_l, cfg.alpha)
+            d_emb = mlp_backward(disc, cache_d, up)[1]
+            d_emb[:n_l] += d_heads[0]
+            d_emb[n_l:] += d_heads[1]
+        else:
+            d_emb = np.concatenate(d_heads)
 
-    enc_grads = mlp_backward(model.encoder, cache_el, d_emb_l, inputs=False)[0]
-    if enc_u is not None:
-        enc_grads += mlp_backward(model.encoder, cache_eu, d_emb_u, inputs=False)[0]
+    enc_grads = grads[model.slices["encoder"]]
+    mlp_backward(model.encoder, cache, d_emb, enc_grads, inputs=False)
     wd = cfg.encoder_weight_decay
-    grads["encoder"] = _add_l2(enc_grads, model.encoder, wd)
-
+    _add_l2(enc_grads, model.encoder, wd)
     total = loss_l + loss_u + cfg.alpha * loss_adv + _l2_value(model.encoder, wd)
-    parts = {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
-    return parts, grads
+    return {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
 
 
-def _discriminator_grads(model: AsslModel, emb_l: Matrix, emb_u: Matrix, cfg: AsslConfig):
-    """discriminator_objective on this step's embeddings, with a flat gradient."""
-    if emb_l.shape[0] == 0 or emb_u.shape[0] == 0:
+def _discriminator_grads(model: AsslModel, emb: Matrix, n_l: int, cfg: AsslConfig, grads):
+    """discriminator_objective on this step's embeddings [emb_l; emb_u]
+    (the first n_l rows labeled); the gradient is written into the
+    discriminator's slice of grads."""
+    if n_l == 0 or n_l == emb.shape[0]:
         raise ValueError("discriminator step needs a nonempty batch on each side")
     disc = model.discriminator
-    d_l, cache_dl = mlp_forward(disc, emb_l)
-    d_u, cache_du = mlp_forward(disc, emb_u)
+    d, cache = mlp_forward(disc, emb)
+    d_l, d_u = d[:n_l], d[n_l:]
     likelihood = float(np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean())
     reg_value = _l2_value(disc, cfg.lambda_adv)
-    objective = -likelihood + reg_value
-    up_l = -_log_grad_inside(d_l) / d_l.shape[0]
-    up_u = _log_grad_inside(1.0 - d_u) / d_u.shape[0]
-    grads = mlp_backward(disc, cache_dl, up_l, inputs=False)[0]
-    grads += mlp_backward(disc, cache_du, up_u, inputs=False)[0]
-    _add_l2(grads, disc, cfg.lambda_adv)
-    adv_value = likelihood + reg_value
-    accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / (d_l.size + d_u.size))
-    return objective, grads, adv_value, accuracy
+    out = grads[model.slices["discriminator"]]
+    mlp_backward(disc, cache, _adversarial_grad(d, n_l, -1.0), out, inputs=False)
+    _add_l2(out, disc, cfg.lambda_adv)
+    accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / d.size)
+    return -likelihood + reg_value, likelihood + reg_value, accuracy
 
 
 def generator_objective(
@@ -284,10 +291,11 @@ def generator_objective(
     grads maps encoder, supervised_head and semi_head (zeros without x_u)
     to lists in param_arrays() order. The discriminator is treated as a constant.
     """
-    enc_u = None if x_u is None else mlp_forward(model.encoder, x_u)
-    parts, grads = _generator_grads(model, mlp_forward(model.encoder, x_l), y_l, enc_u, y_u, cfg)
-    grads.setdefault("semi_head", np.zeros_like(model.semi_head.flat))
-    return parts, {name: getattr(model, name).views(g) for name, g in grads.items()}
+    grads = np.zeros_like(model.flat)
+    x = x_l if x_u is None else np.concatenate([x_l, x_u])
+    parts = _generator_grads(model, mlp_forward(model.encoder, x), y_l, y_u, cfg, grads)
+    names = ("encoder", "supervised_head", "semi_head")
+    return parts, {name: getattr(model, name).views(grads[model.slices[name]]) for name in names}
 
 
 def discriminator_objective(
@@ -300,47 +308,56 @@ def discriminator_objective(
     penalty, so descending it drives the discriminator toward telling
     labeled embeddings from pseudo-labeled ones. The encoder is frozen.
     """
-    objective, grads, adv_value, accuracy = _discriminator_grads(
-        model, encode(model.encoder, x_l), encode(model.encoder, x_u), cfg
-    )
-    return objective, model.discriminator.views(grads), adv_value, accuracy
+    grads = np.empty_like(model.flat)
+    emb = encode(model.encoder, np.concatenate([x_l, x_u]))
+    objective, adv_value, accuracy = _discriminator_grads(model, emb, len(x_l), cfg, grads)
+    disc_grads = model.discriminator.views(grads[model.slices["discriminator"]])
+    return objective, disc_grads, adv_value, accuracy
 
 
 @dataclass
 class OptimizerStates:
-    encoder: AdamState
-    supervised_head: AdamState
-    semi_head: AdamState
+    """Adam states of the generator (model.generator_slice) and of the
+    discriminator, and the model-wide gradient buffer both updates write."""
+
+    generator: AdamState
     discriminator: AdamState
+    grads: np.ndarray
 
     @classmethod
     def create(cls, model: AsslModel, cfg: AsslConfig) -> "OptimizerStates":
-        nets = (model.encoder, model.supervised_head, model.semi_head, model.discriminator)
-        rates = (cfg.learning_rate,) * 3 + (cfg.disc_learning_rate,)
-        return cls(*(AdamState.for_params(n.flat, learning_rate=r) for n, r in zip(nets, rates)))
+        gen = model.flat[model.generator_slice(cfg.suppress_pseudo)]
+        return cls(
+            AdamState.for_params(gen, learning_rate=cfg.learning_rate),
+            AdamState.for_params(model.discriminator.flat, learning_rate=cfg.disc_learning_rate),
+            np.empty_like(model.flat),
+        )
 
 
 def discriminator_step(
-    model: AsslModel, emb_l: Matrix, emb_u: Matrix, cfg: AsslConfig, state: AdamState
+    model: AsslModel, emb: Matrix, n_l: int, cfg: AsslConfig, states: OptimizerStates
 ) -> tuple[float, float]:
-    """One Adam step on the discriminator from this step's embeddings.
+    """One Adam step on the discriminator from this step's embeddings
+    [emb_l; emb_u], the first n_l rows labeled.
 
     Returns (adversarial value, batch accuracy), both measured before the
     update.
     """
-    _, grads, adv_value, accuracy = _discriminator_grads(model, emb_l, emb_u, cfg)
-    adam_step(model.discriminator.flat, grads, state)
+    _, adv_value, accuracy = _discriminator_grads(model, emb, n_l, cfg, states.grads)
+    grads = states.grads[model.slices["discriminator"]]
+    adam_step(model.discriminator.flat, grads, states.discriminator)
     return adv_value, accuracy
 
 
 def generator_step(
-    model: AsslModel, enc_l, y_l, enc_u, y_u, cfg: AsslConfig, states: OptimizerStates
+    model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, states: OptimizerStates
 ) -> dict:
-    """One Adam step on encoder and both heads (the semi head only when
-    enc_u is given) from this step's encoder passes; discriminator frozen."""
-    parts, grads = _generator_grads(model, enc_l, y_l, enc_u, y_u, cfg)
-    for name, grad in grads.items():
-        adam_step(getattr(model, name).flat, grad, getattr(states, name))
+    """One Adam step on encoder and both heads from this step's encoder
+    pass over [x_l; x_u] (over x_l alone, and no semi head, when y_u is
+    None); discriminator frozen."""
+    parts = _generator_grads(model, enc, y_l, y_u, cfg, states.grads)
+    gen = model.generator_slice(y_u is None)
+    adam_step(model.flat[gen], states.grads[gen], states.generator)
     return parts
 
 
@@ -363,16 +380,7 @@ class TrainHistory:
             writer = csv.writer(handle)
             writer.writerow(["epoch", "L_L", "L_U", "L_adv", "disc_acc", "val_macro_f1"])
             for r in self.records:
-                writer.writerow(
-                    [
-                        r.epoch,
-                        repr(r.loss_l),
-                        repr(r.loss_u),
-                        repr(r.loss_adv),
-                        repr(r.disc_acc),
-                        repr(r.val_macro_f1),
-                    ]
-                )
+                writer.writerow([r.epoch] + [repr(v) for v in astuple(r)[1:]])
 
 
 def predict_proba_matrix(model: AsslModel, x: Matrix, inference_head: str = "supervised") -> Matrix:
@@ -386,13 +394,6 @@ def predict_proba_matrix(model: AsslModel, x: Matrix, inference_head: str = "sup
     return 0.5 * (classify(model.supervised_head, emb) + classify(model.semi_head, emb))
 
 
-def _check_finite_parts(parts: dict, epoch: int, step: int) -> None:
-    names = {"loss_l": "L_L", "loss_u": "L_U", "loss_adv": "L_adv"}
-    for key, label in names.items():
-        if not np.isfinite(parts[key]):
-            raise DivergenceError(f"non-finite {label} at epoch {epoch}, step {step}")
-
-
 def train(
     labeled: Dataset,
     pseudo: PseudoLabeledDataset | None,
@@ -404,9 +405,9 @@ def train(
 
     Per step one labeled and one equal-sized pseudo sub-batch are drawn
     (both pools reshuffle per epoch, the pseudo pool cycles when short);
-    each step encodes both sub-batches once, then runs cfg.disc_steps
-    discriminator updates and one generator update on those encodings. The
-    returned model is the parameter snapshot with the best
+    each step runs the encoder once over the stacked rows [x_l; x_u], then
+    cfg.disc_steps discriminator updates and one generator update on that
+    pass. The returned model is the parameter snapshot with the best
     validation macro-F1 (ties keep the earliest epoch). The optional
     on_step(step, model) hook fires after every completed step.
 
@@ -428,74 +429,37 @@ def train(
     states = OptimizerStates.create(model, cfg)
     shuffle_l = named_rng(cfg.seed, "labeled_shuffle")
     shuffle_u = named_rng(cfg.seed, "pseudo_shuffle")
-
-    u_perm = np.empty(0, dtype=np.int64)
-    u_pos = 0
-
-    def draw_pseudo(count: int) -> np.ndarray:
-        nonlocal u_perm, u_pos
-        taken = []
-        while count > 0:
-            if u_pos >= u_perm.size:
-                u_perm = shuffle_u.permutation(len(pseudo))
-                u_pos = 0
-            chunk = u_perm[u_pos : u_pos + count]
-            taken.append(chunk)
-            u_pos += chunk.size
-            count -= chunk.size
-        return np.concatenate(taken)
-
-    best_model = model.copy()
-    best_f1 = -np.inf
-    history = TrainHistory()
-    step = 0
+    best_model, best_f1, history, step = model.copy(), -np.inf, TrainHistory(), 0
     for epoch in range(cfg.epochs):
         batches = minibatch_indices(len(labeled), cfg.batch_size, shuffle_l)
         if not cfg.suppress_pseudo:
-            u_perm = shuffle_u.permutation(len(pseudo))
-            u_pos = 0
-        sums = {"loss_l": 0.0, "loss_u": 0.0, "loss_adv": 0.0, "disc_acc": 0.0}
+            pool = shuffle_u.permutation(len(pseudo))
+        sums = np.zeros(4)  # loss_l, loss_u, loss_adv, disc_acc
         for idx in batches:
-            y_l = labeled.labels[idx]
-            enc_l = mlp_forward(model.encoder, labeled.rows[idx])
-            disc_acc = 0.5
-            if cfg.suppress_pseudo:
-                parts = generator_step(model, enc_l, y_l, None, None, cfg, states)
-            else:
-                sel = draw_pseudo(idx.size)
-                enc_u = mlp_forward(model.encoder, pseudo.rows[sel])
-                y_u = pseudo.labels[sel]
-                adv_from_disc = None
-                if cfg.train_discriminator:
-                    for _ in range(cfg.disc_steps):
-                        adv_from_disc, disc_acc = discriminator_step(
-                            model, enc_l[0], enc_u[0], cfg, states.discriminator
-                        )
-                parts = generator_step(model, enc_l, y_l, enc_u, y_u, cfg, states)
-                if cfg.alpha == 0 and adv_from_disc is not None:
-                    parts = dict(parts, loss_adv=adv_from_disc)
+            x, y_l, y_u = labeled.rows[idx], labeled.labels[idx], None
+            if not cfg.suppress_pseudo:
+                while pool.size < idx.size:  # the pseudo pool cycles when short
+                    pool = np.concatenate([pool, shuffle_u.permutation(len(pseudo))])
+                sel, pool = pool[: idx.size], pool[idx.size :]
+                x, y_u = np.concatenate([x, pseudo.rows[sel]]), pseudo.labels[sel]
+            enc = mlp_forward(model.encoder, x)  # one pass over [x_l; x_u]
+            disc_acc, adv_from_disc = 0.5, None
+            for _ in range(cfg.disc_steps if y_u is not None and cfg.train_discriminator else 0):
+                adv_from_disc, disc_acc = discriminator_step(model, enc[0], idx.size, cfg, states)
+            parts = generator_step(model, enc, y_l, y_u, cfg, states)
+            if cfg.alpha == 0 and adv_from_disc is not None:
+                parts = dict(parts, loss_adv=adv_from_disc)
             step += 1
-            _check_finite_parts(parts, epoch, step)
-            sums["loss_l"] += parts["loss_l"]
-            sums["loss_u"] += parts["loss_u"]
-            sums["loss_adv"] += parts["loss_adv"]
-            sums["disc_acc"] += disc_acc
+            for key, label in (("loss_l", "L_L"), ("loss_u", "L_U"), ("loss_adv", "L_adv")):
+                if not np.isfinite(parts[key]):
+                    raise DivergenceError(f"non-finite {label} at epoch {epoch}, step {step}")
+            sums += [parts["loss_l"], parts["loss_u"], parts["loss_adv"], disc_acc]
             if on_step is not None:
                 on_step(step, model)
-        n_batches = len(batches)
         preds = predict_proba_matrix(model, validation.rows, cfg.inference_head).argmax(axis=1)
         val_f1 = macro_f1_score(validation.labels, preds, m)
-        history.records.append(
-            EpochRecord(
-                epoch=epoch,
-                loss_l=sums["loss_l"] / n_batches,
-                loss_u=sums["loss_u"] / n_batches,
-                loss_adv=sums["loss_adv"] / n_batches,
-                disc_acc=sums["disc_acc"] / n_batches,
-                val_macro_f1=val_f1,
-            )
-        )
+        means = [float(v) / len(batches) for v in sums]
+        history.records.append(EpochRecord(epoch, *means, val_macro_f1=val_f1))
         if val_f1 > best_f1:
-            best_f1 = val_f1
-            best_model = model.copy()
+            best_f1, best_model = val_f1, model.copy()
     return best_model, history

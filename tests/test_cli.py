@@ -386,6 +386,8 @@ REJECTED_CONFIGS = {
     "data_list": lambda raw: raw.update(data=[1]),
     "variant_no_semi": lambda raw: raw.update(variant="no_semi"),
     "list_root": None,
+    "learning_rate_nan": lambda raw: raw["assl"].update(learning_rate=float("nan")),
+    "noise_std_infinity": lambda raw: raw["data"]["synth"].update(noise_std=float("inf")),
 }
 
 
@@ -410,6 +412,14 @@ class TestConfigFailsClosed:
         assert err.startswith("error: code=2 ") and len(err.splitlines()) == 1, err
         assert "Traceback" not in err and out == ""
         assert not list(tmp_path.glob("run-*"))
+
+    @pytest.mark.parametrize("key", ["learning_rate_nan", "noise_std_infinity"])
+    def test_non_finite_literal_rejected_before_any_numpy_warning(
+        self, tmp_path, capsys, recwarn, key
+    ):
+        code, _, err = self._run(tmp_path, capsys, REJECTED_CONFIGS[key])
+        assert code == 2 and "non-finite number" in err, err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_error_names_the_path(self, tmp_path, capsys):
         _, _, err = self._run(tmp_path, capsys, REJECTED_CONFIGS["rounds_string"])

@@ -2,18 +2,21 @@
 central finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from advssl.nnet import (
+    PROB_EPS,
     AdamState,
     DenseLayer,
     MlpParams,
     activate,
     adam_step,
     bce_one_hot,
-    bce_one_hot_grad,
+    bce_one_hot_and_grad,
+    clamp_probs,
     grad_check,
     init_mlp,
     l2_penalty,
@@ -133,14 +136,14 @@ class TestMlpForwardBackward:
         mlp = init_mlp([3, 4, 2], ["relu", "sigmoid"], seed=1, name="t")
         x = np.random.default_rng(4).normal(size=(6, 3))
         out, cache = mlp_forward(mlp, x)
-        grads, dx = mlp_backward(mlp, cache, np.zeros_like(out))
+        grads, dx = mlp_backward(mlp, cache, np.zeros_like(out), np.empty_like(mlp.flat))
         assert np.all(grads == 0)
         np.testing.assert_array_equal(dx, np.zeros_like(x))
 
     def test_hand_chain_rule_1x1(self):
         mlp = MlpParams([DenseLayer(np.array([[5.0]]), np.zeros(1), "identity")])
         _, cache = mlp_forward(mlp, np.array([[2.0]]))
-        grads, _ = mlp_backward(mlp, cache, np.array([[3.0]]))
+        grads, _ = mlp_backward(mlp, cache, np.array([[3.0]]), np.empty_like(mlp.flat))
         np.testing.assert_array_equal(grads, [6.0, 3.0])  # dL/dW = upstream * x, dL/db
 
     def test_cache_mismatch_rejected(self):
@@ -162,7 +165,7 @@ class TestMlpForwardBackward:
             out, cache = mlp_forward(mlp, x)
             diff = out - target
             value = float((diff**2).sum() / batch)
-            grads, _ = mlp_backward(mlp, cache, 2.0 * diff / batch)
+            grads, _ = mlp_backward(mlp, cache, 2.0 * diff / batch, np.empty_like(mlp.flat))
             return value, mlp.views(grads)
 
         err = grad_check(loss, mlp.param_arrays(), epsilon=1e-5)
@@ -210,6 +213,33 @@ class TestAdam:
         adam_step(p, rng.normal(size=(3, 2)), state)
         np.testing.assert_array_equal(p, before)
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (4, 3)])
+    def test_equals_the_adam_expression_bit_for_bit(self, shape):
+        rng = np.random.default_rng(len(shape) * 10 + shape[0])
+        lr, b1, b2, eps = 0.003, 0.8, 0.99, 1e-7
+        p = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+        ref, moments = p.copy(), ([np.zeros(shape)], [np.zeros(shape)])
+        state = AdamState.for_params(p, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        for t in range(1, 9):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 3, size=shape)
+            adam_step(p, g, state)
+            per_array_adam([ref], [g], moments, t, lr, b1, b2, eps)
+            np.testing.assert_array_equal(p, ref)
+            np.testing.assert_array_equal(state.first_moment, moments[0][0])
+            np.testing.assert_array_equal(state.second_moment, moments[1][0])
+
+    def test_allocates_no_arrays(self):
+        p, g = np.ones(100_000), np.full(100_000, 0.5)
+        state = AdamState.for_params(p)
+        adam_step(p, g, state)
+        tracemalloc.start()
+        try:
+            adam_step(p, g, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.nbytes // 10  # one temporary array would be p.nbytes
+
     def test_shape_mismatch_rejected(self):
         p = np.zeros(3)
         state = AdamState.for_params(p)
@@ -220,7 +250,8 @@ class TestAdam:
 
 
 def per_array_adam(params, grads, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
-    """Adam as one loop over a network's arrays: the flat step must equal it."""
+    """Adam as one loop over a network's arrays, each step written as the
+    Adam expression: the flat, in-place step must equal it."""
     for p, g, m, v in zip(params, grads, *moments):
         m *= b1
         m += (1.0 - b1) * g
@@ -283,9 +314,11 @@ class TestFlatBuffer:
         schema = DatasetSchema(tuple(f"f{i}" for i in range(5)), ("a", "b", "c"))
         save_assl_model(tmp_path / "m.json", model, cfg, schema)
         loaded = load_assl_model(tmp_path / "m.json")[0]
+        np.testing.assert_array_equal(loaded.flat, model.flat)
         for net in ("encoder", "supervised_head", "semi_head", "discriminator"):
             mlp = getattr(loaded, net)
             np.testing.assert_array_equal(mlp.flat, getattr(model, net).flat)
+            assert np.shares_memory(mlp.flat, loaded.flat)  # one buffer for the model
             for a in mlp.param_arrays():
                 assert np.shares_memory(a, mlp.flat)
 
@@ -308,12 +341,15 @@ class TestFlatBuffer:
         mlp = init_mlp([4, 6, 3], ["relu", "sigmoid"], seed=2, name="t")
         out, cache = mlp_forward(mlp, rng.normal(size=(5, 4)))
         upstream = rng.normal(size=out.shape)
-        grads, dx = mlp_backward(mlp, cache, upstream)
-        assert grads.shape == mlp.flat.shape and not np.shares_memory(grads, mlp.flat)
-        only_params, no_dx = mlp_backward(mlp, cache, upstream, inputs=False)
+        buffer = np.full(mlp.flat.size + 3, np.nan)
+        grads, dx = mlp_backward(mlp, cache, upstream, buffer[2:-1])
+        assert np.shares_memory(grads, buffer) and np.isnan(buffer[[0, 1, -1]]).all()
+        assert not np.isnan(grads).any()
+        fresh = np.empty_like(mlp.flat)
+        only_params, no_dx = mlp_backward(mlp, cache, upstream, fresh, inputs=False)
         assert no_dx is None
         np.testing.assert_array_equal(only_params, grads)
-        no_grads, dx_only = mlp_backward(mlp, cache, upstream, params=False)
+        no_grads, dx_only = mlp_backward(mlp, cache, upstream)
         assert no_grads is None
         np.testing.assert_array_equal(dx_only, dx)
 
@@ -379,10 +415,52 @@ class TestBceHelpers:
         def loss(ps):
             probs = softmax(ps[0])
             value = bce_one_hot(probs, labels)
-            dlogits = softmax_backward(probs, bce_one_hot_grad(probs, labels))
+            dlogits = softmax_backward(probs, bce_one_hot_and_grad(probs, labels)[1])
             return value, [dlogits]
 
         assert grad_check(loss, logits, epsilon=1e-6) < 1e-7
+
+
+class TestTrimmedKernelsKeepTheirBits:
+    """Each kernel written with fewer numpy calls equals its plain formula bit for bit."""
+
+    def test_sigmoid_equals_the_sign_split_formula(self):
+        z = np.random.default_rng(21).normal(size=(300, 2)) * 10.0 ** np.arange(-1, 1)
+        z[:4, 0] = [0.0, -0.0, 800.0, -800.0]
+        pos = z >= 0
+        expected = np.empty_like(z)
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expected[~pos] = ez / (1.0 + ez)
+        np.testing.assert_array_equal(activate("sigmoid", z), expected)
+
+    def test_clamp_equals_clip(self):
+        p = np.random.default_rng(22).uniform(-0.5, 1.5, size=(40, 5))
+        p[0] = [0.0, -0.0, PROB_EPS / 2, 1.0 - PROB_EPS / 2, 1.0]
+        np.testing.assert_array_equal(clamp_probs(p), np.clip(p, PROB_EPS, 1.0 - PROB_EPS))
+
+    def test_mlp_forward_equals_the_layer_formula(self):
+        mlp = init_mlp([5, 7, 3], ["relu", "sigmoid"], seed=4, name="bits")
+        rng = np.random.default_rng(23)
+        mlp.flat[:] = rng.normal(size=mlp.flat.size)  # nonzero biases too
+        x = rng.normal(size=(9, 5))
+        a = x
+        for layer in mlp.layers:
+            a = activate(layer.activation, a @ layer.weights.T + layer.bias)
+        np.testing.assert_array_equal(mlp_forward(mlp, x)[0], a)
+
+    def test_bce_and_grad_equal_their_formulas(self):
+        rng = np.random.default_rng(24)
+        probs = softmax(rng.normal(size=(11, 4)) * 20.0)  # some entries hit the clamp
+        labels = rng.integers(0, 4, 11)
+        y = np.eye(4)[labels]
+        pc = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+        loss = float((-(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)).sum(axis=1)).mean())
+        inside = (probs > PROB_EPS) & (probs < 1.0 - PROB_EPS)
+        grad = -(y / pc - (1.0 - y) / (1.0 - pc)) * inside / probs.shape[0]
+        got_loss, got_grad = bce_one_hot_and_grad(probs, labels)
+        assert got_loss == loss and bce_one_hot(probs, labels) == loss
+        np.testing.assert_array_equal(got_grad, grad)
 
 
 class TestNoNonFinite:
@@ -397,7 +475,8 @@ class TestNoNonFinite:
             assert np.all(np.isfinite(out))
             probs = softmax(rng.uniform(-1e3, 1e3, size=(6, 3)))
             assert np.all(np.isfinite(probs))
-            grads, dx = mlp_backward(mlp, cache, rng.normal(size=out.shape))
+            upstream = rng.normal(size=out.shape)
+            grads, dx = mlp_backward(mlp, cache, upstream, np.empty_like(mlp.flat))
             assert np.all(np.isfinite(grads))
             assert np.all(np.isfinite(dx))
 

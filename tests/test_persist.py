@@ -107,7 +107,34 @@ class TestAsslModelRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+def json_dump_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
 class TestWriteJson:
+    @settings(max_examples=300, deadline=None)
+    @given(json_payloads)
+    def test_same_bytes_as_json_dump(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("json") / "x.json"
+        write_json(path, payload)
+        assert path.read_text(encoding="utf-8") == json_dump_text(payload)
+
+    def test_same_bytes_when_written_in_chunks(self, tmp_path):
+        trees = [
+            {"feature": i % 5, "left": {"value": i / 7}, "right": {"value": -i}, "threshold": 0.5}
+            for i in range(3000)
+        ]
+        payload = {"trees": trees, "schema": {"features": ["a", "b"], "labels": []}}
+        write_json(tmp_path / "x.json", payload)
+        assert (tmp_path / "x.json").read_text(encoding="utf-8") == json_dump_text(payload)
+
     def test_sorted_one_space_indent_trailing_newline(self, tmp_path):
         path = tmp_path / "x.json"
         write_json(path, {"b": [1.5, 0.1], "a": {"z": None, "y": "s"}})

@@ -1,6 +1,7 @@
 """Phase-II trainer tests: losses vs hand values, gradients vs finite
 differences, determinism, and the degenerate configurations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,12 +20,10 @@ from advssl.data import (
 from advssl.metrics import macro_f1_score
 from advssl.nnet import (
     PROB_EPS,
-    AdamState,
     DenseLayer,
     MlpParams,
     activation_grad,
-    bce_one_hot,
-    bce_one_hot_grad,
+    bce_one_hot_and_grad,
     categorical_ce,
     categorical_ce_grad,
     clamp_probs,
@@ -121,7 +120,7 @@ class TestEncode:
         a, b = rng.normal(size=(4, 5)), rng.normal(size=(7, 5))
         both = encode(model.encoder, np.vstack([a, b]))
         np.testing.assert_array_equal(both[:4], encode(model.encoder, a))
-        assert model.embedding_dim == cfg.embedding_dim
+        assert model.encoder.out_dim == cfg.embedding_dim
 
 
 class TestClassify:
@@ -265,9 +264,9 @@ class TestSteps:
         cfg = tiny_cfg(disc_learning_rate=0.0)
         model = init_assl_model(5, 3, cfg)
         before = [a.copy() for a in model.discriminator.param_arrays()]
-        state = AdamState.for_params(model.discriminator.flat, learning_rate=0.0)
-        emb_l, emb_u = (encode(model.encoder, rng.normal(size=(4, 5))) for _ in range(2))
-        discriminator_step(model, emb_l, emb_u, cfg, state)
+        states = OptimizerStates.create(model, cfg)
+        emb = encode(model.encoder, rng.normal(size=(8, 5)))
+        discriminator_step(model, emb, 4, cfg, states)
         for a, b in zip(model.discriminator.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
 
@@ -279,9 +278,8 @@ class TestSteps:
         before = [a.copy() for a in model.encoder.param_arrays()]
         generator_step(
             model,
-            mlp_forward(model.encoder, rng.normal(size=(4, 5))),
+            mlp_forward(model.encoder, rng.normal(size=(8, 5))),
             rng.integers(0, 3, 4),
-            mlp_forward(model.encoder, rng.normal(size=(4, 5))),
             rng.integers(0, 3, 4),
             cfg,
             states,
@@ -307,18 +305,19 @@ class TestSteps:
         cfg = tiny_cfg(embedding_dim=d, disc_learning_rate=0.05)
         x_l = rng.normal(size=(64, d)) + np.array([3.0, 0.0])
         x_u = rng.normal(size=(64, d)) + np.array([-3.0, 0.0])
-        state = AdamState.for_params(model.discriminator.flat, learning_rate=0.05)
+        states = OptimizerStates.create(model, cfg)
         acc = 0.0
         for _ in range(200):  # identity encoder: the rows are their own embeddings
-            _, acc = discriminator_step(model, x_l, x_u, cfg, state)
+            _, acc = discriminator_step(model, np.concatenate([x_l, x_u]), 64, cfg, states)
         assert acc >= 0.95
 
     def test_empty_batch_side_rejected(self):
         cfg = tiny_cfg()
         model = init_assl_model(5, 3, cfg)
-        state = AdamState.for_params(model.discriminator.flat)
-        with pytest.raises(ValueError):
-            discriminator_step(model, np.empty((0, 4)), np.ones((2, 4)), cfg, state)
+        states = OptimizerStates.create(model, cfg)
+        for n_l in (0, 2):
+            with pytest.raises(ValueError):
+                discriminator_step(model, np.ones((2, 4)), n_l, cfg, states)
 
 
 class TestTrain:
@@ -455,11 +454,19 @@ class TestKnobs:
         assert parts_wd["total"] == pytest.approx(parts_0["total"] + penalty, rel=1e-12)
 
 
-# Frozen reference: the Phase-II step as it was before flat parameters. Each
-# objective runs the encoder itself, mlp_backward builds every gradient, the
-# L2 terms are added also when their weight is 0, and Adam loops over arrays.
-# train() must reproduce it bit for bit (compare the reference best_split in
-# test_tree.py).
+# Frozen references for the Phase-II step. Each objective runs the encoder
+# itself, ref_backward builds every gradient, the L2 terms are added also
+# when their weight is 0, and Adam loops over arrays.
+#
+# - The stacked reference runs the encoder once over [x_l; x_u] and the
+#   discriminator once over [emb_l; emb_u], the two per-side means becoming
+#   per-row weights in the upstream gradient. train() and both objectives
+#   must reproduce it bit for bit (compare the reference best_split in
+#   test_tree.py).
+# - The per-side reference is the step as it was before stacking: one pass
+#   per pool, gradients summed. The suppressed path has nothing to stack and
+#   must match it bit for bit; the stacked paths sum in another order and
+#   must match it to within 1e-12.
 
 
 def ref_backward(mlp, cache, upstream):
@@ -486,7 +493,7 @@ def ref_log_grad_inside(p):
 
 def ref_head(probs, labels, style):
     if style == "per_class_bce":
-        return bce_one_hot(probs, labels), bce_one_hot_grad(probs, labels)
+        return bce_one_hot_and_grad(probs, labels)
     return categorical_ce(probs, labels), categorical_ce_grad(probs, labels)
 
 
@@ -553,8 +560,73 @@ def ref_discriminator_objective(model, x_l, x_u, cfg):
     return -likelihood + reg_value, grads, likelihood + reg_value, accuracy
 
 
-def ref_train(labeled, pseudo, validation, cfg):
-    """The training loop around the reference step, with per-array Adam."""
+def ref_adversarial_upstream(d, n_l, scale):
+    """scale * d(mean log D_l + mean log(1 - D_u))/dD, as per-row weights."""
+    n_u = d.shape[0] - n_l
+    labeled = np.arange(d.shape[0])[:, None] < n_l
+    weights = np.concatenate([np.full(n_l, scale / n_l), np.full(n_u, -scale / n_u)])[:, None]
+    return ref_log_grad_inside(np.where(labeled, d, 1.0 - d)) * weights
+
+
+def ref_stacked_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
+    if x_u is None:
+        return ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg)
+    n_l = len(x_l)
+    emb, cache_e = mlp_forward(model.encoder, np.concatenate([x_l, x_u]))
+    parts, grads, d_emb = {}, {}, []
+    for name, emb_side, labels, lam, loss in (
+        ("supervised_head", emb[:n_l], y_l, cfg.lambda_l, "loss_l"),
+        ("semi_head", emb[n_l:], y_u, cfg.lambda_u, "loss_u"),
+    ):
+        head = getattr(model, name)
+        logits, cache_h = mlp_forward(head, emb_side)
+        probs = softmax(logits)
+        value, dprobs = ref_head(probs, labels, cfg.loss_style)
+        parts[loss] = value + l2_penalty(head, lam)
+        head_grads, d_side = ref_backward(head, cache_h, softmax_backward(probs, dprobs))
+        grads[name] = ref_with_l2(head_grads, head, lam)
+        d_emb.append(d_side)
+    d_emb = np.concatenate(d_emb)
+    parts["loss_adv"] = 0.0
+    if cfg.alpha > 0:
+        d, cache_d = mlp_forward(model.discriminator, emb)
+        parts["loss_adv"] = loss_adversarial(d[:n_l], d[n_l:], cfg.lambda_adv, model.discriminator)
+        up = ref_adversarial_upstream(d, n_l, cfg.alpha)
+        d_emb = d_emb + ref_backward(model.discriminator, cache_d, up)[1]
+    enc_grads, _ = ref_backward(model.encoder, cache_e, d_emb)
+    grads["encoder"] = ref_with_l2(enc_grads, model.encoder, cfg.encoder_weight_decay)
+    parts["total"] = (
+        parts["loss_l"]
+        + parts["loss_u"]
+        + cfg.alpha * parts["loss_adv"]
+        + l2_penalty(model.encoder, cfg.encoder_weight_decay)
+    )
+    return parts, grads
+
+
+def ref_stacked_discriminator_objective(model, x_l, x_u, cfg):
+    n_l = len(x_l)
+    emb = mlp_forward(model.encoder, np.concatenate([x_l, x_u]))[0]
+    d, cache_d = mlp_forward(model.discriminator, emb)
+    d_l, d_u = d[:n_l], d[n_l:]
+    likelihood = float(np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean())
+    reg_value = l2_penalty(model.discriminator, cfg.lambda_adv)
+    reg_grads = [2.0 * cfg.lambda_adv * a for a in model.discriminator.param_arrays()]
+    g, _ = ref_backward(model.discriminator, cache_d, ref_adversarial_upstream(d, n_l, -1.0))
+    grads = [a + r for a, r in zip(g, reg_grads)]
+    accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / (d_l.size + d_u.size))
+    return -likelihood + reg_value, grads, likelihood + reg_value, accuracy
+
+
+REFERENCES = {
+    "stacked": (ref_stacked_generator_objective, ref_stacked_discriminator_objective),
+    "per_side": (ref_generator_objective, ref_discriminator_objective),
+}
+
+
+def ref_train(labeled, pseudo, validation, cfg, reference="stacked"):
+    """The training loop around a reference step, with per-array Adam."""
+    generator_objective_of, discriminator_objective_of = REFERENCES[reference]
     m = labeled.schema.num_classes
     model = init_assl_model(labeled.schema.num_features, m, cfg)
     nets = ("encoder", "supervised_head", "semi_head", "discriminator")
@@ -587,11 +659,11 @@ def ref_train(labeled, pseudo, validation, cfg):
                 sel, pool = pool[: idx.size], pool[idx.size :]
                 x_u, y_u = pseudo.rows[sel], pseudo.labels[sel]
                 for _ in range(cfg.disc_steps if cfg.train_discriminator else 0):
-                    _, grads, adv_from_disc, disc_acc = ref_discriminator_objective(
+                    _, grads, adv_from_disc, disc_acc = discriminator_objective_of(
                         model, x_l, x_u, cfg
                     )
                     adam("discriminator", grads, cfg.disc_learning_rate)
-            parts, grads = ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg)
+            parts, grads = generator_objective_of(model, x_l, y_l, x_u, y_u, cfg)
             for name in ("encoder", "supervised_head") + (("semi_head",) if x_u is not None else ()):
                 adam(name, grads[name], cfg.learning_rate)
             if cfg.alpha == 0 and adv_from_disc is not None:
@@ -606,31 +678,69 @@ def ref_train(labeled, pseudo, validation, cfg):
     return best_model, history
 
 
+CONFIGS = [
+    {},
+    {"alpha": 0.0},
+    {"train_discriminator": False},
+    {"suppress_pseudo": True},
+    {"disc_steps": 2},
+    {"encoder_weight_decay": 0.01},
+    {"loss_style": "categorical_ce"},
+    {"lambda_l": 0.0, "lambda_u": 0.0, "lambda_adv": 0.0},
+]
+
+
+def config_id(over):
+    return ",".join(f"{k}={v}" for k, v in over.items()) or "full"
+
+
+def assert_same_run(model, history, ref_model, ref_history, atol=0.0):
+    for net in ("encoder", "supervised_head", "semi_head", "discriminator"):
+        arrays = zip(getattr(model, net).param_arrays(), getattr(ref_model, net).param_arrays())
+        for a, b in arrays:
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=atol)
+    if atol == 0.0:
+        assert history.records == ref_history.records
+    else:
+        np.testing.assert_allclose(
+            [list(vars(r).values()) for r in history.records],
+            [list(vars(r).values()) for r in ref_history.records],
+            rtol=0.0,
+            atol=atol,
+        )
+
+
+def assert_same_objectives(model, x_l, y_l, x_u, y_u, cfg, reference, atol=0.0):
+    ref_gen, ref_disc = REFERENCES[reference]
+    parts, grads = generator_objective(model, x_l, y_l, x_u, y_u, cfg)
+    ref_parts, ref_grads = ref_gen(model, x_l, y_l, x_u, y_u, cfg)
+    assert parts.keys() == ref_parts.keys()
+    np.testing.assert_allclose(list(parts.values()), list(ref_parts.values()), rtol=0.0, atol=atol)
+    for net in ("encoder", "supervised_head", "semi_head"):
+        for a, b in zip(grads[net], ref_grads[net], strict=True):
+            np.testing.assert_allclose(a, b, rtol=0.0, atol=atol)
+    got, ref = discriminator_objective(model, x_l, x_u, cfg), ref_disc(model, x_l, x_u, cfg)
+    scalars = [[r[0], r[2], r[3]] for r in (got, ref)]  # objective, adversarial value, accuracy
+    np.testing.assert_allclose(*scalars, rtol=0.0, atol=atol)
+    for a, b in zip(got[1], ref[1], strict=True):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=atol)
+
+
 class TestMatchesFrozenReferenceStep:
-    @pytest.mark.parametrize(
-        "over",
-        [
-            {},
-            {"alpha": 0.0},
-            {"train_discriminator": False},
-            {"suppress_pseudo": True},
-            {"disc_steps": 2},
-            {"encoder_weight_decay": 0.01},
-            {"loss_style": "categorical_ce"},
-            {"lambda_l": 0.0, "lambda_u": 0.0, "lambda_adv": 0.0},
-        ],
-        ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()) or "full",
-    )
+    @pytest.mark.parametrize("over", CONFIGS, ids=config_id)
     def test_bit_equal_parameters_and_history(self, over):
         train_ds, val_ds, _, pseudo = tiny_task(seed=7, n_per=40)
         cfg = tiny_cfg(epochs=4, seed=31, **over)
         model, history = train(train_ds, None if cfg.suppress_pseudo else pseudo, val_ds, cfg)
-        ref_model, ref_history = ref_train(train_ds, pseudo, val_ds, cfg)
-        for net in ("encoder", "supervised_head", "semi_head", "discriminator"):
-            arrays = zip(getattr(model, net).param_arrays(), getattr(ref_model, net).param_arrays())
-            for a, b in arrays:
-                np.testing.assert_array_equal(a, b)
-        assert history.records == ref_history.records
+        assert_same_run(model, history, *ref_train(train_ds, pseudo, val_ds, cfg))
+
+    @pytest.mark.parametrize("over", CONFIGS, ids=config_id)
+    def test_per_side_reference_bit_equal_when_suppressed_else_close(self, over):
+        train_ds, val_ds, _, pseudo = tiny_task(seed=7, n_per=40)
+        cfg = tiny_cfg(epochs=4, seed=31, **over)
+        model, history = train(train_ds, None if cfg.suppress_pseudo else pseudo, val_ds, cfg)
+        ref = ref_train(train_ds, pseudo, val_ds, cfg, reference="per_side")
+        assert_same_run(model, history, *ref, atol=0.0 if cfg.suppress_pseudo else 1e-12)
 
     def test_objectives_match_the_reference(self):
         rng = np.random.default_rng(13)
@@ -638,18 +748,8 @@ class TestMatchesFrozenReferenceStep:
         model = init_assl_model(5, 3, cfg)
         x_l, y_l = rng.normal(size=(6, 5)), rng.integers(0, 3, 6)
         x_u, y_u = rng.normal(size=(6, 5)), rng.integers(0, 3, 6)
-        parts, grads = generator_objective(model, x_l, y_l, x_u, y_u, cfg)
-        ref_parts, ref_grads = ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg)
-        assert parts == ref_parts
-        for net in ("encoder", "supervised_head", "semi_head"):
-            for a, b in zip(grads[net], ref_grads[net], strict=True):
-                np.testing.assert_array_equal(a, b)
-        got, ref = discriminator_objective(model, x_l, x_u, cfg), ref_discriminator_objective(
-            model, x_l, x_u, cfg
-        )
-        assert (got[0], got[2], got[3]) == (ref[0], ref[2], ref[3])
-        for a, b in zip(got[1], ref[1], strict=True):
-            np.testing.assert_array_equal(a, b)
+        assert_same_objectives(model, x_l, y_l, x_u, y_u, cfg, "stacked")
+        assert_same_objectives(model, x_l, y_l, x_u, y_u, cfg, "per_side", atol=1e-12)
 
     def test_generator_objective_without_pseudo_batch_matches_the_reference(self):
         rng = np.random.default_rng(15)
@@ -725,6 +825,46 @@ class TestPredictRating:
         )
         cls, _ = predict_rating(model, np.zeros(d), inference_head="semi")
         assert cls == 2
+
+
+class TestModelBuffer:
+    NETS = ("encoder", "supervised_head", "semi_head", "discriminator")
+
+    def test_every_network_is_a_view_of_one_buffer(self):
+        model = init_assl_model(5, 3, tiny_cfg())
+        assert list(model.slices) == list(self.NETS)  # [encoder | heads | discriminator]
+        assert model.slices["discriminator"].stop == model.flat.size
+        for net in self.NETS:
+            mlp = getattr(model, net)
+            assert np.shares_memory(mlp.flat, model.flat)
+            np.testing.assert_array_equal(mlp.flat, model.flat[model.slices[net]])
+            for a in mlp.param_arrays():
+                assert np.shares_memory(a, model.flat)
+        model.flat[model.slices["semi_head"].start] = 42.0
+        assert model.semi_head.layers[0].weights[0, 0] == 42.0
+
+    def test_buffer_stays_out_of_the_dataclass_fields(self):
+        model = init_assl_model(5, 3, tiny_cfg())
+        assert [f.name for f in dataclasses.fields(model)] == list(self.NETS)
+
+    def test_copy_shares_no_memory(self):
+        model = init_assl_model(5, 3, tiny_cfg())
+        twin = model.copy()
+        np.testing.assert_array_equal(twin.flat, model.flat)
+        for net in self.NETS:
+            assert np.shares_memory(getattr(twin, net).flat, twin.flat)
+            for a, b in zip(getattr(twin, net).param_arrays(), getattr(model, net).param_arrays()):
+                assert not np.shares_memory(a, model.flat) and not np.shares_memory(b, twin.flat)
+        twin.flat[:] = 0.0
+        assert np.any(model.flat != 0.0)
+
+    def test_generator_slice_covers_encoder_through_the_last_trained_head(self):
+        model = init_assl_model(5, 3, tiny_cfg())
+        assert model.generator_slice(False) == slice(0, model.slices["semi_head"].stop)
+        assert model.generator_slice(True) == slice(0, model.slices["supervised_head"].stop)
+        states = OptimizerStates.create(model, tiny_cfg(suppress_pseudo=True))
+        assert states.generator.first_moment.size == model.slices["supervised_head"].stop
+        assert states.grads.shape == model.flat.shape
 
 
 class TestModelStructure:
