@@ -218,14 +218,14 @@ def mlp_forward(mlp: MlpParams, x: Matrix) -> tuple[Matrix, list[tuple]]:
 
 
 def mlp_backward(
-    mlp: MlpParams, cache: list[tuple], upstream: Matrix, out=None, inputs=True
-) -> tuple[np.ndarray | None, Matrix | None]:
+    mlp: MlpParams, cache: list[tuple], upstream: Matrix, out: MlpParams | None = None, inputs=True
+) -> tuple[MlpParams | None, Matrix | None]:
     """Reverse-mode gradients of mlp_forward contracted with `upstream`.
 
     Returns (out, input_grad): the parameter gradients are written into
-    `out`, a buffer laid out like mlp.flat (mlp.views(out) splits it per
-    array). out=None skips them and inputs=False input_grad, returning
-    None in their place.
+    the arrays of `out`, a stack shaped like mlp (mlp.on(buffer) lays one
+    out over a gradient buffer once; out.flat is that buffer). out=None
+    skips them and inputs=False input_grad, returning None in their place.
     """
     if len(cache) != len(mlp.layers):
         raise ValueError(
@@ -236,7 +236,6 @@ def mlp_backward(
         raise ValueError(
             f"upstream gradient shape {grad.shape} does not match output shape {cache[-1][2].shape}"
         )
-    views = None if out is None else mlp.views(out)
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
         x_in, z, a = cache[i]
@@ -244,8 +243,8 @@ def mlp_backward(
         if layer.activation != "identity":
             dz = grad * activation_grad(layer.activation, z, a)
         if out is not None:
-            np.matmul(dz.T, x_in, out=views[2 * i])
-            dz.sum(axis=0, out=views[2 * i + 1])
+            np.matmul(dz.T, x_in, out=out.layers[i].weights)
+            dz.sum(axis=0, out=out.layers[i].bias)
         grad = dz @ layer.weights if i > 0 or inputs else None
     return out, grad
 

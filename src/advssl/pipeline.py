@@ -8,6 +8,14 @@ loads data, splits it, fits the normalizer on the labeled training split
 only, trains the plain model, pseudo-labels the unlabeled pool, trains
 Phase II and evaluates on the held-out test split. Every artifact lands
 under output_root/run-<config hash>/.
+
+`ablate` uses both CPUs. A seed's variants share only the PreparedSeed and
+draw from their own named RNG streams, so one forked worker trains and
+writes WORKER_VARIANTS while this process does prm_only and full, then
+writes the tables in VARIANTS order: every artifact has the bytes of a
+one-process run. `full` stays here: it is the longest variant (about the
+other two together), the paper's model, and the one a profile of this
+process should see.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 
@@ -52,6 +61,8 @@ VARIANTS = {
     "no_adversarial": {"alpha": 0.0},
     "full": {},
 }
+# The variants `ablate` trains in its forked worker (see the module docstring).
+WORKER_VARIANTS = ("supervised_mlp", "no_adversarial")
 
 ENV_OUTPUT_ROOT = "ADVSSL_OUTPUT_ROOT"
 
@@ -339,29 +350,81 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
     return {"run_dir": run_dir, "reports": reports}
 
 
+def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
+    """Train, evaluate and write every variant of one prepared seed, with
+    WORKER_VARIANTS in a forked worker; return variant -> (artifact paths,
+    report, seconds in the process that ran it). The worker's exception is
+    raised here again (same type and message), a worker that ends without a
+    result raises ChildProcessError, a failure here kills the worker, and
+    the worker is reaped on every path."""
+
+    def train_and_write(variant):
+        t0 = time.monotonic()
+        result = run_variant(prep, variant)
+        paths = write_seed_artifacts(os.path.join(seed_dir, variant), prep, result)
+        return paths, result.report, round(time.monotonic() - t0, 3)
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: os._exit skips the parent's atexit handlers and stdio buffers
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, {v: train_and_write(v) for v in WORKER_VARIANTS})
+            except BaseException as exc:
+                payload = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            done = {v: train_and_write(v) for v in VARIANTS if v not in WORKER_VARIANTS}
+            sent = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if not sent:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"ablation worker ended without a result (exit code {code})")
+    ok, value = pickle.loads(sent)
+    if not ok:
+        raise value
+    return {**done, **value}
+
+
 def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
-    """cmd_ablate body: all ablation variants on identical data and seeds."""
+    """cmd_ablate body: all ablation variants on identical data and seeds.
+
+    The manifest's timings_sec gains seed_<s>/<variant>: the seconds that
+    variant took to train, evaluate and write in its own process.
+    """
     run_dir = os.path.join(output_root, f"ablate-{cfg.config_hash()}")
     rows = []
     by_variant: dict[str, list[MetricsReport]] = {v: [] for v in VARIANTS}
     with _run_manifest(cfg, run_dir) as manifest:
         for seed in cfg.seeds:
             prep = prepare_seed(cfg, seed)
+            done = _train_seed_variants(prep, os.path.join(run_dir, f"seed_{seed}"))
             for variant in VARIANTS:
-                result = run_variant(prep, variant)
-                seed_dir = os.path.join(run_dir, f"seed_{seed}", variant)
-                manifest["artifacts"][f"seed_{seed}/{variant}"] = write_seed_artifacts(
-                    seed_dir, prep, result
-                )
-                by_variant[variant].append(result.report)
+                paths, report, seconds = done[variant]
+                manifest["artifacts"][f"seed_{seed}/{variant}"] = paths
+                manifest["timings_sec"][f"seed_{seed}/{variant}"] = seconds
+                by_variant[variant].append(report)
                 rows.append(
                     {
                         "variant": variant,
                         "seed": seed,
-                        "macro_f1": result.report.macro_f1,
-                        "macro_precision": result.report.macro_precision,
-                        "macro_recall": result.report.macro_recall,
-                        "accuracy": result.report.accuracy,
+                        "macro_f1": report.macro_f1,
+                        "macro_precision": report.macro_precision,
+                        "macro_recall": report.macro_recall,
+                        "accuracy": report.accuracy,
                     }
                 )
         summary = {}

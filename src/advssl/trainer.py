@@ -138,10 +138,15 @@ class AsslModel:
         semi head, or through the supervised head when the pseudo pool is off."""
         return slice(0, self.slices["supervised_head" if suppress_pseudo else "semi_head"].stop)
 
-    def copy(self) -> "AsslModel":
+    def on(self, flat: np.ndarray) -> "AsslModel":
+        """A twin of this model whose networks are views of `flat`, laid out
+        like self.flat (a gradient buffer takes the model's shape this way)."""
         twin = copy.copy(self)
-        twin._store(self.flat.copy())
+        twin._store(flat)
         return twin
+
+    def copy(self) -> "AsslModel":
+        return self.on(self.flat.copy())
 
 
 def init_assl_model(input_dim: int, num_classes: int, cfg: AsslConfig) -> AsslModel:
@@ -207,9 +212,9 @@ def _add_l2(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:
 
 
 def _head_grads(model: AsslModel, name: str, emb: Matrix, labels, lam: float, cfg, grads):
-    """(loss + L2 value, embedding gradient) of the head `name`; its flat
-    parameter gradient is written into its slice of grads."""
-    head, out = getattr(model, name), grads[model.slices[name]]
+    """(loss + L2 value, embedding gradient) of the head `name`; its
+    parameter gradient is written into its part of grads (an AsslModel)."""
+    head, out = getattr(model, name), getattr(grads, name)
     logits, cache = mlp_forward(head, emb)
     probs = softmax(logits)
     if cfg.loss_style == "per_class_bce":
@@ -217,7 +222,7 @@ def _head_grads(model: AsslModel, name: str, emb: Matrix, labels, lam: float, cf
     else:
         loss, dprobs = categorical_ce(probs, labels), categorical_ce_grad(probs, labels)
     d_emb = mlp_backward(head, cache, softmax_backward(probs, dprobs), out)[1]
-    _add_l2(out, head, lam)
+    _add_l2(out.flat, head, lam)
     return loss + _l2_value(head, lam), d_emb
 
 
@@ -236,7 +241,8 @@ def _adversarial_grad(d: Matrix, n_l: int, scale: float) -> Matrix:
 def _generator_grads(model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, grads) -> dict:
     """generator_objective on this step's encoder pass enc = (embeddings,
     cache) over [x_l; x_u], or x_l alone when y_u is None (no semi head).
-    Gradients go to each network's slice of grads; returns the loss parts."""
+    Gradients go to each network's part of grads, a twin of the model over
+    the gradient buffer (AsslModel.on); returns the loss parts."""
     emb, cache = enc
     n_l = len(y_l)
     loss_l, d_emb = _head_grads(model, "supervised_head", emb[:n_l], y_l, cfg.lambda_l, cfg, grads)
@@ -256,10 +262,9 @@ def _generator_grads(model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, grads) ->
         else:
             d_emb = np.concatenate(d_heads)
 
-    enc_grads = grads[model.slices["encoder"]]
-    mlp_backward(model.encoder, cache, d_emb, enc_grads, inputs=False)
+    mlp_backward(model.encoder, cache, d_emb, grads.encoder, inputs=False)
     wd = cfg.encoder_weight_decay
-    _add_l2(enc_grads, model.encoder, wd)
+    _add_l2(grads.encoder.flat, model.encoder, wd)
     total = loss_l + loss_u + cfg.alpha * loss_adv + _l2_value(model.encoder, wd)
     return {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
 
@@ -267,7 +272,7 @@ def _generator_grads(model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, grads) ->
 def _discriminator_grads(model: AsslModel, emb: Matrix, n_l: int, cfg: AsslConfig, grads):
     """discriminator_objective on this step's embeddings [emb_l; emb_u]
     (the first n_l rows labeled); the gradient is written into the
-    discriminator's slice of grads."""
+    discriminator's part of grads (an AsslModel)."""
     if n_l == 0 or n_l == emb.shape[0]:
         raise ValueError("discriminator step needs a nonempty batch on each side")
     disc = model.discriminator
@@ -275,9 +280,9 @@ def _discriminator_grads(model: AsslModel, emb: Matrix, n_l: int, cfg: AsslConfi
     d_l, d_u = d[:n_l], d[n_l:]
     likelihood = float(np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean())
     reg_value = _l2_value(disc, cfg.lambda_adv)
-    out = grads[model.slices["discriminator"]]
+    out = grads.discriminator
     mlp_backward(disc, cache, _adversarial_grad(d, n_l, -1.0), out, inputs=False)
-    _add_l2(out, disc, cfg.lambda_adv)
+    _add_l2(out.flat, disc, cfg.lambda_adv)
     accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / d.size)
     return -likelihood + reg_value, likelihood + reg_value, accuracy
 
@@ -291,11 +296,11 @@ def generator_objective(
     grads maps encoder, supervised_head and semi_head (zeros without x_u)
     to lists in param_arrays() order. The discriminator is treated as a constant.
     """
-    grads = np.zeros_like(model.flat)
+    grads = model.on(np.zeros_like(model.flat))
     x = x_l if x_u is None else np.concatenate([x_l, x_u])
     parts = _generator_grads(model, mlp_forward(model.encoder, x), y_l, y_u, cfg, grads)
     names = ("encoder", "supervised_head", "semi_head")
-    return parts, {name: getattr(model, name).views(grads[model.slices[name]]) for name in names}
+    return parts, {name: getattr(grads, name).param_arrays() for name in names}
 
 
 def discriminator_objective(
@@ -308,21 +313,21 @@ def discriminator_objective(
     penalty, so descending it drives the discriminator toward telling
     labeled embeddings from pseudo-labeled ones. The encoder is frozen.
     """
-    grads = np.empty_like(model.flat)
+    grads = model.on(np.empty_like(model.flat))
     emb = encode(model.encoder, np.concatenate([x_l, x_u]))
     objective, adv_value, accuracy = _discriminator_grads(model, emb, len(x_l), cfg, grads)
-    disc_grads = model.discriminator.views(grads[model.slices["discriminator"]])
-    return objective, disc_grads, adv_value, accuracy
+    return objective, grads.discriminator.param_arrays(), adv_value, accuracy
 
 
 @dataclass
 class OptimizerStates:
     """Adam states of the generator (model.generator_slice) and of the
-    discriminator, and the model-wide gradient buffer both updates write."""
+    discriminator, and the model-wide gradient buffer both updates write,
+    laid out once per train as a twin of the model (grads.flat is the buffer)."""
 
     generator: AdamState
     discriminator: AdamState
-    grads: np.ndarray
+    grads: AsslModel
 
     @classmethod
     def create(cls, model: AsslModel, cfg: AsslConfig) -> "OptimizerStates":
@@ -330,7 +335,7 @@ class OptimizerStates:
         return cls(
             AdamState.for_params(gen, learning_rate=cfg.learning_rate),
             AdamState.for_params(model.discriminator.flat, learning_rate=cfg.disc_learning_rate),
-            np.empty_like(model.flat),
+            model.on(np.empty_like(model.flat)),
         )
 
 
@@ -344,8 +349,7 @@ def discriminator_step(
     update.
     """
     _, adv_value, accuracy = _discriminator_grads(model, emb, n_l, cfg, states.grads)
-    grads = states.grads[model.slices["discriminator"]]
-    adam_step(model.discriminator.flat, grads, states.discriminator)
+    adam_step(model.discriminator.flat, states.grads.discriminator.flat, states.discriminator)
     return adv_value, accuracy
 
 
@@ -357,7 +361,7 @@ def generator_step(
     None); discriminator frozen."""
     parts = _generator_grads(model, enc, y_l, y_u, cfg, states.grads)
     gen = model.generator_slice(y_u is None)
-    adam_step(model.flat[gen], states.grads[gen], states.generator)
+    adam_step(model.flat[gen], states.grads.flat[gen], states.generator)
     return parts
 
 

@@ -356,6 +356,75 @@ class TestAblate:
         assert (run_dir / "ablation.txt").exists()
 
 
+class TestAblateWorker:
+    """ablate trains supervised_mlp and no_adversarial in a forked worker;
+    its failures end like any other, and it leaves no process behind."""
+
+    @pytest.fixture
+    def cfg_path(self, tmp_path):
+        with open(SMOKE) as handle:
+            raw = json.load(handle)
+        raw["assl"]["epochs"] = 4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
+    @staticmethod
+    def fail_in_worker(monkeypatch, variant, action):
+        from advssl import pipeline
+
+        real = pipeline.run_variant
+        monkeypatch.setattr(
+            pipeline, "run_variant", lambda prep, v: action() if v == variant else real(prep, v)
+        )
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_divergence_in_the_worker_exits_4(self, cfg_path, tmp_path, capsys, monkeypatch):
+        from advssl.trainer import DivergenceError
+
+        def diverge():
+            raise DivergenceError("non-finite L_U at epoch 2, step 9")
+
+        self.fail_in_worker(monkeypatch, "no_adversarial", diverge)
+        code, _, err = run_cli(capsys, "ablate", "--config", cfg_path, "--out", str(tmp_path))
+        assert code == 4
+        assert err == "error: code=4 reason=non-finite L_U at epoch 2, step 9\n"
+        (manifest,) = tmp_path.glob("ablate-*/manifest.json")
+        assert json.loads(manifest.read_text())["status"] == "failed"
+        self.assert_no_child_left()
+
+    def test_worker_ending_without_a_result_exits_3(self, cfg_path, tmp_path, capsys, monkeypatch):
+        self.fail_in_worker(monkeypatch, "supervised_mlp", lambda: os._exit(1))
+        code, _, err = run_cli(capsys, "ablate", "--config", cfg_path, "--out", str(tmp_path))
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: code=3 reason=ablation worker")
+        self.assert_no_child_left()
+
+    def test_worker_skips_exit_handlers_and_buffered_output(self, cfg_path, tmp_path):
+        # stdout to a pipe is block-buffered: a worker that flushed its copy
+        # of the buffer, or ran atexit handlers, would print them twice.
+        script = (
+            "import atexit, sys\n"
+            "from advssl.cli import main\n"
+            "atexit.register(print, 'exit handler')\n"
+            "print('buffered before the fork')\n"
+            f"sys.exit(main(['ablate', '--config', {cfg_path!r}, '--out', {str(tmp_path)!r}]))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("buffered before the fork") == 1
+        assert proc.stdout.count("exit handler") == 1
+        assert proc.stdout.count("ablation complete") == 1
+
+
 class TestConfigRoundTrip:
     def test_seed_override_preserves_variant(self, tmp_path):
         raw = json.loads(open(SMOKE).read())

@@ -136,15 +136,15 @@ class TestMlpForwardBackward:
         mlp = init_mlp([3, 4, 2], ["relu", "sigmoid"], seed=1, name="t")
         x = np.random.default_rng(4).normal(size=(6, 3))
         out, cache = mlp_forward(mlp, x)
-        grads, dx = mlp_backward(mlp, cache, np.zeros_like(out), np.empty_like(mlp.flat))
-        assert np.all(grads == 0)
+        grads, dx = mlp_backward(mlp, cache, np.zeros_like(out), mlp.on(np.empty_like(mlp.flat)))
+        assert np.all(grads.flat == 0)
         np.testing.assert_array_equal(dx, np.zeros_like(x))
 
     def test_hand_chain_rule_1x1(self):
         mlp = MlpParams([DenseLayer(np.array([[5.0]]), np.zeros(1), "identity")])
         _, cache = mlp_forward(mlp, np.array([[2.0]]))
-        grads, _ = mlp_backward(mlp, cache, np.array([[3.0]]), np.empty_like(mlp.flat))
-        np.testing.assert_array_equal(grads, [6.0, 3.0])  # dL/dW = upstream * x, dL/db
+        grads, _ = mlp_backward(mlp, cache, np.array([[3.0]]), mlp.on(np.empty_like(mlp.flat)))
+        np.testing.assert_array_equal(grads.flat, [6.0, 3.0])  # dL/dW = upstream * x, dL/db
 
     def test_cache_mismatch_rejected(self):
         mlp = init_mlp([3, 4, 2], ["relu", "identity"], seed=1, name="t")
@@ -165,8 +165,8 @@ class TestMlpForwardBackward:
             out, cache = mlp_forward(mlp, x)
             diff = out - target
             value = float((diff**2).sum() / batch)
-            grads, _ = mlp_backward(mlp, cache, 2.0 * diff / batch, np.empty_like(mlp.flat))
-            return value, mlp.views(grads)
+            grads, _ = mlp_backward(mlp, cache, 2.0 * diff / batch, mlp.on(np.empty_like(mlp.flat)))
+            return value, grads.param_arrays()
 
         err = grad_check(loss, mlp.param_arrays(), epsilon=1e-5)
         assert err < 1e-5
@@ -342,13 +342,13 @@ class TestFlatBuffer:
         out, cache = mlp_forward(mlp, rng.normal(size=(5, 4)))
         upstream = rng.normal(size=out.shape)
         buffer = np.full(mlp.flat.size + 3, np.nan)
-        grads, dx = mlp_backward(mlp, cache, upstream, buffer[2:-1])
-        assert np.shares_memory(grads, buffer) and np.isnan(buffer[[0, 1, -1]]).all()
-        assert not np.isnan(grads).any()
-        fresh = np.empty_like(mlp.flat)
+        grads, dx = mlp_backward(mlp, cache, upstream, mlp.on(buffer[2:-1]))
+        assert grads.flat.base is buffer and np.isnan(buffer[[0, 1, -1]]).all()
+        assert not np.isnan(grads.flat).any()
+        fresh = mlp.on(np.empty_like(mlp.flat))
         only_params, no_dx = mlp_backward(mlp, cache, upstream, fresh, inputs=False)
         assert no_dx is None
-        np.testing.assert_array_equal(only_params, grads)
+        np.testing.assert_array_equal(only_params.flat, grads.flat)
         no_grads, dx_only = mlp_backward(mlp, cache, upstream)
         assert no_grads is None
         np.testing.assert_array_equal(dx_only, dx)
@@ -476,8 +476,8 @@ class TestNoNonFinite:
             probs = softmax(rng.uniform(-1e3, 1e3, size=(6, 3)))
             assert np.all(np.isfinite(probs))
             upstream = rng.normal(size=out.shape)
-            grads, dx = mlp_backward(mlp, cache, upstream, np.empty_like(mlp.flat))
-            assert np.all(np.isfinite(grads))
+            grads, dx = mlp_backward(mlp, cache, upstream, mlp.on(np.empty_like(mlp.flat)))
+            assert np.all(np.isfinite(grads.flat))
             assert np.all(np.isfinite(dx))
 
     def test_named_rng_streams_independent(self):

@@ -2,23 +2,28 @@
 
 import json
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from advssl import pipeline
 from advssl.data import Dataset, DatasetSchema
 from advssl.persist import to_plain
 from advssl.pipeline import (
     VARIANTS,
+    WORKER_VARIANTS,
     ConfigError,
+    execute_ablation,
     load_config,
     parse_config,
     prepare_seed,
     run_variant,
     write_predictions_csv,
+    write_seed_artifacts,
 )
-from advssl.trainer import train
+from advssl.trainer import DivergenceError, train
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 
@@ -169,3 +174,112 @@ class TestArtifactWriters:
             write_predictions_csv(path, schema, np.array([0, 1, 5, 1]), probs)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["predictions.csv"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def files_under(root):
+    return {
+        os.path.relpath(os.path.join(d, f), root): os.path.join(d, f)
+        for d, _, names in os.walk(root)
+        for f in names
+    }
+
+
+def patch_variants(monkeypatch, **actions):
+    """Make run_variant call actions[variant]() instead of training those variants."""
+    real = pipeline.run_variant
+    monkeypatch.setattr(
+        pipeline, "run_variant", lambda prep, v: actions[v]() if v in actions else real(prep, v)
+    )
+
+
+class TestAblationWorker:
+    """execute_ablation trains WORKER_VARIANTS in a forked worker."""
+
+    @pytest.fixture
+    def cfg(self, smoke_cfg):
+        return replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=4), seeds=(0, 1))
+
+    def test_artifacts_match_variants_trained_inline(self, cfg, tmp_path):
+        assert set(WORKER_VARIANTS) == {"supervised_mlp", "no_adversarial"}
+        run_dir = execute_ablation(cfg, str(tmp_path / "forked"))["run_dir"]
+        assert_no_child_left()
+        inline_dir, rows = tmp_path / "inline", []
+        for seed in cfg.seeds:
+            prep = prepare_seed(cfg, seed)
+            for variant in VARIANTS:
+                result = run_variant(prep, variant)
+                write_seed_artifacts(str(inline_dir / f"seed_{seed}" / variant), prep, result)
+                rep = result.report
+                rows.append(
+                    {
+                        "variant": variant,
+                        "seed": seed,
+                        "macro_f1": rep.macro_f1,
+                        "macro_precision": rep.macro_precision,
+                        "macro_recall": rep.macro_recall,
+                        "accuracy": rep.accuracy,
+                    }
+                )
+        forked, inline = files_under(run_dir), files_under(inline_dir)
+        tables = {"manifest.json", "ablation.json", "ablation.txt"}
+        assert set(forked) == set(inline) | tables
+        assert len(inline) == 2 * (5 + 6 + 7 + 7)  # per seed: prm_only has no model or history
+        for rel, path in inline.items():
+            with open(path, "rb") as a, open(forked[rel], "rb") as b:
+                assert a.read() == b.read(), rel
+        with open(forked["ablation.json"]) as handle:
+            table = json.load(handle)
+        assert [(r["seed"], r["variant"]) for r in table["rows"]] == [
+            (seed, v) for seed in cfg.seeds for v in VARIANTS
+        ]
+        assert table["rows"] == rows
+
+    def test_manifest_times_each_variant(self, cfg, tmp_path):
+        run_dir = execute_ablation(replace(cfg, seeds=(3,)), str(tmp_path))["run_dir"]
+        with open(os.path.join(run_dir, "manifest.json")) as handle:
+            timings = json.load(handle)["timings_sec"]
+        assert set(timings) == {"total"} | {f"seed_3/{v}" for v in VARIANTS}
+        assert all(0.0 <= t <= timings["total"] for t in timings.values())
+
+    def test_worker_exception_raised_here_with_its_type_and_message(
+        self, cfg, tmp_path, monkeypatch
+    ):
+        def diverge():
+            raise DivergenceError("non-finite L_L in the worker")
+
+        patch_variants(monkeypatch, no_adversarial=diverge)
+        with pytest.raises(DivergenceError, match="^non-finite L_L in the worker$"):
+            execute_ablation(cfg, str(tmp_path))
+        assert_no_child_left()
+        (manifest,) = tmp_path.glob("ablate-*/manifest.json")
+        payload = json.loads(manifest.read_text())
+        assert payload["status"] == "failed"
+        assert payload["error"] == "DivergenceError: non-finite L_L in the worker"
+
+    def test_worker_ending_without_a_result_raises_child_process_error(
+        self, cfg, tmp_path, monkeypatch
+    ):
+        patch_variants(monkeypatch, supervised_mlp=lambda: os._exit(1))
+        with pytest.raises(ChildProcessError, match="without a result .exit code 1"):
+            execute_ablation(cfg, str(tmp_path))
+        assert_no_child_left()
+
+    def test_failure_here_kills_and_reaps_the_worker(self, cfg, tmp_path, monkeypatch):
+        def stall():
+            time.sleep(30)
+            raise AssertionError("the worker was not killed")
+
+        def diverge():
+            raise DivergenceError("full diverged")
+
+        patch_variants(monkeypatch, supervised_mlp=stall, full=diverge)
+        t0 = time.monotonic()
+        with pytest.raises(DivergenceError, match="full diverged"):
+            execute_ablation(cfg, str(tmp_path))
+        assert time.monotonic() - t0 < 20
+        assert_no_child_left()

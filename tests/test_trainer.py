@@ -319,6 +319,22 @@ class TestSteps:
             with pytest.raises(ValueError):
                 discriminator_step(model, np.ones((2, 4)), n_l, cfg, states)
 
+    def test_steps_lay_out_no_gradient_views(self, monkeypatch):
+        # OptimizerStates lays the gradient buffer out per network once;
+        # a step only writes into those arrays.
+        rng = np.random.default_rng(11)
+        cfg = tiny_cfg()
+        model = init_assl_model(5, 3, cfg)
+        states = OptimizerStates.create(model, cfg)
+        calls = []
+        real_views = MlpParams.views
+        monkeypatch.setattr(MlpParams, "views", lambda *a: calls.append(1) or real_views(*a))
+        for _ in range(3):
+            enc = mlp_forward(model.encoder, rng.normal(size=(8, 5)))
+            discriminator_step(model, enc[0], 4, cfg, states)
+            generator_step(model, enc, rng.integers(0, 3, 4), rng.integers(0, 3, 4), cfg, states)
+        assert calls == []
+
 
 class TestTrain:
     def test_zero_lr_returns_initialization(self):
@@ -864,7 +880,8 @@ class TestModelBuffer:
         assert model.generator_slice(True) == slice(0, model.slices["supervised_head"].stop)
         states = OptimizerStates.create(model, tiny_cfg(suppress_pseudo=True))
         assert states.generator.first_moment.size == model.slices["supervised_head"].stop
-        assert states.grads.shape == model.flat.shape
+        assert states.grads.flat.shape == model.flat.shape
+        assert states.grads.discriminator.flat.base is states.grads.flat
 
 
 class TestModelStructure:
