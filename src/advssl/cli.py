@@ -12,14 +12,14 @@ import dataclasses
 import os
 import sys
 
-from .data import DataError, Dataset, generate_synthetic, load_csv, save_csv
+from .data import DataError, Dataset, apply_normalizer, generate_synthetic, load_csv, save_csv
 from .pipeline import (
     ConfigError,
     RunConfig,
     execute_ablation,
     execute_run,
+    format_ablation_table,
     load_config,
-    resolve_output_root,
 )
 from .persist import FORMAT_ASSL, load_model
 from .trainer import DivergenceError, predict_proba_matrix
@@ -46,7 +46,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    out = execute_run(cfg, resolve_output_root(cfg, args.out))
+    out = execute_run(cfg, args.out)
     print(f"run complete: {out['run_dir']}")
     for seed, report in zip(cfg.seeds, out["reports"]):
         print(f"seed {seed}: macro_f1={report.macro_f1:.4f} accuracy={report.accuracy:.4f}")
@@ -55,10 +55,8 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    out = execute_ablation(cfg, resolve_output_root(cfg, args.out))
+    out = execute_ablation(cfg, args.out)
     print(f"ablation complete: {out['run_dir']}")
-    from .pipeline import format_ablation_table
-
     print(format_ablation_table(out["rows"], out["summary"]))
     return 0
 
@@ -80,8 +78,6 @@ def cmd_predict(args) -> int:
         return 0
     rows = ds.rows
     if normalizer is not None:
-        from .data import apply_normalizer
-
         rows = apply_normalizer(normalizer, Dataset(schema, rows, None)).rows
     probs = proba(rows)
     preds = probs.argmax(axis=1)
@@ -96,8 +92,7 @@ def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     if cfg.data.synth is None:
         raise ConfigError("synth command needs a config with a data.synth section")
-    out_root = resolve_output_root(cfg, args.out)
-    out_dir = os.path.join(out_root, f"synth-{cfg.config_hash()}")
+    out_dir = os.path.join(args.out, f"synth-{cfg.config_hash()}")
     os.makedirs(out_dir, exist_ok=True)
     labeled, unlabeled, truth = generate_synthetic(cfg.data.synth)
     save_csv(labeled, os.path.join(out_dir, "labeled.csv"))
@@ -119,13 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="full pipeline: data -> phase I -> phase II -> report")
     run.add_argument("--config", required=True, help="JSON run config")
     run.add_argument("--seeds", help="comma-separated seed override")
-    run.add_argument("--out", help="output root directory")
+    run.add_argument("--out", default="runs", help="output root directory")
     run.set_defaults(fn=cmd_run)
 
     ablate = sub.add_parser("ablate", help="run all ablation variants on identical data")
     ablate.add_argument("--config", required=True)
     ablate.add_argument("--seeds", help="comma-separated seed override")
-    ablate.add_argument("--out", help="output root directory")
+    ablate.add_argument("--out", default="runs", help="output root directory")
     ablate.set_defaults(fn=cmd_ablate)
 
     predict = sub.add_parser("predict", help="rate rows from a CSV with a saved model")
@@ -135,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="emit a synthetic dataset to CSV and exit")
     synth.add_argument("--config", required=True)
-    synth.add_argument("--out", help="output root directory")
+    synth.add_argument("--out", default="runs", help="output root directory")
     synth.set_defaults(fn=cmd_synth)
     return parser
 

@@ -5,9 +5,12 @@ hyperparameters, split fractions, seeds, variant), decoded strictly by
 persist.from_plain. There are no ablation flags: VARIANTS is the one table
 of variants, and `ablate` runs them all. Per seed the pipeline generates or
 loads data, splits it, fits the normalizer on the labeled training split
-only, trains the plain model, pseudo-labels the unlabeled pool, trains
-Phase II and evaluates on the held-out test split. Every artifact lands
-under output_root/run-<config hash>/.
+only, trains the plain model and pseudo-labels the unlabeled pool
+(prepare_seed). Then run_variant trains, evaluates on the held-out test
+split and writes each variant: every Phase-II variant, the supervised
+baseline included, is trainer.train under its table entry's overrides.
+Every artifact lands under <output root>/run-<config hash>/, the root
+being the command line's --out.
 
 `ablate` uses both CPUs. A seed's variants share only the PreparedSeed and
 draw from their own named RNG streams, so one forked worker trains and
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .baseline import SupervisedMlp, train_supervised
 from .data import (
     DataError,
     Dataset,
@@ -52,19 +54,17 @@ from .metrics import MetricsReport, aggregate_runs, classification_report, confu
 from .persist import ConfigError, finite_number, from_plain, to_plain, write_json
 from .persist import save_assl_model, save_plain_model
 from .prm import PlainModel, PrmConfig, pseudo_label, train_prm
-from .trainer import AsslConfig, AsslModel, TrainHistory, predict_proba_matrix, train
+from .trainer import AsslConfig, predict_proba_matrix, train
 
 # Variant name -> AsslConfig overrides (None: the Phase-I model alone), in ablate order.
 VARIANTS = {
     "prm_only": None,
-    "supervised_mlp": {"suppress_pseudo": True},
+    "supervised_mlp": {"suppress_pseudo": True, "inference_head": "supervised"},
     "no_adversarial": {"alpha": 0.0},
     "full": {},
 }
 # The variants `ablate` trains in its forked worker (see the module docstring).
 WORKER_VARIANTS = ("supervised_mlp", "no_adversarial")
-
-ENV_OUTPUT_ROOT = "ADVSSL_OUTPUT_ROOT"
 
 
 @dataclass
@@ -94,7 +94,6 @@ class RunConfig:
     assl: AsslConfig = field(default_factory=AsslConfig)
     split: tuple[float, float, float] = (0.7, 0.15, 0.15)
     seeds: tuple[int, ...] = (0,)
-    output_dir: str | None = None
     variant: str = "full"
 
     def __post_init__(self):
@@ -125,14 +124,6 @@ def load_config(path) -> RunConfig:
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, not finite, or too deep
         raise ConfigError(f"config is not valid JSON: {exc}")
     return parse_config(raw)
-
-
-def resolve_output_root(cfg: RunConfig, override: str | None = None) -> str:
-    if override:
-        return override
-    if cfg.output_dir:
-        return cfg.output_dir
-    return os.environ.get(ENV_OUTPUT_ROOT, "runs")
 
 
 @dataclass
@@ -195,41 +186,16 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     )
 
 
-@dataclass
-class SeedResult:
-    seed: int
-    variant: str
-    report: MetricsReport
-    predictions: np.ndarray
-    probabilities: np.ndarray
-    model: AsslModel | SupervisedMlp | PlainModel
-    history: TrainHistory | None
-    pseudo_count: int
-    pseudo_mean_confidence: float
-
-    def report_payload(self) -> dict:
-        return {
-            "seed": self.seed,
-            "variant": self.variant,
-            "metrics": self.report.to_dict(),
-            "test_rows": int(self.predictions.shape[0]),
-            "pseudo_count": self.pseudo_count,
-            "pseudo_mean_confidence": self.pseudo_mean_confidence,
-        }
-
-
-def run_variant(prep: PreparedSeed, variant: str) -> SeedResult:
-    """Train one variant on an already-prepared seed and evaluate on test."""
+def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, MetricsReport]:
+    """Train one variant on a prepared seed, evaluate it on the test split and
+    write its models, history, report and round-trip CSVs into seed_dir;
+    return (artifact paths, report). A variant whose table entry suppresses
+    the pseudo pool (the supervised baseline) writes no model.json."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
     overrides = VARIANTS[variant]
-    history: TrainHistory | None = None
     if overrides is None:
-        model = prep.prm_model
-        probs = model.predict_proba_matrix(prep.test.rows)
-    elif overrides.get("suppress_pseudo"):  # the supervised baseline, without model.json
-        model, history = train_supervised(prep.train, prep.val, replace(prep.assl_cfg, **overrides))
-        probs = model.predict_proba_matrix(prep.test.rows)
+        probs = prep.prm_model.predict_proba_matrix(prep.test.rows)
     else:
         cfg = replace(prep.assl_cfg, **overrides)
         if len(prep.pseudo) == 0 and not cfg.suppress_pseudo:
@@ -241,18 +207,35 @@ def run_variant(prep: PreparedSeed, variant: str) -> SeedResult:
     report = classification_report(
         confusion_matrix(prep.test.labels, preds, prep.schema.num_classes)
     )
+
+    os.makedirs(seed_dir, exist_ok=True)
+    paths = {}
+
+    def path(name, file):
+        paths[name] = os.path.join(seed_dir, file)
+        return paths[name]
+
+    schema, normalizer = prep.schema, prep.normalizer
+    save_plain_model(path("prm_model", "prm_model.json"), prep.prm_model, schema, normalizer)
+    if overrides is not None:
+        if not overrides.get("suppress_pseudo"):
+            save_assl_model(path("model", "model.json"), model, cfg, schema, normalizer)
+        history.to_csv(path("history", "history.csv"))
     conf = prep.pseudo.confidences
-    return SeedResult(
-        seed=prep.seed,
-        variant=variant,
-        report=report,
-        predictions=preds,
-        probabilities=probs,
-        model=model,
-        history=history,
-        pseudo_count=len(prep.pseudo),
-        pseudo_mean_confidence=float(conf.mean()) if conf.size else 0.0,
-    )
+    payload = {
+        "seed": prep.seed,
+        "variant": variant,
+        "metrics": report.to_dict(),
+        "test_rows": int(preds.shape[0]),
+        "pseudo_count": len(prep.pseudo),
+        "pseudo_mean_confidence": float(conf.mean()) if conf.size else 0.0,
+    }
+    write_json(path("report_json", "report.json"), payload)
+    with atomic_write(path("report_txt", "report.txt")) as handle:
+        handle.write(report.to_text(schema.label_names) + "\n")
+    save_csv(prep.test_raw, path("test_split", "test_split.csv"))
+    write_predictions_csv(path("predictions", "predictions.csv"), schema, preds, probs)
+    return paths, report
 
 
 def write_predictions_csv(path, schema: DatasetSchema, preds: np.ndarray, probs: np.ndarray):
@@ -263,42 +246,6 @@ def write_predictions_csv(path, schema: DatasetSchema, preds: np.ndarray, probs:
             writer.writerow(
                 [schema.label_names[preds[i]]] + [repr(float(v)) for v in probs[i]]
             )
-
-
-def write_seed_artifacts(seed_dir: str, prep: PreparedSeed, result: SeedResult) -> dict:
-    """Persist one seed's models, history, report and round-trip CSVs."""
-    os.makedirs(seed_dir, exist_ok=True)
-    paths = {}
-
-    prm_path = os.path.join(seed_dir, "prm_model.json")
-    save_plain_model(prm_path, prep.prm_model, prep.schema, prep.normalizer)
-    paths["prm_model"] = prm_path
-
-    if isinstance(result.model, AsslModel):
-        model_path = os.path.join(seed_dir, "model.json")
-        cfg = replace(prep.assl_cfg, **VARIANTS[result.variant])
-        save_assl_model(model_path, result.model, cfg, prep.schema, prep.normalizer)
-        paths["model"] = model_path
-    if result.history is not None:
-        history_path = os.path.join(seed_dir, "history.csv")
-        result.history.to_csv(history_path)
-        paths["history"] = history_path
-
-    report_json = os.path.join(seed_dir, "report.json")
-    write_json(report_json, result.report_payload())
-    paths["report_json"] = report_json
-    report_txt = os.path.join(seed_dir, "report.txt")
-    with atomic_write(report_txt) as handle:
-        handle.write(result.report.to_text(prep.schema.label_names) + "\n")
-    paths["report_txt"] = report_txt
-
-    test_csv = os.path.join(seed_dir, "test_split.csv")
-    save_csv(prep.test_raw, test_csv)
-    paths["test_split"] = test_csv
-    pred_csv = os.path.join(seed_dir, "predictions.csv")
-    write_predictions_csv(pred_csv, prep.schema, result.predictions, result.probabilities)
-    paths["predictions"] = pred_csv
-    return paths
 
 
 @contextlib.contextmanager
@@ -338,11 +285,10 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
         for seed in cfg.seeds:
             t_seed = time.monotonic()
             prep = prepare_seed(cfg, seed)
-            result = run_variant(prep, cfg.variant)
-            seed_dir = os.path.join(run_dir, f"seed_{seed}")
-            manifest["artifacts"][f"seed_{seed}"] = write_seed_artifacts(seed_dir, prep, result)
+            paths, report = run_variant(prep, cfg.variant, os.path.join(run_dir, f"seed_{seed}"))
+            manifest["artifacts"][f"seed_{seed}"] = paths
             manifest["timings_sec"][f"seed_{seed}"] = round(time.monotonic() - t_seed, 3)
-            reports.append(result.report)
+            reports.append(report)
         if len(reports) >= 2:
             agg_path = os.path.join(run_dir, "aggregate.json")
             write_json(agg_path, aggregate_runs(reports))
@@ -350,19 +296,24 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
     return {"run_dir": run_dir, "reports": reports}
 
 
+class WorkerTraceback(Exception):
+    """The ablation worker's formatted traceback, chained as the cause of the
+    worker's exception when that is raised again in this process."""
+
+
 def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
     """Train, evaluate and write every variant of one prepared seed, with
     WORKER_VARIANTS in a forked worker; return variant -> (artifact paths,
     report, seconds in the process that ran it). The worker's exception is
-    raised here again (same type and message), a worker that ends without a
-    result raises ChildProcessError, a failure here kills the worker, and
-    the worker is reaped on every path."""
+    raised here again (same type and message) from a WorkerTraceback that
+    holds the worker's frames, a worker that ends without a result raises
+    ChildProcessError, a failure here kills the worker, and the worker is
+    reaped on every path."""
 
     def train_and_write(variant):
         t0 = time.monotonic()
-        result = run_variant(prep, variant)
-        paths = write_seed_artifacts(os.path.join(seed_dir, variant), prep, result)
-        return paths, result.report, round(time.monotonic() - t0, 3)
+        paths, report = run_variant(prep, variant, os.path.join(seed_dir, variant))
+        return paths, report, round(time.monotonic() - t0, 3)
 
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -372,7 +323,9 @@ def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
             try:
                 payload = (True, {v: train_and_write(v) for v in WORKER_VARIANTS})
             except BaseException as exc:
-                payload = (False, exc)
+                import traceback  # like signal below: importing the package loads neither
+
+                payload = (False, (exc, traceback.format_exc()))
             with open(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(payload))
             os._exit(0)
@@ -395,7 +348,8 @@ def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
         raise ChildProcessError(f"ablation worker ended without a result (exit code {code})")
     ok, value = pickle.loads(sent)
     if not ok:
-        raise value
+        exc, frames = value
+        raise exc from WorkerTraceback(frames)
     return {**done, **value}
 
 

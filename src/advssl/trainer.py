@@ -5,12 +5,15 @@ a supervised head learns from true labels, a semi-supervised head from
 pseudo labels, and a discriminator tries to tell the two pools apart. Each
 optimization step runs one discriminator update (ascending the adversarial
 value) followed by one generator update (descending supervised + semi +
-alpha * adversarial), the usual GAN-style alternation.
+alpha * adversarial), the usual GAN-style alternation. Both heads learn by
+per-class BCE on one-hot targets plus L2. With the pseudo pool suppressed
+(the supervised baseline) a step is the generator update alone, over the
+encoder and the supervised head.
 
 The encoder runs once per step, forward and backward, over the stacked
 rows [x_l; x_u] (as DANN does); it is frozen during the discriminator
-updates, so they share that pass, and the discriminator sees [emb_l; emb_u]
-in one pass per update. Only the two heads run per pool. A full step makes
+update, so both updates share that pass, and the discriminator sees
+[emb_l; emb_u] in one pass per update. Only the two heads run per pool. A full step makes
 5 mlp_forward and 5 mlp_backward calls and 2 Adam steps: one on the
 discriminator, one on the generator's slice of the model buffer (AsslModel).
 """
@@ -34,8 +37,6 @@ from .nnet import (
     adam_step,
     bce_one_hot,
     bce_one_hot_and_grad,
-    categorical_ce,
-    categorical_ce_grad,
     clamp_probs,
     init_mlp,
     l2_penalty,
@@ -48,7 +49,6 @@ from .nnet import (
 from .prm import PseudoLabeledDataset
 
 INFERENCE_HEADS = ("supervised", "semi", "averaged")
-LOSS_STYLES = ("per_class_bce", "categorical_ce")
 
 
 @dataclass
@@ -57,8 +57,8 @@ class AsslConfig:
 
     lambda_l / lambda_u / lambda_adv regularize the supervised head, the
     semi-supervised head and the discriminator respectively; alpha weighs
-    the adversarial term inside the generator objective. The encoder has
-    its own optional weight decay (default 0).
+    the adversarial term inside the generator objective. Both heads use
+    per-class BCE on one-hot targets; the encoder has no L2 term.
     """
 
     embedding_dim: int = 32
@@ -69,33 +69,25 @@ class AsslConfig:
     lambda_u: float = 1e-4
     lambda_adv: float = 1e-4
     alpha: float = 0.1
-    encoder_weight_decay: float = 0.0
     epochs: int = 40
     batch_size: int = 64
     learning_rate: float = 1e-3
     disc_learning_rate: float = 1e-3
-    disc_steps: int = 1
     seed: int = 0
     inference_head: str = "supervised"
-    loss_style: str = "per_class_bce"
     suppress_pseudo: bool = False  # ablation: ignore the pseudo pool entirely
-    train_discriminator: bool = True  # ablation: freeze the discriminator
 
     def __post_init__(self):
         if min(self.lambda_l, self.lambda_u, self.lambda_adv, self.alpha) < 0:
             raise ValueError("loss weights must be >= 0")
-        if self.encoder_weight_decay < 0:
-            raise ValueError("encoder_weight_decay must be >= 0")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
-        if self.epochs < 1 or self.disc_steps < 1:
-            raise ValueError("epochs and disc_steps must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.inference_head not in INFERENCE_HEADS:
             raise ValueError(f"inference_head must be one of {INFERENCE_HEADS}")
-        if self.loss_style not in LOSS_STYLES:
-            raise ValueError(f"loss_style must be one of {LOSS_STYLES}")
 
 
 @dataclass
@@ -211,16 +203,13 @@ def _add_l2(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:
     return grads
 
 
-def _head_grads(model: AsslModel, name: str, emb: Matrix, labels, lam: float, cfg, grads):
-    """(loss + L2 value, embedding gradient) of the head `name`; its
+def _head_grads(model: AsslModel, name: str, emb: Matrix, labels, lam: float, grads):
+    """(per-class BCE + L2 value, embedding gradient) of the head `name`; its
     parameter gradient is written into its part of grads (an AsslModel)."""
     head, out = getattr(model, name), getattr(grads, name)
     logits, cache = mlp_forward(head, emb)
     probs = softmax(logits)
-    if cfg.loss_style == "per_class_bce":
-        loss, dprobs = bce_one_hot_and_grad(probs, labels)
-    else:
-        loss, dprobs = categorical_ce(probs, labels), categorical_ce_grad(probs, labels)
+    loss, dprobs = bce_one_hot_and_grad(probs, labels)
     d_emb = mlp_backward(head, cache, softmax_backward(probs, dprobs), out)[1]
     _add_l2(out.flat, head, lam)
     return loss + _l2_value(head, lam), d_emb
@@ -245,10 +234,10 @@ def _generator_grads(model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, grads) ->
     the gradient buffer (AsslModel.on); returns the loss parts."""
     emb, cache = enc
     n_l = len(y_l)
-    loss_l, d_emb = _head_grads(model, "supervised_head", emb[:n_l], y_l, cfg.lambda_l, cfg, grads)
+    loss_l, d_emb = _head_grads(model, "supervised_head", emb[:n_l], y_l, cfg.lambda_l, grads)
     loss_u = loss_adv = 0.0
     if y_u is not None:
-        loss_u, d_emb_u = _head_grads(model, "semi_head", emb[n_l:], y_u, cfg.lambda_u, cfg, grads)
+        loss_u, d_emb_u = _head_grads(model, "semi_head", emb[n_l:], y_u, cfg.lambda_u, grads)
         d_heads = (d_emb, d_emb_u)
         if cfg.alpha > 0:
             disc = model.discriminator
@@ -263,9 +252,7 @@ def _generator_grads(model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, grads) ->
             d_emb = np.concatenate(d_heads)
 
     mlp_backward(model.encoder, cache, d_emb, grads.encoder, inputs=False)
-    wd = cfg.encoder_weight_decay
-    _add_l2(grads.encoder.flat, model.encoder, wd)
-    total = loss_l + loss_u + cfg.alpha * loss_adv + _l2_value(model.encoder, wd)
+    total = loss_l + loss_u + cfg.alpha * loss_adv
     return {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
 
 
@@ -410,14 +397,15 @@ def train(
     Per step one labeled and one equal-sized pseudo sub-batch are drawn
     (both pools reshuffle per epoch, the pseudo pool cycles when short);
     each step runs the encoder once over the stacked rows [x_l; x_u], then
-    cfg.disc_steps discriminator updates and one generator update on that
-    pass. The returned model is the parameter snapshot with the best
-    validation macro-F1 (ties keep the earliest epoch). The optional
-    on_step(step, model) hook fires after every completed step.
+    one discriminator update and one generator update on that pass. The
+    returned model is the parameter snapshot with the best validation
+    macro-F1 (ties keep the earliest epoch). The optional on_step(step,
+    model) hook fires after every completed step.
 
-    This is the only training loop: `baseline.train_supervised` is this
-    loop with the pseudo pool suppressed (suppress_pseudo=True), where each
-    step is one generator update of the encoder and the supervised head.
+    This is the only training loop: the supervised_mlp variant and
+    `baseline.train_supervised` are this loop with suppress_pseudo=True,
+    where each step is one generator update of the encoder and the
+    supervised head.
     """
     if len(labeled) == 0:
         raise ValueError("labeled training set is empty")
@@ -447,11 +435,11 @@ def train(
                 sel, pool = pool[: idx.size], pool[idx.size :]
                 x, y_u = np.concatenate([x, pseudo.rows[sel]]), pseudo.labels[sel]
             enc = mlp_forward(model.encoder, x)  # one pass over [x_l; x_u]
-            disc_acc, adv_from_disc = 0.5, None
-            for _ in range(cfg.disc_steps if y_u is not None and cfg.train_discriminator else 0):
+            disc_acc = 0.5
+            if y_u is not None:
                 adv_from_disc, disc_acc = discriminator_step(model, enc[0], idx.size, cfg, states)
             parts = generator_step(model, enc, y_l, y_u, cfg, states)
-            if cfg.alpha == 0 and adv_from_disc is not None:
+            if cfg.alpha == 0 and y_u is not None:
                 parts = dict(parts, loss_adv=adv_from_disc)
             step += 1
             for key, label in (("loss_l", "L_L"), ("loss_u", "L_U"), ("loss_adv", "L_adv")):

@@ -41,6 +41,17 @@ class TestRun:
         manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
         assert manifest["status"] == "complete"
 
+    def test_output_root_is_out_whatever_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ADVSSL_OUTPUT_ROOT", str(tmp_path / "env"))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path / "out"))
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "synth", "--config", SMOKE)
+        assert code == 0, err
+        assert len(list((tmp_path / "out").glob("run-*"))) == 1
+        assert len(list((tmp_path / "runs").glob("synth-*"))) == 1  # --out defaults to runs
+        assert not (tmp_path / "env").exists()
+
     def test_same_config_twice_bit_identical_reports(self, tmp_path, capsys):
         code1, _, _ = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path / "a"))
         code2, _, _ = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path / "b"))
@@ -269,6 +280,13 @@ class TestPredictRejectsBadModelFiles:
         model = _tampered(trained_run / name, tmp_path / name, lambda p: p.update(extra=1))
         assert "unknown key 'extra'" in self._predict_fails(capsys, model, trained_run)
 
+    def test_removed_setting_in_the_config(self, trained_run, tmp_path, capsys):
+        def edit(payload):
+            payload["config"]["disc_steps"] = 1
+
+        model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
+        assert "unknown key 'disc_steps'" in self._predict_fails(capsys, model, trained_run)
+
     def test_tree_node_missing_key(self, trained_run, tmp_path, capsys):
         def edit(payload):
             del payload["gbdt"]["trees"][0][0]["root"]["threshold"]
@@ -374,9 +392,11 @@ class TestAblateWorker:
         from advssl import pipeline
 
         real = pipeline.run_variant
-        monkeypatch.setattr(
-            pipeline, "run_variant", lambda prep, v: action() if v == variant else real(prep, v)
-        )
+
+        def run_variant(prep, v, seed_dir):
+            return action() if v == variant else real(prep, v, seed_dir)
+
+        monkeypatch.setattr(pipeline, "run_variant", run_variant)
 
     @staticmethod
     def assert_no_child_left():
@@ -441,6 +461,14 @@ class TestConfigRoundTrip:
         assert again.seeds == (5,)
 
 
+# Settings that no longer exist, each set to its old default: an unknown key now.
+REMOVED_SETTINGS = {
+    "loss_style": lambda raw: raw["assl"].update(loss_style="per_class_bce"),
+    "disc_steps": lambda raw: raw["assl"].update(disc_steps=1),
+    "train_discriminator": lambda raw: raw["assl"].update(train_discriminator=True),
+    "encoder_weight_decay": lambda raw: raw["assl"].update(encoder_weight_decay=0.0),
+    "output_dir": lambda raw: raw.update(output_dir=None),
+}
 # Edits of the smoke config that the codec must reject (None: a JSON list as the root).
 REJECTED_CONFIGS = {
     "seed_typo": lambda raw: raw.update(seed=[7]),
@@ -457,6 +485,7 @@ REJECTED_CONFIGS = {
     "list_root": None,
     "learning_rate_nan": lambda raw: raw["assl"].update(learning_rate=float("nan")),
     "noise_std_infinity": lambda raw: raw["data"]["synth"].update(noise_std=float("inf")),
+    **REMOVED_SETTINGS,
 }
 
 
@@ -493,3 +522,8 @@ class TestConfigFailsClosed:
     def test_error_names_the_path(self, tmp_path, capsys):
         _, _, err = self._run(tmp_path, capsys, REJECTED_CONFIGS["rounds_string"])
         assert "config.prm.gbdt.rounds must be int, got str" in err
+
+    @pytest.mark.parametrize("key", REMOVED_SETTINGS)
+    def test_removed_setting_is_named(self, tmp_path, capsys, key):
+        code, _, err = self._run(tmp_path, capsys, REMOVED_SETTINGS[key])
+        assert code == 2 and f"unknown key '{key}'" in err, err

@@ -1,9 +1,12 @@
 """Data pipeline tests: schema, normalization, splits, synthesis, CSV I/O."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advssl.data import (
     DataError,
@@ -284,6 +287,57 @@ class TestCsv:
         schema = DatasetSchema(("a", "b"), ("L0", "L1"))
         with pytest.raises(DataError, match="row\\(s\\): 1$"):
             load_csv(path, schema)
+
+
+# Every finite float64, with -0.0, subnormals and +-1e308 drawn on purpose.
+edge_floats = st.sampled_from([-0.0, 5e-324, -1e-310, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_csv_round_trip_bit_for_bit(self, tmp_path_factory, data):
+        f, m = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(0, 8))
+        schema = DatasetSchema(tuple(f"f{i}" for i in range(f)), tuple(f"L{i}" for i in range(m)))
+        rows = np.array(data.draw(st.lists(edge_floats, min_size=n * f, max_size=n * f)))
+        labels = None
+        if data.draw(st.booleans()):
+            labels = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+        ds = Dataset(schema, rows.reshape(n, f), labels)
+        path = tmp_path_factory.mktemp("csv") / "x.csv"
+        save_csv(ds, path)
+        back = load_csv(path, schema)
+        assert back.rows.shape == (n, f)
+        np.testing.assert_array_equal(back.rows.view(np.uint64), ds.rows.view(np.uint64))
+        if labels is None:
+            assert back.labels is None
+        else:
+            np.testing.assert_array_equal(back.labels, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_split_is_exhaustive_with_largest_remainder_counts(self, data):
+        m = data.draw(st.integers(2, 4))
+        labels = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=30)))
+        weights = data.draw(st.lists(st.integers(0, 4), min_size=3, max_size=3).filter(any))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        fractions = tuple(w / sum(weights) for w in weights)
+        schema = DatasetSchema(("row",), tuple(f"L{i}" for i in range(m)))
+        ds = Dataset(schema, np.arange(labels.size, dtype=np.float64)[:, None], labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a class smaller than the number of splits warns
+            parts = stratified_split(ds, fractions, seed)
+        rows = np.concatenate([part.rows[:, 0] for part in parts]).astype(int)
+        assert sorted(rows) == list(range(labels.size))  # every row in exactly one split
+        for part in parts:
+            np.testing.assert_array_equal(part.labels, labels[part.rows[:, 0].astype(int)])
+        for cls in range(m):
+            counts = [int((part.labels == cls).sum()) for part in parts]
+            expected = largest_remainder(int((labels == cls).sum()), np.array(fractions))
+            assert counts == expected.tolist()
 
 
 class TestAtomicWrite:

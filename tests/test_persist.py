@@ -21,9 +21,19 @@ from advssl.persist import (
     write_json,
 )
 from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
-from advssl.prm import GbdtConfig, LogregConfig, PrmConfig, train_gbdt, train_logreg
-from advssl.trainer import INFERENCE_HEADS, LOSS_STYLES, AsslConfig, init_assl_model
-from advssl.tree import RegressionTree, fit_regression_tree
+from advssl.prm import (
+    GbdtConfig,
+    GbdtModel,
+    LogregConfig,
+    LogregParams,
+    PlainModel,
+    PrmConfig,
+    train_gbdt,
+    train_logreg,
+)
+from advssl.trainer import INFERENCE_HEADS, AsslConfig, init_assl_model
+from advssl.tree import RegressionTree, TreeNode, fit_regression_tree
+from test_data import edge_floats
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 with open(SMOKE, encoding="utf-8") as _handle:
@@ -105,6 +115,84 @@ class TestAsslModelRoundTrip:
         loaded, cfg2, schema2, _ = load_assl_model(p1)
         save_assl_model(p2, loaded, cfg2, schema2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def vectors(n):
+    return st.lists(edge_floats, min_size=n, max_size=n).map(np.array)
+
+
+def float_bits(plain):
+    """The values of a to_plain form in order, each float as its exact hex
+    (which tells -0.0 from 0.0)."""
+    if isinstance(plain, dict):
+        return [b for key in sorted(plain) for b in float_bits(plain[key])]
+    if isinstance(plain, list):
+        return [b for value in plain for b in float_bits(value)]
+    return [plain.hex() if isinstance(plain, float) else plain]
+
+
+def tree_nodes(num_features):
+    return st.recursive(
+        st.builds(TreeNode, value=edge_floats),
+        lambda kids: st.builds(
+            TreeNode,
+            feature=st.integers(0, num_features - 1),
+            threshold=edge_floats,
+            left=kids,
+            right=kids,
+        ),
+        max_leaves=6,
+    )
+
+
+def plain_models(kind, f, m):
+    if kind == "logistic_regression":
+        params = st.builds(LogregParams, vectors(m * f).map(lambda w: w.reshape(m, f)), vectors(m))
+        return st.builds(PlainModel, st.just(kind), st.just(f), st.just(m), logreg=params)
+    tree = st.builds(RegressionTree, tree_nodes(f), st.integers(1, 4), st.integers(1, 5))
+    gbdt = st.builds(
+        GbdtModel,
+        st.just(m),
+        edge_floats,
+        vectors(m),
+        st.lists(st.lists(tree, min_size=m, max_size=m), max_size=3),
+        st.lists(edge_floats, max_size=3),
+    )
+    return st.builds(PlainModel, st.just(kind), st.just(f), st.just(m), gbdt=gbdt)
+
+
+class TestModelFileProperties:
+    """save -> load -> save gives the same bytes and bit-equal parameters."""
+
+    @pytest.mark.parametrize("kind", ["logistic_regression", "gbdt"])
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 4), st.data())
+    def test_plain_model(self, tmp_path_factory, kind, f, m, data):
+        model = data.draw(plain_models(kind, f, m))
+        schema = make_dataset(m=m, f=f).schema
+        tmp = tmp_path_factory.mktemp("plain")
+        p1, p2 = tmp / "a.json", tmp / "b.json"
+        save_plain_model(p1, model, schema)
+        loaded, schema2, _ = load_plain_model(p1)
+        save_plain_model(p2, loaded, schema2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert float_bits(to_plain(loaded)) == float_bits(to_plain(model))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 4), st.integers(1, 3), st.data())
+    def test_assl_model(self, tmp_path_factory, f, m, d, data):
+        cfg = AsslConfig(embedding_dim=d, encoder_hidden=3, head_hidden=2, disc_hidden=2)
+        model = init_assl_model(f, m, cfg)
+        model.flat[:] = data.draw(vectors(model.flat.size))
+        schema = make_dataset(m=m, f=f).schema
+        tmp = tmp_path_factory.mktemp("assl")
+        p1, p2 = tmp / "a.json", tmp / "b.json"
+        save_assl_model(p1, model, cfg, schema)
+        loaded, cfg2, schema2, _ = load_assl_model(p1)
+        save_assl_model(p2, loaded, cfg2, schema2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert cfg2 == cfg
+        np.testing.assert_array_equal(loaded.flat.view(np.uint64), model.flat.view(np.uint64))
 
 
 json_payloads = st.recursive(
@@ -228,7 +316,6 @@ assl_configs = st.builds(
     batch_size=st.integers(2, 256),
     epochs=st.integers(1, 100),
     inference_head=st.sampled_from(INFERENCE_HEADS),
-    loss_style=st.sampled_from(LOSS_STYLES),
     suppress_pseudo=st.booleans(),
 )
 run_configs = st.builds(
@@ -239,7 +326,6 @@ run_configs = st.builds(
     assl=assl_configs,
     split=st.tuples(finite, finite, finite),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).map(tuple),
-    output_dir=st.none() | name,
     variant=st.sampled_from(list(VARIANTS)),
 )
 json_values = st.recursive(

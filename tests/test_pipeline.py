@@ -21,7 +21,6 @@ from advssl.pipeline import (
     prepare_seed,
     run_variant,
     write_predictions_csv,
-    write_seed_artifacts,
 )
 from advssl.trainer import DivergenceError, train
 
@@ -102,17 +101,34 @@ class TestLeakageAudit:
 
 
 class TestRunVariant:
-    def test_all_variants_produce_reports(self, smoke_cfg):
+    def test_all_variants_produce_reports(self, smoke_cfg, tmp_path):
         prep = prepare_seed(smoke_cfg, 0)
         for variant in VARIANTS:
-            result = run_variant(prep, variant)
-            assert result.predictions.shape[0] == len(prep.test)
-            assert 0.0 <= result.report.accuracy <= 1.0
+            paths, report = run_variant(prep, variant, str(tmp_path / variant))
+            with open(paths["predictions"]) as handle:
+                assert len(handle.readlines()) == 1 + len(prep.test)
+            assert 0.0 <= report.accuracy <= 1.0
 
-    def test_unknown_variant_rejected(self, smoke_cfg):
+    def test_unknown_variant_rejected(self, smoke_cfg, tmp_path):
         prep = prepare_seed(smoke_cfg, 0)
         with pytest.raises(ConfigError):
-            run_variant(prep, "mystery")
+            run_variant(prep, "mystery", str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_model_json_unless_the_table_suppresses_the_pseudo_pool(self, smoke_cfg, tmp_path):
+        cfg = replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=2))
+        written = {}
+        for suppress in (False, True):  # a config may suppress the pseudo pool itself
+            prep = prepare_seed(replace(cfg, assl=replace(cfg.assl, suppress_pseudo=suppress)), 0)
+            for variant in VARIANTS:
+                paths, _ = run_variant(prep, variant, str(tmp_path / f"{variant}_{suppress}"))
+                written[variant, suppress] = set(paths)
+        every = {"prm_model", "report_json", "report_txt", "test_split", "predictions"}
+        for suppress in (False, True):
+            assert written["prm_only", suppress] == every
+            assert written["supervised_mlp", suppress] == every | {"history"}
+            assert written["no_adversarial", suppress] == every | {"history", "model"}
+            assert written["full", suppress] == every | {"history", "model"}
 
 
 class TestRunConfig:
@@ -126,9 +142,9 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "edit, expected",
         [
-            (None, "d75511507399"),
+            (None, "9dc9db78f768"),
             # A CSV source keeps "unlabeled_csv": null in the hashed payload.
-            (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "a42127298784"),
+            (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "0b2b626613a1"),
             # An int given for a float field is hashed as written, not as a float.
             (
                 lambda raw: {
@@ -136,7 +152,7 @@ class TestRunConfig:
                     "data": {"synth": {**raw["data"]["synth"], "noise_std": 1}},
                     "assl": {**raw["assl"], "alpha": 0},
                 },
-                "4e5f2e45e2a5",
+                "4093931ad1f3",
             ),
         ],
         ids=["smoke", "csv_source", "ints_for_floats"],
@@ -192,9 +208,11 @@ def files_under(root):
 def patch_variants(monkeypatch, **actions):
     """Make run_variant call actions[variant]() instead of training those variants."""
     real = pipeline.run_variant
-    monkeypatch.setattr(
-        pipeline, "run_variant", lambda prep, v: actions[v]() if v in actions else real(prep, v)
-    )
+
+    def run_variant(prep, variant, seed_dir):
+        return actions[variant]() if variant in actions else real(prep, variant, seed_dir)
+
+    monkeypatch.setattr(pipeline, "run_variant", run_variant)
 
 
 class TestAblationWorker:
@@ -212,9 +230,7 @@ class TestAblationWorker:
         for seed in cfg.seeds:
             prep = prepare_seed(cfg, seed)
             for variant in VARIANTS:
-                result = run_variant(prep, variant)
-                write_seed_artifacts(str(inline_dir / f"seed_{seed}" / variant), prep, result)
-                rep = result.report
+                _, rep = run_variant(prep, variant, str(inline_dir / f"seed_{seed}" / variant))
                 rows.append(
                     {
                         "variant": variant,
@@ -260,6 +276,19 @@ class TestAblationWorker:
         payload = json.loads(manifest.read_text())
         assert payload["status"] == "failed"
         assert payload["error"] == "DivergenceError: non-finite L_L in the worker"
+
+    def test_worker_exception_carries_the_worker_traceback(self, cfg, tmp_path, monkeypatch):
+        def add_to_none():
+            return None + 1  # raises TypeError in the worker
+
+        patch_variants(monkeypatch, supervised_mlp=add_to_none)
+        with pytest.raises(TypeError, match="unsupported operand") as info:
+            execute_ablation(cfg, str(tmp_path))
+        assert_no_child_left()
+        cause = info.value.__cause__
+        assert isinstance(cause, pipeline.WorkerTraceback)
+        assert "return None + 1  # raises TypeError in the worker" in str(cause)
+        assert "in add_to_none" in str(cause)
 
     def test_worker_ending_without_a_result_raises_child_process_error(
         self, cfg, tmp_path, monkeypatch

@@ -24,8 +24,6 @@ from advssl.nnet import (
     MlpParams,
     activation_grad,
     bce_one_hot_and_grad,
-    categorical_ce,
-    categorical_ce_grad,
     clamp_probs,
     grad_check,
     l2_penalty,
@@ -237,26 +235,6 @@ class TestGradients:
 
         assert grad_check(loss, model.discriminator.param_arrays(), epsilon=1e-5) < 1e-5
 
-    def test_categorical_ce_style_also_checks(self):
-        rng = np.random.default_rng(7)
-        cfg = tiny_cfg(loss_style="categorical_ce", alpha=0.1, seed=13)
-        model = init_assl_model(4, 3, cfg)
-        x_l, y_l = rng.normal(size=(3, 4)), rng.integers(0, 3, 3)
-        x_u, y_u = rng.normal(size=(3, 4)), rng.integers(0, 3, 3)
-        params = (
-            model.encoder.param_arrays()
-            + model.supervised_head.param_arrays()
-            + model.semi_head.param_arrays()
-        )
-
-        def loss(ps):
-            parts, grads = generator_objective(model, x_l, y_l, x_u, y_u, cfg)
-            return parts["total"], (
-                grads["encoder"] + grads["supervised_head"] + grads["semi_head"]
-            )
-
-        assert grad_check(loss, params, epsilon=1e-5) < 1e-5
-
 
 class TestSteps:
     def test_zero_disc_learning_rate_freezes_disc(self):
@@ -418,21 +396,20 @@ class TestTrain:
                 wins += 1
         assert wins >= 4
 
-    def test_alpha_zero_equals_disc_deleted_run(self):
+    def test_alpha_zero_equals_disc_deleted_run(self, monkeypatch):
         train_ds, val_ds, _, pseudo = tiny_task(seed=6)
-        cfg_a = tiny_cfg(epochs=3, alpha=0.0, seed=25)
-        cfg_b = tiny_cfg(epochs=3, alpha=0.0, seed=25, train_discriminator=False)
-        model_a, _ = train(train_ds, pseudo, val_ds, cfg_a)
-        model_b, _ = train(train_ds, pseudo, val_ds, cfg_b)
+        cfg = tiny_cfg(epochs=3, alpha=0.0, seed=25)
+        model_a, _ = train(train_ds, pseudo, val_ds, cfg)
+        monkeypatch.setattr(trainer_module, "discriminator_step", lambda *args: (0.0, 0.5))
+        model_b, _ = train(train_ds, pseudo, val_ds, cfg)
         for net in ("encoder", "supervised_head", "semi_head"):
             for a, b in zip(
                 getattr(model_a, net).param_arrays(), getattr(model_b, net).param_arrays()
             ):
                 np.testing.assert_array_equal(a, b)
 
-
-class TestKnobs:
-    def test_disc_steps_runs_that_many_discriminator_updates(self, monkeypatch):
+    @pytest.mark.parametrize("suppress", [False, True])
+    def test_one_discriminator_update_per_step_none_when_suppressed(self, monkeypatch, suppress):
         train_ds, val_ds, _, pseudo = tiny_task(seed=3)
         calls = []
         real = trainer_module.discriminator_step
@@ -443,31 +420,11 @@ class TestKnobs:
 
         monkeypatch.setattr(trainer_module, "discriminator_step", counting)
         seen = []
-        cfg = tiny_cfg(epochs=2, disc_steps=2, seed=23)
-        train(train_ds, pseudo, val_ds, cfg, on_step=lambda step, m: seen.append(len(calls)))
+        cfg = tiny_cfg(epochs=2, seed=23, suppress_pseudo=suppress)
+        pool = None if suppress else pseudo
+        train(train_ds, pool, val_ds, cfg, on_step=lambda step, m: seen.append(len(calls)))
         assert len(seen) == cfg.epochs * math.ceil(len(train_ds) / cfg.batch_size)
-        assert seen == [2 * step for step in range(1, len(seen) + 1)]
-
-    def test_encoder_weight_decay_adds_exactly_2_wd_w(self):
-        rng = np.random.default_rng(6)
-        wd = 0.03
-        model = init_assl_model(5, 3, tiny_cfg(seed=12))
-        x_l, y_l = rng.normal(size=(4, 5)), rng.integers(0, 3, 4)
-        x_u, y_u = rng.normal(size=(4, 5)), rng.integers(0, 3, 4)
-        parts_0, grads_0 = generator_objective(model, x_l, y_l, x_u, y_u, tiny_cfg(seed=12))
-        parts_wd, grads_wd = generator_objective(
-            model, x_l, y_l, x_u, y_u, tiny_cfg(seed=12, encoder_weight_decay=wd)
-        )
-        weights = model.encoder.param_arrays()
-        for g_wd, g_0, w in zip(grads_wd["encoder"], grads_0["encoder"], weights):
-            np.testing.assert_array_equal(g_wd, g_0 + 2.0 * wd * w)
-        for net in ("supervised_head", "semi_head"):
-            for a, b in zip(grads_wd[net], grads_0[net]):
-                np.testing.assert_array_equal(a, b)
-        for key in ("loss_l", "loss_u", "loss_adv"):
-            assert parts_wd[key] == parts_0[key]
-        penalty = wd * sum(float(np.sum(w * w)) for w in weights)
-        assert parts_wd["total"] == pytest.approx(parts_0["total"] + penalty, rel=1e-12)
+        assert seen == [0 if suppress else step for step in range(1, len(seen) + 1)]
 
 
 # Frozen references for the Phase-II step. Each objective runs the encoder
@@ -507,17 +464,11 @@ def ref_log_grad_inside(p):
     return inside / clamp_probs(p)
 
 
-def ref_head(probs, labels, style):
-    if style == "per_class_bce":
-        return bce_one_hot_and_grad(probs, labels)
-    return categorical_ce(probs, labels), categorical_ce_grad(probs, labels)
-
-
 def ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
     emb_l, cache_el = mlp_forward(model.encoder, x_l)
     logits_l, cache_hl = mlp_forward(model.supervised_head, emb_l)
     probs_l = softmax(logits_l)
-    head_l, dprobs_l = ref_head(probs_l, y_l, cfg.loss_style)
+    head_l, dprobs_l = bce_one_hot_and_grad(probs_l, y_l)
     loss_l = head_l + l2_penalty(model.supervised_head, cfg.lambda_l)
     sup_grads, d_emb_l = ref_backward(
         model.supervised_head, cache_hl, softmax_backward(probs_l, dprobs_l)
@@ -529,7 +480,7 @@ def ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
         emb_u, cache_eu = mlp_forward(model.encoder, x_u)
         logits_u, cache_hu = mlp_forward(model.semi_head, emb_u)
         probs_u = softmax(logits_u)
-        head_u, dprobs_u = ref_head(probs_u, y_u, cfg.loss_style)
+        head_u, dprobs_u = bce_one_hot_and_grad(probs_u, y_u)
         loss_u = head_u + l2_penalty(model.semi_head, cfg.lambda_u)
         semi_grads, d_emb_u = ref_backward(
             model.semi_head, cache_hu, softmax_backward(probs_u, dprobs_u)
@@ -547,13 +498,7 @@ def ref_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
     if x_u is not None:
         enc_u = ref_backward(model.encoder, cache_eu, d_emb_u)[0]
         enc_grads = [a + b for a, b in zip(enc_grads, enc_u)]
-    enc_grads = ref_with_l2(enc_grads, model.encoder, cfg.encoder_weight_decay)
-    total = (
-        loss_l
-        + loss_u
-        + cfg.alpha * loss_adv
-        + l2_penalty(model.encoder, cfg.encoder_weight_decay)
-    )
+    total = loss_l + loss_u + cfg.alpha * loss_adv
     parts = {"loss_l": loss_l, "loss_u": loss_u, "loss_adv": loss_adv, "total": total}
     grads = {"encoder": enc_grads, "supervised_head": sup_grads, "semi_head": semi_grads}
     return parts, grads
@@ -597,7 +542,7 @@ def ref_stacked_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
         head = getattr(model, name)
         logits, cache_h = mlp_forward(head, emb_side)
         probs = softmax(logits)
-        value, dprobs = ref_head(probs, labels, cfg.loss_style)
+        value, dprobs = bce_one_hot_and_grad(probs, labels)
         parts[loss] = value + l2_penalty(head, lam)
         head_grads, d_side = ref_backward(head, cache_h, softmax_backward(probs, dprobs))
         grads[name] = ref_with_l2(head_grads, head, lam)
@@ -610,13 +555,8 @@ def ref_stacked_generator_objective(model, x_l, y_l, x_u, y_u, cfg):
         up = ref_adversarial_upstream(d, n_l, cfg.alpha)
         d_emb = d_emb + ref_backward(model.discriminator, cache_d, up)[1]
     enc_grads, _ = ref_backward(model.encoder, cache_e, d_emb)
-    grads["encoder"] = ref_with_l2(enc_grads, model.encoder, cfg.encoder_weight_decay)
-    parts["total"] = (
-        parts["loss_l"]
-        + parts["loss_u"]
-        + cfg.alpha * parts["loss_adv"]
-        + l2_penalty(model.encoder, cfg.encoder_weight_decay)
-    )
+    grads["encoder"] = enc_grads
+    parts["total"] = parts["loss_l"] + parts["loss_u"] + cfg.alpha * parts["loss_adv"]
     return parts, grads
 
 
@@ -674,11 +614,10 @@ def ref_train(labeled, pseudo, validation, cfg, reference="stacked"):
                     pool = np.concatenate([pool, shuffle_u.permutation(len(pseudo))])
                 sel, pool = pool[: idx.size], pool[idx.size :]
                 x_u, y_u = pseudo.rows[sel], pseudo.labels[sel]
-                for _ in range(cfg.disc_steps if cfg.train_discriminator else 0):
-                    _, grads, adv_from_disc, disc_acc = discriminator_objective_of(
-                        model, x_l, x_u, cfg
-                    )
-                    adam("discriminator", grads, cfg.disc_learning_rate)
+                _, grads, adv_from_disc, disc_acc = discriminator_objective_of(
+                    model, x_l, x_u, cfg
+                )
+                adam("discriminator", grads, cfg.disc_learning_rate)
             parts, grads = generator_objective_of(model, x_l, y_l, x_u, y_u, cfg)
             for name in ("encoder", "supervised_head") + (("semi_head",) if x_u is not None else ()):
                 adam(name, grads[name], cfg.learning_rate)
@@ -697,11 +636,7 @@ def ref_train(labeled, pseudo, validation, cfg, reference="stacked"):
 CONFIGS = [
     {},
     {"alpha": 0.0},
-    {"train_discriminator": False},
     {"suppress_pseudo": True},
-    {"disc_steps": 2},
-    {"encoder_weight_decay": 0.01},
-    {"loss_style": "categorical_ce"},
     {"lambda_l": 0.0, "lambda_u": 0.0, "lambda_adv": 0.0},
 ]
 
