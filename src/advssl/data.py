@@ -213,6 +213,17 @@ def largest_remainder(total: int, fractions: np.ndarray) -> np.ndarray:
     return base
 
 
+def split_fractions(fractions) -> np.ndarray:
+    """fractions as a float64 array; anything but three values >= 0 that sum
+    to 1 is a DataError."""
+    fr = np.asarray(fractions, dtype=np.float64)
+    if fr.shape != (3,) or (fr < 0).any():
+        raise DataError("split fractions must be three values >= 0")
+    if abs(fr.sum() - 1.0) > 1e-9:
+        raise DataError(f"split fractions must sum to 1, got {fr.sum()}")
+    return fr
+
+
 def stratified_split(
     ds: Dataset, fractions: tuple[float, float, float], seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
@@ -224,11 +235,7 @@ def stratified_split(
     """
     if not ds.is_labeled:
         raise DataError("stratified_split needs a labeled dataset")
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (3,) or (fr < 0).any():
-        raise DataError("fractions must be three values >= 0")
-    if abs(fr.sum() - 1.0) > 1e-9:
-        raise DataError(f"fractions must sum to 1, got {fr.sum()}")
+    fr = split_fractions(fractions)
     rng = named_rng(seed, "stratified_split")
     nonzero_splits = int((fr > 0).sum())
     parts: list[list[np.ndarray]] = [[], [], []]

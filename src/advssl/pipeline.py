@@ -48,6 +48,7 @@ from .data import (
     generate_synthetic,
     load_csv,
     save_csv,
+    split_fractions,
     stratified_split,
 )
 from .metrics import MetricsReport, aggregate_runs, classification_report, confusion_matrix
@@ -104,6 +105,7 @@ class RunConfig:
                 raise ConfigError(f"seed {seed} lies outside [0, 2**32)")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        split_fractions(self.split)
 
     def config_hash(self) -> str:
         payload = json.dumps(to_plain(self), sort_keys=True)

@@ -35,6 +35,10 @@ class LogregConfig:
     l2: float = 1e-6
     seed: int = 0
 
+    def __post_init__(self):
+        if min(self.iterations, self.learning_rate, self.l2) < 0:
+            raise ValueError("iterations, learning_rate and l2 must be >= 0")
+
 
 @dataclass
 class GbdtConfig:
@@ -42,6 +46,14 @@ class GbdtConfig:
     max_depth: int = 3
     shrinkage: float = 0.1
     min_leaf_count: int = 5
+
+    def __post_init__(self):
+        if min(self.rounds, self.max_depth) < 0:
+            raise ValueError("rounds and max_depth must be >= 0")
+        if self.min_leaf_count < 1:
+            raise ValueError("min_leaf_count must be >= 1")
+        if not 0.0 < self.shrinkage <= 1.0:
+            raise ValueError(f"shrinkage must lie in (0, 1], got {self.shrinkage}")
 
 
 @dataclass
@@ -171,8 +183,6 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     """
     cfg = cfg or GbdtConfig()
     _check_labeled(labeled)
-    if not 0.0 < cfg.shrinkage <= 1.0:
-        raise ValueError(f"shrinkage must lie in (0, 1], got {cfg.shrinkage}")
     m = labeled.schema.num_classes
     if m < 2:
         raise ValueError("gbdt needs at least 2 classes")

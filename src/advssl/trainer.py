@@ -82,8 +82,10 @@ class AsslConfig:
             raise ValueError("loss weights must be >= 0")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
+        if min(self.embedding_dim, self.encoder_hidden, self.head_hidden, self.disc_hidden) < 1:
+            raise ValueError("embedding_dim and the hidden sizes must be >= 1")
+        if min(self.learning_rate, self.disc_learning_rate) < 0:
+            raise ValueError("learning rates must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.inference_head not in INFERENCE_HEADS:

@@ -1,14 +1,23 @@
 """CLI contract tests: exit codes, artifacts, determinism, round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advssl.cli import main
-from advssl.pipeline import load_config
+from advssl.data import SynthConfig
+from advssl.persist import to_plain
+from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
+from advssl.prm import GbdtConfig, LogregConfig, PrmConfig
+from advssl.trainer import INFERENCE_HEADS, AsslConfig
+from test_persist import splits
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 
@@ -295,19 +304,35 @@ class TestPredictRejectsBadModelFiles:
         assert "tree node" in self._predict_fails(capsys, model, trained_run)
 
 
+def run_python(*args):
+    """sys.executable *args in a fresh interpreter that imports advssl from src/."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
 class TestModuleEntryPoint:
     def test_python_m_advssl_help(self):
-        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-        done = subprocess.run(
-            [sys.executable, "-m", "advssl", "--help"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
+        done = run_python("-m", "advssl", "--help")
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: advssl")
+
+    def test_package_root_imports_no_submodule(self):
+        script = (
+            "import sys, advssl\n"
+            "print(advssl.__version__)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('advssl.')))\n"
+        )
+        done = run_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        version, submodules = done.stdout.splitlines()
+        assert version and submodules == "[]"
 
 
 class TestSynth:
@@ -453,7 +478,6 @@ class TestConfigRoundTrip:
         cfg_path.write_text(json.dumps(raw))
         cfg = load_config(cfg_path)
         assert cfg.variant == "no_adversarial"
-        from advssl.persist import to_plain
         from advssl.pipeline import parse_config
 
         again = parse_config({**to_plain(cfg), "seeds": [5]})
@@ -468,6 +492,19 @@ REMOVED_SETTINGS = {
     "train_discriminator": lambda raw: raw["assl"].update(train_discriminator=True),
     "encoder_weight_decay": lambda raw: raw["assl"].update(encoder_weight_decay=0.0),
     "output_dir": lambda raw: raw.update(output_dir=None),
+}
+# Values out of range, which the configs' own checks reject while decoding.
+OUT_OF_RANGE = {
+    "rounds_negative": lambda raw: raw["prm"]["gbdt"].update(rounds=-2),
+    "max_depth_negative": lambda raw: raw["prm"]["gbdt"].update(max_depth=-1),
+    "min_leaf_count_zero": lambda raw: raw["prm"]["gbdt"].update(min_leaf_count=0),
+    "shrinkage_zero": lambda raw: raw["prm"]["gbdt"].update(shrinkage=0.0),
+    "iterations_negative": lambda raw: raw["prm"].update(logreg={"iterations": -5}),
+    "logreg_learning_rate_negative": lambda raw: raw["prm"].update(logreg={"learning_rate": -1}),
+    "learning_rate_negative": lambda raw: raw["assl"].update(learning_rate=-0.5),
+    "encoder_hidden_negative": lambda raw: raw["assl"].update(encoder_hidden=-3),
+    "disc_hidden_negative": lambda raw: raw["assl"].update(disc_hidden=-2),
+    "split_negative": lambda raw: raw.update(split=[1.2, -0.1, -0.1]),
 }
 # Edits of the smoke config that the codec must reject (None: a JSON list as the root).
 REJECTED_CONFIGS = {
@@ -486,6 +523,7 @@ REJECTED_CONFIGS = {
     "learning_rate_nan": lambda raw: raw["assl"].update(learning_rate=float("nan")),
     "noise_std_infinity": lambda raw: raw["data"]["synth"].update(noise_std=float("inf")),
     **REMOVED_SETTINGS,
+    **OUT_OF_RANGE,
 }
 
 
@@ -527,3 +565,93 @@ class TestConfigFailsClosed:
     def test_removed_setting_is_named(self, tmp_path, capsys, key):
         code, _, err = self._run(tmp_path, capsys, REMOVED_SETTINGS[key])
         assert code == 2 and f"unknown key '{key}'" in err, err
+
+    @pytest.mark.parametrize(
+        "prm",
+        [
+            {"variant": "gbdt", "gbdt": {"rounds": 0}},
+            {"variant": "logistic_regression", "logreg": {"iterations": 0, "learning_rate": 0}},
+        ],
+    )
+    def test_zero_counts_and_rates_still_run(self, tmp_path, capsys, prm):
+        def edit(raw):
+            raw.update(prm=prm)
+            raw["assl"].update(epochs=1, learning_rate=0, disc_learning_rate=0.0)
+
+        code, _, err = self._run(tmp_path, capsys, edit)
+        assert code == 0 and err == "", err
+        assert len(list(tmp_path.glob("run-*"))) == 1
+
+
+# Tiny configs that decode: a few features, classes, rows, rounds and epochs.
+unit = st.floats(0, 1)
+small = st.floats(0, 5) | st.integers(0, 5)
+tiny_configs = st.builds(
+    RunConfig,
+    data=st.builds(
+        DataSource,
+        synth=st.builds(
+            SynthConfig,
+            num_features=st.integers(1, 6),
+            num_classes=st.integers(2, 4),
+            samples_per_class=st.integers(1, 40),
+            labeled_fraction=unit,
+            separation_scale=small,
+            noise_std=small,
+            label_noise_rate=unit,
+            seed=st.integers(0, 2**32 - 1),
+        ),
+    ),
+    prm=st.builds(
+        PrmConfig,
+        variant=st.sampled_from(["gbdt", "logistic_regression"]),
+        gbdt=st.builds(
+            GbdtConfig,
+            rounds=st.integers(0, 3),
+            max_depth=st.integers(0, 3),
+            shrinkage=st.floats(0, 1, exclude_min=True),
+            min_leaf_count=st.integers(1, 6),
+        ),
+        logreg=st.builds(
+            LogregConfig, iterations=st.integers(0, 30), learning_rate=small, l2=small
+        ),
+    ),
+    assl=st.builds(
+        AsslConfig,
+        embedding_dim=st.integers(1, 8),
+        encoder_hidden=st.integers(1, 8),
+        head_hidden=st.integers(1, 8),
+        disc_hidden=st.integers(1, 8),
+        lambda_l=small,
+        lambda_u=small,
+        lambda_adv=small,
+        alpha=small,
+        epochs=st.integers(1, 2),
+        batch_size=st.integers(2, 64),
+        learning_rate=small,
+        disc_learning_rate=small,
+        inference_head=st.sampled_from(INFERENCE_HEADS),
+        suppress_pseudo=st.booleans(),
+    ),
+    split=splits,
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2, unique=True).map(tuple),
+    variant=st.sampled_from(list(VARIANTS)),
+)
+
+
+class TestCliProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(tiny_configs)
+    def test_decoded_config_ends_in_a_known_exit_with_one_error_line(self, tmp_path_factory, cfg):
+        work = tmp_path_factory.mktemp("cli")
+        path = work / "cfg.json"
+        path.write_text(json.dumps(to_plain(cfg)))
+        for command in ("run", "ablate"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path), "--out", str(work / command)])
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert code in (0, 2, 3, 4)
+            assert "Traceback" not in err.getvalue()
+            assert len(errors) == (0 if code == 0 else 1), err.getvalue()
+            assert all(line.startswith(f"error: code={code} ") for line in errors)

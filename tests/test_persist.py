@@ -294,6 +294,8 @@ synth_configs = st.builds(
     label_noise_rate=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
 )
+# Three fractions >= 0 that sum to 1 (within rounding), zeros included.
+splits = st.tuples(*[st.integers(0, 9)] * 3).filter(any).map(lambda w: tuple(v / sum(w) for v in w))
 sources = st.builds(DataSource, synth=synth_configs) | st.builds(
     DataSource, labeled_csv=name, unlabeled_csv=st.none() | name
 )
@@ -305,8 +307,12 @@ schemas = st.builds(
 prm_configs = st.builds(
     PrmConfig,
     variant=st.sampled_from(["gbdt", "logistic_regression"]),
-    gbdt=st.builds(GbdtConfig, rounds=st.integers(), shrinkage=finite),
-    logreg=st.builds(LogregConfig, iterations=st.integers(), l2=finite),
+    gbdt=st.builds(
+        GbdtConfig, rounds=st.integers(min_value=0), shrinkage=st.floats(0, 1, exclude_min=True)
+    ),
+    logreg=st.builds(
+        LogregConfig, iterations=st.integers(min_value=0), l2=st.floats(0, allow_infinity=False)
+    ),
 )
 assl_configs = st.builds(
     AsslConfig,
@@ -324,7 +330,7 @@ run_configs = st.builds(
     schema=st.none() | schemas,
     prm=prm_configs,
     assl=assl_configs,
-    split=st.tuples(finite, finite, finite),
+    split=splits,
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).map(tuple),
     variant=st.sampled_from(list(VARIANTS)),
 )
