@@ -8,6 +8,7 @@ training divergence. Failures print one machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import os
 import sys
@@ -20,6 +21,7 @@ from .pipeline import (
     execute_run,
     format_ablation_table,
     load_config,
+    prediction_rows,
 )
 from .persist import FORMAT_ASSL, load_model
 from .trainer import DivergenceError, predict_proba_matrix
@@ -74,17 +76,9 @@ def cmd_predict(args) -> int:
         proba = model.predict_proba_matrix
 
     ds = load_csv(args.csv, schema)
-    if len(ds) == 0:
-        return 0
-    rows = ds.rows
     if normalizer is not None:
-        rows = apply_normalizer(normalizer, Dataset(schema, rows, None)).rows
-    probs = proba(rows)
-    preds = probs.argmax(axis=1)
-    writer = sys.stdout
-    for i in range(preds.shape[0]):
-        cells = [schema.label_names[preds[i]]] + [repr(float(v)) for v in probs[i]]
-        writer.write(",".join(cells) + "\n")
+        ds = apply_normalizer(normalizer, ds)
+    csv.writer(sys.stdout, lineterminator="\n").writerows(prediction_rows(schema, proba(ds.rows)))
     return 0
 
 
@@ -111,17 +105,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="full pipeline: data -> phase I -> phase II -> report")
-    run.add_argument("--config", required=True, help="JSON run config")
-    run.add_argument("--seeds", help="comma-separated seed override")
-    run.add_argument("--out", default="runs", help="output root directory")
-    run.set_defaults(fn=cmd_run)
-
-    ablate = sub.add_parser("ablate", help="run all ablation variants on identical data")
-    ablate.add_argument("--config", required=True)
-    ablate.add_argument("--seeds", help="comma-separated seed override")
-    ablate.add_argument("--out", default="runs", help="output root directory")
-    ablate.set_defaults(fn=cmd_ablate)
+    for name, fn, text in (
+        ("run", cmd_run, "full pipeline: data -> phase I -> phase II -> report"),
+        ("ablate", cmd_ablate, "run all ablation variants on identical data"),
+    ):
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", required=True, help="JSON run config")
+        command.add_argument("--seeds", help="comma-separated seed override")
+        command.add_argument("--out", default="runs", help="output root directory")
+        command.set_defaults(fn=fn)
 
     predict = sub.add_parser("predict", help="rate rows from a CSV with a saved model")
     predict.add_argument("model", help="model JSON file")

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import os
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,17 +236,11 @@ def stratified_split(
         raise DataError("stratified_split needs a labeled dataset")
     fr = split_fractions(fractions)
     rng = named_rng(seed, "stratified_split")
-    nonzero_splits = int((fr > 0).sum())
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls in range(ds.schema.num_classes):
         cls_idx = np.flatnonzero(ds.labels == cls)
         if cls_idx.size == 0:
             continue
-        if cls_idx.size < nonzero_splits:
-            warnings.warn(
-                f"class {cls} has only {cls_idx.size} rows for {nonzero_splits} splits; "
-                "allocating to train first"
-            )
         cls_idx = rng.permutation(cls_idx)
         counts = largest_remainder(cls_idx.size, fr)
         start = 0

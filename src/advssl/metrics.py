@@ -138,15 +138,17 @@ def macro_f1_score(y_true, y_pred, num_classes: int) -> float:
 
 
 def aggregate_runs(reports: list[MetricsReport]) -> dict:
-    """Mean and sample (n-1) standard deviation of the summary metrics."""
-    if len(reports) < 2:
-        raise ValueError(f"need at least 2 reports to aggregate, got {len(reports)}")
+    """Mean and sample (n-1) standard deviation of the summary metrics; the
+    std of one run is 0.0."""
+    if not reports:
+        raise ValueError("need at least 1 report to aggregate")
     m = reports[0].precision.shape[0]
     if any(r.precision.shape[0] != m for r in reports):
         raise ValueError("reports disagree on the number of classes")
     out = {}
     for name in ("macro_precision", "macro_recall", "macro_f1", "weighted_f1", "accuracy"):
         vals = np.asarray([getattr(r, name) for r in reports], dtype=np.float64)
-        out[name] = {"mean": float(vals.mean()), "std": float(vals.std(ddof=1))}
+        std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+        out[name] = {"mean": float(vals.mean()), "std": std}
     out["runs"] = len(reports)
     return out

@@ -6,8 +6,7 @@ by their fields and type hints. from_plain rejects an unknown or missing key
 or a wrong JSON type with a ConfigError naming the path, as in
 `config.prm.gbdt.rounds must be int, got str`; an int given for a float
 stays an int, so a config hashes as written. to_plain leaves out a None
-field whose default is None, unless the field's metadata "omit" (a
-predicate on the object and the value) decides. Three classes' JSON is not
+field whose default is None, and nothing else. Three classes' JSON is not
 their list of fields, so the codec calls their to_dict/from_dict:
 DatasetSchema (keys "features", "labels"), Normalizer ("constant" as 0/1)
 and TreeNode (a leaf {"value"} or a split {"feature", "threshold", "left",
@@ -62,15 +61,13 @@ class ConfigError(ValueError):
 
 @functools.cache
 def _fields(cls) -> dict:
-    """name -> (type hint, required, omit predicate or None) per init field of cls."""
+    """name -> (type hint, required, default is None) per init field of cls."""
     hints = typing.get_type_hints(cls)
     out = {}
     for f in dataclasses.fields(cls):
         if f.init:
             required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-            omit_none = (lambda obj, value: value is None) if f.default is None else None
-            omit = f.metadata.get("omit", omit_none)
-            out[f.name] = (hints[f.name], required, omit)
+            out[f.name] = (hints[f.name], required, f.default is None)
     return out
 
 
@@ -80,9 +77,9 @@ def to_plain(obj):
         return obj.to_dict()
     if dataclasses.is_dataclass(obj):
         plain = {}
-        for name, (_, _, omit) in _fields(type(obj)).items():
+        for name, (_, _, none_default) in _fields(type(obj)).items():
             value = getattr(obj, name)
-            if omit is None or not omit(obj, value):
+            if value is not None or not none_default:
                 plain[name] = to_plain(value)
         return plain
     if isinstance(obj, (list, tuple)):

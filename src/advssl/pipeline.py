@@ -75,10 +75,7 @@ class DataSource:
 
     synth: SynthConfig | None = None
     labeled_csv: str | None = None
-    # A CSV source hashes its unlabeled_csv even when it is null.
-    unlabeled_csv: str | None = field(
-        default=None, metadata={"omit": lambda src, value: src.labeled_csv is None}
-    )
+    unlabeled_csv: str | None = None
 
     def __post_init__(self):
         if (self.synth is None) == (self.labeled_csv is None):
@@ -200,8 +197,6 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
         probs = prep.prm_model.predict_proba_matrix(prep.test.rows)
     else:
         cfg = replace(prep.assl_cfg, **overrides)
-        if len(prep.pseudo) == 0 and not cfg.suppress_pseudo:
-            raise DataError("no unlabeled rows to pseudo-label; cannot train phase II")
         pseudo = None if cfg.suppress_pseudo else prep.pseudo
         model, history = train(prep.train, pseudo, prep.val, cfg)
         probs = predict_proba_matrix(model, prep.test.rows, cfg.inference_head)
@@ -236,18 +231,21 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
     with atomic_write(path("report_txt", "report.txt")) as handle:
         handle.write(report.to_text(schema.label_names) + "\n")
     save_csv(prep.test_raw, path("test_split", "test_split.csv"))
-    write_predictions_csv(path("predictions", "predictions.csv"), schema, preds, probs)
+    write_predictions_csv(path("predictions", "predictions.csv"), schema, probs)
     return paths, report
 
 
-def write_predictions_csv(path, schema: DatasetSchema, preds: np.ndarray, probs: np.ndarray):
+def prediction_rows(schema: DatasetSchema, probs: np.ndarray):
+    """Per row of probs: the label of its argmax, then repr(float(p)) per class."""
+    for row, pred in zip(probs, probs.argmax(axis=1)):
+        yield [schema.label_names[pred]] + [repr(float(p)) for p in row]
+
+
+def write_predictions_csv(path, schema: DatasetSchema, probs: np.ndarray):
     with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["predicted_rating"] + [f"p_{name}" for name in schema.label_names])
-        for i in range(preds.shape[0]):
-            writer.writerow(
-                [schema.label_names[preds[i]]] + [repr(float(v)) for v in probs[i]]
-            )
+        writer.writerows(prediction_rows(schema, probs))
 
 
 @contextlib.contextmanager
@@ -383,16 +381,7 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
                         "accuracy": report.accuracy,
                     }
                 )
-        summary = {}
-        for variant, reps in by_variant.items():
-            if len(reps) >= 2:
-                summary[variant] = aggregate_runs(reps)
-            else:
-                summary[variant] = {
-                    "macro_f1": {"mean": reps[0].macro_f1, "std": 0.0},
-                    "accuracy": {"mean": reps[0].accuracy, "std": 0.0},
-                    "runs": 1,
-                }
+        summary = {v: aggregate_runs(reps) for v, reps in by_variant.items()}
         table_path = os.path.join(run_dir, "ablation.json")
         write_json(table_path, {"rows": rows, "summary": summary})
         text_path = os.path.join(run_dir, "ablation.txt")

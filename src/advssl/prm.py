@@ -8,7 +8,7 @@ pseudo rating labels onto unlabeled rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class LogregConfig:
     iterations: int = 500
     learning_rate: float = 0.05
     l2: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.iterations, self.learning_rate, self.l2) < 0:
@@ -151,13 +150,13 @@ def logreg_loss_and_grads(
     return loss, dw, db
 
 
-def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None) -> PlainModel:
+def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 0) -> PlainModel:
     """Multinomial softmax regression, full-batch Adam, deterministic per seed."""
     cfg = cfg or LogregConfig()
     _check_labeled(labeled)
     m = labeled.schema.num_classes
     f = labeled.schema.num_features
-    rng = named_rng(cfg.seed, "logreg_init")
+    rng = named_rng(seed, "logreg_init")
     limit = np.sqrt(6.0 / (f + m))
     params = np.concatenate([rng.uniform(-limit, limit, size=m * f), np.zeros(m)])
     weights, bias = params[: m * f].reshape(m, f), params[m * f :]  # views of params
@@ -236,7 +235,7 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
 def train_prm(labeled: Dataset, cfg: PrmConfig, seed: int = 0) -> PlainModel:
     """Train the configured plain model variant on labeled data."""
     if cfg.variant == "logistic_regression":
-        return train_logreg(labeled, replace(cfg.logreg, seed=seed))
+        return train_logreg(labeled, cfg.logreg, seed)
     return train_gbdt(labeled, cfg.gbdt)
 
 
@@ -245,13 +244,6 @@ def pseudo_label(model: PlainModel, unlabeled: Dataset) -> PseudoLabeledDataset:
 
     Ties break to the lowest class index; row order is preserved.
     """
-    if len(unlabeled) == 0:
-        empty = np.empty(0)
-        return PseudoLabeledDataset(
-            rows=np.empty((0, model.input_dim)),
-            labels=empty.astype(np.int64),
-            confidences=empty,
-        )
     probs = model.predict_proba_matrix(unlabeled.rows)
     labels = probs.argmax(axis=1).astype(np.int64)  # argmax keeps lowest index on ties
     confidences = probs[np.arange(probs.shape[0]), labels]

@@ -416,7 +416,7 @@ def train(
     if not validation.is_labeled or len(validation) == 0:
         raise ValueError("validation set must be labeled and nonempty")
     if not cfg.suppress_pseudo and (pseudo is None or len(pseudo) == 0):
-        raise ValueError("pseudo-labeled pool is empty (set suppress_pseudo to skip it)")
+        raise ValueError("no unlabeled rows to pseudo-label; cannot train phase II")
 
     m = labeled.schema.num_classes
     model = init_assl_model(labeled.schema.num_features, m, cfg)

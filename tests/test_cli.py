@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, artifacts, determinism, round-trips."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advssl.cli import main
-from advssl.data import SynthConfig
+from advssl.data import Dataset, DatasetSchema, SynthConfig, generate_synthetic, save_csv
 from advssl.persist import to_plain
 from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
 from advssl.prm import GbdtConfig, LogregConfig, PrmConfig
@@ -22,10 +23,37 @@ from test_persist import splits
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 
 
+def load_smoke() -> dict:
+    with open(SMOKE) as handle:
+        return json.load(handle)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_config(path, raw: dict) -> str:
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def csv_source_config(tmp_path, with_pool: bool) -> dict:
+    """Write a smoke-sized CSV source (with or without an unlabeled pool)
+    whose schema labels need CSV quoting; return its config."""
+    synth = SynthConfig(num_features=5, num_classes=3, samples_per_class=60, labeled_fraction=0.5)
+    labeled, unlabeled, _ = generate_synthetic(synth)
+    schema = DatasetSchema(labeled.schema.feature_names, ("A,1", "B", 'C"q'))
+    data = {"labeled_csv": str(tmp_path / "labeled.csv")}
+    save_csv(Dataset(schema, labeled.rows, labeled.labels), data["labeled_csv"])
+    if with_pool:
+        data["unlabeled_csv"] = str(tmp_path / "unlabeled.csv")
+        save_csv(Dataset(schema, unlabeled.rows), data["unlabeled_csv"])
+    raw = load_smoke()
+    raw.update(data=data, schema=schema.to_dict())
+    raw["assl"]["epochs"] = 4
+    return raw
 
 
 class TestRun:
@@ -71,7 +99,7 @@ class TestRun:
 
     def test_identical_seeds_give_identical_reports(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        raw = json.loads(open(SMOKE).read())
+        raw = load_smoke()
         raw["seeds"] = [0, 0]
         cfg_path.write_text(json.dumps(raw))
         from advssl.pipeline import execute_run
@@ -103,7 +131,7 @@ class TestRun:
 
     def test_two_data_sources_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        raw = json.loads(open(SMOKE).read())
+        raw = load_smoke()
         raw["data"]["labeled_csv"] = "also.csv"
         cfg.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path))
@@ -136,7 +164,7 @@ class TestRun:
     @pytest.mark.parametrize("seed", [-1, 2**32])
     def test_seed_outside_32_bits_rejected_in_config(self, tmp_path, capsys, seed):
         cfg = tmp_path / "cfg.json"
-        raw = json.loads(open(SMOKE).read())
+        raw = load_smoke()
         raw["seeds"] = [seed]
         cfg.write_text(json.dumps(raw))
         code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out", str(tmp_path))
@@ -151,6 +179,20 @@ class TestRun:
         assert code == 2
         assert err.startswith("error: code=2 ") and str(seed) in err
         assert not list(tmp_path.glob("run-*"))
+
+    def test_csv_source_without_a_pool(self, tmp_path, capsys):
+        """Only variants that train on the pseudo pool need one."""
+        raw = csv_source_config(tmp_path, with_pool=False)
+        no_pool = "error: code=3 reason=no unlabeled rows to pseudo-label; cannot train phase II\n"
+        for command, variant, want in (
+            ("run", "full", no_pool),
+            ("run", "prm_only", ""),
+            ("run", "supervised_mlp", ""),
+            ("ablate", "full", no_pool),
+        ):
+            cfg = write_config(tmp_path / f"{variant}.json", {**raw, "variant": variant})
+            code, _, err = run_cli(capsys, command, "--config", cfg, "--out", str(tmp_path))
+            assert (code, err) == (3 if want else 0, want)
 
     def test_seed_override_flag(self, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -191,15 +233,30 @@ class TestPredict:
         assert code == 0, err
         assert len(out.splitlines()) > 0
 
-    def test_empty_input_empty_output(self, trained_run, tmp_path, capsys):
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_empty_input_empty_output(self, trained_run, tmp_path, capsys, name):
         empty = tmp_path / "empty.csv"
         header = (trained_run / "test_split.csv").read_text().splitlines()[0]
         # prediction input needs features only, not the rating column
         cols = [c for c in header.split(",") if c != "rating"]
         empty.write_text(",".join(cols) + "\n")
-        code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(empty))
+        code, out, err = run_cli(capsys, "predict", str(trained_run / name), str(empty))
         assert code == 0, err
         assert out == ""
+
+    def test_quoted_labels_match_predictions_csv_cell_for_cell(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", csv_source_config(tmp_path, with_pool=True))
+        code, _, err = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path))
+        assert code == 0, err
+        seed_dir = next(tmp_path.glob("run-*/seed_0"))
+        with open(seed_dir / "predictions.csv", newline="") as handle:
+            stored = list(csv.reader(handle))[1:]
+        assert {row[0] for row in stored} & {"A,1", 'C"q'}
+        code, out, err = run_cli(
+            capsys, "predict", str(seed_dir / "model.json"), str(seed_dir / "test_split.csv")
+        )
+        assert code == 0, err
+        assert list(csv.reader(io.StringIO(out, newline=""))) == stored
 
     @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
     def test_model_file_parsed_once(self, trained_run, capsys, monkeypatch, name):
@@ -323,6 +380,16 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: advssl")
 
+    def test_tiny_classes_fail_with_only_the_error_line_on_stderr(self, tmp_path):
+        raw = load_smoke()
+        raw["data"]["synth"].update(samples_per_class=5, labeled_fraction=0.4)
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        done = run_python("-m", "advssl", "run", "--config", cfg, "--out", str(tmp_path))
+        assert done.returncode == 3
+        assert done.stderr == (
+            "error: code=3 reason=a split came out empty; adjust fractions or dataset size\n"
+        )
+
     def test_package_root_imports_no_submodule(self):
         script = (
             "import sys, advssl\n"
@@ -352,7 +419,7 @@ class TestSynth:
         code, _, err = run_cli(capsys, "synth", "--config", SMOKE, "--out", str(tmp_path))
         assert code == 0, err
         synth_dir = next(tmp_path.glob("synth-*"))
-        raw = json.loads(open(SMOKE).read())
+        raw = load_smoke()
         schema_features = [f"f{i+1}" for i in range(5)]
         cfg = {
             "data": {
@@ -378,7 +445,7 @@ class TestSynth:
 class TestAblate:
     def test_variants_present_and_cells_match_reports(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        raw = json.loads(open(SMOKE).read())
+        raw = load_smoke()
         raw["assl"]["epochs"] = 4
         raw["seeds"] = [0, 1]
         cfg_path.write_text(json.dumps(raw))
@@ -398,6 +465,22 @@ class TestAblate:
             assert row["accuracy"] == stored["metrics"]["accuracy"]
         assert (run_dir / "ablation.txt").exists()
 
+    def test_single_seed_summary_has_every_metric(self, tmp_path, capsys):
+        raw = load_smoke()
+        raw["assl"]["epochs"] = 2
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        code, _, err = run_cli(capsys, "ablate", "--config", cfg, "--out", str(tmp_path))
+        assert code == 0, err
+        table = json.loads(next(tmp_path.glob("ablate-*/ablation.json")).read_text())
+        assert table["summary"].keys() == VARIANTS.keys()
+        for row in table["rows"]:
+            summary = table["summary"][row["variant"]]
+            assert summary.keys() == {
+                "macro_precision", "macro_recall", "macro_f1", "weighted_f1", "accuracy", "runs"
+            }
+            assert summary["runs"] == 1
+            assert summary["macro_f1"] == {"mean": row["macro_f1"], "std": 0.0}
+
 
 class TestAblateWorker:
     """ablate trains supervised_mlp and no_adversarial in a forked worker;
@@ -405,8 +488,7 @@ class TestAblateWorker:
 
     @pytest.fixture
     def cfg_path(self, tmp_path):
-        with open(SMOKE) as handle:
-            raw = json.load(handle)
+        raw = load_smoke()
         raw["assl"]["epochs"] = 4
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
@@ -472,7 +554,7 @@ class TestAblateWorker:
 
 class TestConfigRoundTrip:
     def test_seed_override_preserves_variant(self, tmp_path):
-        raw = json.loads(open(SMOKE).read())
+        raw = load_smoke()
         raw["variant"] = "no_adversarial"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
@@ -532,7 +614,7 @@ class TestConfigFailsClosed:
     and one error line, before any run directory exists."""
 
     def _run(self, tmp_path, capsys, edit):
-        raw = json.loads(open(SMOKE).read())
+        raw = load_smoke()
         if edit is None:
             raw = [raw]
         else:
@@ -556,6 +638,12 @@ class TestConfigFailsClosed:
         code, _, err = self._run(tmp_path, capsys, REJECTED_CONFIGS[key])
         assert code == 2 and "non-finite number" in err, err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_logreg_seed_is_not_a_setting(self, tmp_path, capsys):
+        """The run's seed seeds Phase I; config.prm.logreg has no seed of its own."""
+        code, _, err = self._run(tmp_path, capsys, lambda raw: raw["prm"].update(logreg={"seed": 0}))
+        assert (code, err) == (2, "error: code=2 reason=config.prm.logreg has unknown key 'seed'\n")
+        assert not list(tmp_path.glob("run-*"))
 
     def test_error_names_the_path(self, tmp_path, capsys):
         _, _, err = self._run(tmp_path, capsys, REJECTED_CONFIGS["rounds_string"])

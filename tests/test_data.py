@@ -1,7 +1,6 @@
 """Data pipeline tests: schema, normalization, splits, synthesis, CSV I/O."""
 
 import os
-import warnings
 
 import numpy as np
 import pytest
@@ -120,13 +119,12 @@ class TestStratifiedSplit:
             assert split_sum == total
         assert len(tr) + len(va) + len(te) == len(ds)
 
-    def test_tiny_class_warns_and_goes_to_train(self):
+    def test_tiny_class_goes_to_train(self):
         schema = DatasetSchema(("a",), ("L0", "L1"))
         rows = np.arange(11, dtype=float).reshape(-1, 1)
         labels = np.array([0] * 10 + [1])
         ds = Dataset(schema, rows, labels)
-        with pytest.warns(UserWarning, match="class 1"):
-            tr, va, te = stratified_split(ds, (0.6, 0.2, 0.2), seed=2)
+        tr, va, te = stratified_split(ds, (0.6, 0.2, 0.2), seed=2)
         assert (tr.labels == 1).sum() == 1
 
     def test_unlabeled_input_rejected(self):
@@ -327,9 +325,7 @@ class TestProperties:
         fractions = tuple(w / sum(weights) for w in weights)
         schema = DatasetSchema(("row",), tuple(f"L{i}" for i in range(m)))
         ds = Dataset(schema, np.arange(labels.size, dtype=np.float64)[:, None], labels)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # a class smaller than the number of splits warns
-            parts = stratified_split(ds, fractions, seed)
+        parts = stratified_split(ds, fractions, seed)
         rows = np.concatenate([part.rows[:, 0] for part in parts]).astype(int)
         assert sorted(rows) == list(range(labels.size))  # every row in exactly one split
         for part in parts:

@@ -145,10 +145,16 @@ class TestAggregateRuns:
         assert abs(agg["accuracy"]["mean"] - 0.85) < 1e-12
         assert abs(agg["accuracy"]["std"] - 0.070710678) < 1e-6
 
-    def test_single_report_rejected(self):
-        rep = classification_report(confusion_matrix([0, 1], [0, 1], 2))
-        with pytest.raises(ValueError, match="at least 2"):
-            aggregate_runs([rep])
+    def test_single_report_has_zero_std(self):
+        rep = classification_report(confusion_matrix([0, 0, 1], [0, 1, 1], 2))
+        agg = aggregate_runs([rep])
+        assert agg["runs"] == 1
+        for name in ("macro_precision", "macro_recall", "macro_f1", "weighted_f1", "accuracy"):
+            assert agg[name] == {"mean": getattr(rep, name), "std": 0.0}
+
+    def test_no_reports_rejected(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            aggregate_runs([])
 
     def test_mismatched_schemas_rejected(self):
         r2 = classification_report(confusion_matrix([0, 1], [0, 1], 2))

