@@ -18,7 +18,8 @@ writes WORKER_VARIANTS while this process does prm_only and full, then
 writes the tables in VARIANTS order: every artifact has the bytes of a
 one-process run. `full` stays here: it is the longest variant (about the
 other two together), the paper's model, and the one a profile of this
-process should see.
+process should see. worker.forked owns the fork, the channel and the
+failure protocol; prm.train_gbdt forks its split worker through it too.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import csv
 import hashlib
 import json
 import os
-import pickle
 import time
 from dataclasses import dataclass, field, replace
 
@@ -56,6 +56,7 @@ from .persist import ConfigError, finite_number, from_plain, to_plain, write_jso
 from .persist import save_assl_model, save_plain_model
 from .prm import PlainModel, PrmConfig, pseudo_label, train_prm
 from .trainer import AsslConfig, predict_proba_matrix, train
+from .worker import WorkerTraceback, forked  # WorkerTraceback: re-exported
 
 # Variant name -> AsslConfig overrides (None: the Phase-I model alone), in ablate order.
 VARIANTS = {
@@ -139,6 +140,7 @@ class PreparedSeed:
     pseudo: object  # PseudoLabeledDataset
     prm_model: PlainModel
     assl_cfg: AsslConfig
+    seconds: dict  # phase -> seconds: prepare, phase1_fit, pseudo_label
 
 
 def _load_source(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset | None]:
@@ -159,6 +161,7 @@ def _load_source(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset | None]:
 
 
 def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
+    t0 = time.monotonic()
     labeled, unlabeled = _load_source(cfg, seed)
     train_raw, val_raw, test_raw = stratified_split(labeled, cfg.split, seed)
     if len(train_raw) == 0 or len(val_raw) == 0 or len(test_raw) == 0:
@@ -167,10 +170,14 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     train = apply_normalizer(normalizer, train_raw)
     val = apply_normalizer(normalizer, val_raw)
     test = apply_normalizer(normalizer, test_raw)
-    prm_model = train_prm(train, cfg.prm, seed=seed)
     if unlabeled is None:
         unlabeled = Dataset(labeled.schema, np.empty((0, labeled.schema.num_features)))
-    pseudo = pseudo_label(prm_model, apply_normalizer(normalizer, unlabeled))
+    unlabeled = apply_normalizer(normalizer, unlabeled)
+    t1 = time.monotonic()
+    prm_model = train_prm(train, cfg.prm, seed=seed)
+    t2 = time.monotonic()
+    pseudo = pseudo_label(prm_model, unlabeled)
+    t3 = time.monotonic()
     return PreparedSeed(
         seed=seed,
         schema=labeled.schema,
@@ -182,6 +189,11 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
         pseudo=pseudo,
         prm_model=prm_model,
         assl_cfg=replace(cfg.assl, seed=seed),
+        seconds={
+            "prepare": round(t1 - t0, 3),
+            "phase1_fit": round(t2 - t1, 3),
+            "pseudo_label": round(t3 - t2, 3),
+        },
     )
 
 
@@ -278,16 +290,26 @@ def _run_manifest(cfg: RunConfig, run_dir: str):
 
 
 def execute_run(cfg: RunConfig, output_root: str) -> dict:
-    """cmd_run body: one variant (per config) across all seeds, plus aggregate."""
+    """cmd_run body: one variant (per config) across all seeds, plus aggregate.
+
+    The manifest's timings_sec gains, per seed, seed_<s> (the whole seed)
+    and seed_<s>/<phase> for the phases prepare (load, split, normalize),
+    phase1_fit, pseudo_label and variant (train, evaluate, write).
+    """
     run_dir = os.path.join(output_root, f"run-{cfg.config_hash()}")
     reports = []
     with _run_manifest(cfg, run_dir) as manifest:
+        timings = manifest["timings_sec"]
         for seed in cfg.seeds:
             t_seed = time.monotonic()
             prep = prepare_seed(cfg, seed)
+            t_variant = time.monotonic()
             paths, report = run_variant(prep, cfg.variant, os.path.join(run_dir, f"seed_{seed}"))
+            t_end = time.monotonic()
             manifest["artifacts"][f"seed_{seed}"] = paths
-            manifest["timings_sec"][f"seed_{seed}"] = round(time.monotonic() - t_seed, 3)
+            timings.update({f"seed_{seed}/{k}": t for k, t in prep.seconds.items()})
+            timings[f"seed_{seed}/variant"] = round(t_end - t_variant, 3)
+            timings[f"seed_{seed}"] = round(t_end - t_seed, 3)
             reports.append(report)
         if len(reports) >= 2:
             agg_path = os.path.join(run_dir, "aggregate.json")
@@ -296,61 +318,22 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
     return {"run_dir": run_dir, "reports": reports}
 
 
-class WorkerTraceback(Exception):
-    """The ablation worker's formatted traceback, chained as the cause of the
-    worker's exception when that is raised again in this process."""
-
-
 def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
     """Train, evaluate and write every variant of one prepared seed, with
-    WORKER_VARIANTS in a forked worker; return variant -> (artifact paths,
-    report, seconds in the process that ran it). The worker's exception is
-    raised here again (same type and message) from a WorkerTraceback that
-    holds the worker's frames, a worker that ends without a result raises
-    ChildProcessError, a failure here kills the worker, and the worker is
-    reaped on every path."""
+    WORKER_VARIANTS in a forked worker (worker.forked); return variant ->
+    (artifact paths, report, seconds in the process that ran it)."""
 
     def train_and_write(variant):
         t0 = time.monotonic()
         paths, report = run_variant(prep, variant, os.path.join(seed_dir, variant))
         return paths, report, round(time.monotonic() - t0, 3)
 
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker: os._exit skips the parent's atexit handlers and stdio buffers
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, {v: train_and_write(v) for v in WORKER_VARIANTS})
-            except BaseException as exc:
-                import traceback  # like signal below: importing the package loads neither
+    def train_in_worker(parent):
+        parent.send({v: train_and_write(v) for v in WORKER_VARIANTS})
 
-                payload = (False, (exc, traceback.format_exc()))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(payload))
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            done = {v: train_and_write(v) for v in VARIANTS if v not in WORKER_VARIANTS}
-            sent = pipe.read()
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if not sent:
-        code = os.waitstatus_to_exitcode(status)
-        raise ChildProcessError(f"ablation worker ended without a result (exit code {code})")
-    ok, value = pickle.loads(sent)
-    if not ok:
-        exc, frames = value
-        raise exc from WorkerTraceback(frames)
-    return {**done, **value}
+    with forked(train_in_worker, "ablation worker") as worker:
+        done = {v: train_and_write(v) for v in VARIANTS if v not in WORKER_VARIANTS}
+        return {**done, **worker.recv()}
 
 
 def execute_ablation(cfg: RunConfig, output_root: str) -> dict:

@@ -23,7 +23,8 @@ from .nnet import (
     softmax,
     softmax_backward,
 )
-from .tree import RegressionTree, fit_regression_tree, presort
+from .tree import RegressionTree, fit_regression_tree, presort, serve_split_worker
+from .worker import forked
 
 VARIANTS = ("logistic_regression", "gbdt")
 
@@ -179,6 +180,15 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     residuals y_k - p_k; class scores move by shrinkage * tree. Training
     log-loss must never increase from one round to the next (checked each
     round, with 1e-12 slack for float accumulation).
+
+    Every tree's split search runs on both CPUs. After the presort this
+    call forks one split worker (worker.forked), which inherits x and the
+    presort. Per tree, the residual column (n float64) goes to the worker;
+    then, once per tree level, each process sends the other its block's
+    best (gain, feature, threshold) per node (see tree.py). The worker
+    keeps nothing; the trees, the scores and the loss guard live here. The
+    worker ends when this call closes the channel, or is killed when this
+    call raises, and is reaped before the call returns.
     """
     cfg = cfg or GbdtConfig()
     _check_labeled(labeled)
@@ -201,23 +211,28 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     losses = [categorical_ce(probs, labels)]
     trees: list[list[RegressionTree]] = []
     presorted = presort(x)  # every tree fits the same x
-    for t in range(cfg.rounds):
-        round_trees = []
-        for k in range(m):
-            tree = fit_regression_tree(
-                x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count, presorted
-            )
-            scores[:, k] += cfg.shrinkage * tree.fitted
-            tree.fitted = None  # the model keeps the nodes, not n values per tree
-            round_trees.append(tree)
-        trees.append(round_trees)
-        probs = softmax(scores)  # this round's loss and the next round's residuals
-        loss = categorical_ce(probs, labels)
-        if loss > losses[-1] + 1e-12:
-            raise DivergenceError(
-                f"training log-loss increased at round {t}: {losses[-1]} -> {loss}"
-            )
-        losses.append(loss)
+
+    def split_worker(peer):
+        serve_split_worker(peer, x, presorted, cfg.max_depth, cfg.min_leaf_count)
+
+    with forked(split_worker, "split worker") as peer:
+        for t in range(cfg.rounds):
+            round_trees = []
+            for k in range(m):
+                tree = fit_regression_tree(
+                    x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count, presorted, peer
+                )
+                scores[:, k] += cfg.shrinkage * tree.fitted
+                tree.fitted = None  # the model keeps the nodes, not n values per tree
+                round_trees.append(tree)
+            trees.append(round_trees)
+            probs = softmax(scores)  # this round's loss and the next round's residuals
+            loss = categorical_ce(probs, labels)
+            if loss > losses[-1] + 1e-12:
+                raise DivergenceError(
+                    f"training log-loss increased at round {t}: {losses[-1]} -> {loss}"
+                )
+            losses.append(loss)
     return PlainModel(
         variant="gbdt",
         input_dim=x.shape[1],

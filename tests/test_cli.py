@@ -19,6 +19,7 @@ from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
 from advssl.prm import GbdtConfig, LogregConfig, PrmConfig
 from advssl.trainer import INFERENCE_HEADS, AsslConfig
 from test_persist import splits
+from test_prm import time_limit
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 
@@ -550,6 +551,58 @@ class TestAblateWorker:
         assert proc.stdout.count("buffered before the fork") == 1
         assert proc.stdout.count("exit handler") == 1
         assert proc.stdout.count("ablation complete") == 1
+
+
+class TestRunSplitWorker:
+    """run's GBDT Phase I searches half of the features in a forked split
+    worker; its failures end like any other, and it leaves no process behind."""
+
+    def test_worker_ending_mid_fit_exits_3(self, tmp_path, capsys, monkeypatch):
+        from advssl import tree
+
+        here, real = os.getpid(), tree.best_split
+
+        def best_split(*args):
+            return real(*args) if os.getpid() == here else os._exit(1)
+
+        monkeypatch.setattr(tree, "best_split", best_split)
+        with time_limit(30):
+            code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
+        assert code == 3
+        assert err == "error: code=3 reason=split worker ended without a result (exit code 1)\n"
+        TestAblateWorker.assert_no_child_left()
+
+    def test_loss_guard_here_exits_4_and_leaves_no_child(self, tmp_path, capsys, monkeypatch):
+        from itertools import count
+
+        from advssl import prm
+
+        losses = count()
+        monkeypatch.setattr(prm, "categorical_ce", lambda probs, labels: next(losses))
+        code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("error: code=4 ")
+        TestAblateWorker.assert_no_child_left()
+
+    def test_worker_skips_exit_handlers_and_buffered_output(self, tmp_path):
+        # As for ablate: the split worker must not flush this copy of the
+        # stdout buffer or run the atexit handlers.
+        script = (
+            "import atexit, sys\n"
+            "from advssl.cli import main\n"
+            "atexit.register(print, 'exit handler')\n"
+            "print('buffered before the fork')\n"
+            f"sys.exit(main(['run', '--config', {SMOKE!r}, '--out', {str(tmp_path)!r}]))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("buffered before the fork") == 1
+        assert proc.stdout.count("exit handler") == 1
+        assert proc.stdout.count("run complete") == 1
 
 
 class TestConfigRoundTrip:

@@ -16,6 +16,7 @@ from advssl.pipeline import (
     WORKER_VARIANTS,
     ConfigError,
     execute_ablation,
+    execute_run,
     load_config,
     parse_config,
     prepare_seed,
@@ -192,6 +193,22 @@ class TestArtifactWriters:
             write_predictions_csv(path, schema, probs)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["predictions.csv"]
+
+
+class TestRunTimings:
+    def test_manifest_times_each_phase_of_each_seed(self, smoke_cfg, tmp_path):
+        cfg = replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=2), seeds=(3, 4))
+        run_dir = execute_run(cfg, str(tmp_path))["run_dir"]
+        with open(os.path.join(run_dir, "manifest.json")) as handle:
+            timings = json.load(handle)["timings_sec"]
+        phases = ("prepare", "phase1_fit", "pseudo_label", "variant")
+        assert set(timings) == {"total"} | {
+            key for s in cfg.seeds for key in [f"seed_{s}"] + [f"seed_{s}/{p}" for p in phases]
+        }
+        assert all(0.0 <= t <= timings["total"] for t in timings.values())
+        for s in cfg.seeds:
+            parts = sum(timings[f"seed_{s}/{p}"] for p in phases)
+            assert parts <= timings[f"seed_{s}"] + 0.002  # each part rounded to 1 ms
 
 
 def assert_no_child_left():

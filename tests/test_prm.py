@@ -1,10 +1,15 @@
 """Phase-I model tests: logistic regression, GBDT boosting, pseudo-labels."""
 
+import contextlib
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from advssl import tree as tree_module
 from advssl.data import Dataset, DatasetSchema
-from advssl.nnet import grad_check, softmax
+from advssl.nnet import DivergenceError, categorical_ce, grad_check, softmax
 from advssl.persist import to_plain
 from advssl.prm import (
     GbdtConfig,
@@ -18,7 +23,8 @@ from advssl.prm import (
     train_logreg,
     train_prm,
 )
-from advssl.tree import TreeNode, RegressionTree
+from advssl.tree import TreeNode, RegressionTree, fit_regression_tree
+from advssl.worker import WorkerTraceback, forked
 
 
 def small_schema(num_features=2, num_classes=3):
@@ -168,6 +174,177 @@ class TestGbdt:
         np.testing.assert_array_equal(
             a.predict_proba_matrix(grid), b.predict_proba_matrix(grid)
         )
+
+
+def serial_boosting(ds: Dataset, cfg: GbdtConfig):
+    """(trees under to_plain, train_loss) of softmax boosting with every tree
+    fitted in this process over all features: the one-process definition."""
+    x, labels = ds.rows, ds.labels
+    n, m = x.shape[0], ds.schema.num_classes
+    counts = np.bincount(labels, minlength=m).astype(np.float64)
+    base = np.log(counts / n) if (counts > 0).all() else np.log((counts + 1.0) / (n + m))
+    scores = np.tile(base, (n, 1))
+    y = np.eye(m)[labels]
+    probs = softmax(scores)
+    losses, trees = [categorical_ce(probs, labels)], []
+    for _ in range(cfg.rounds):
+        fitted = [
+            fit_regression_tree(x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count)
+            for k in range(m)
+        ]
+        for k, tree in enumerate(fitted):
+            scores[:, k] += cfg.shrinkage * tree.fitted
+        trees.append([to_plain(t) for t in fitted])
+        probs = softmax(scores)
+        losses.append(categorical_ce(probs, labels))
+    return trees, losses
+
+
+def boosting_case(seed, num_features, num_classes=3, n=90, integer=False):
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, num_classes, n)
+    if integer:  # heavy ties in value and in gain
+        rows = rng.integers(0, 4, size=(n, num_features)).astype(float)
+        rows[:, 0] += labels
+    else:
+        rows = rng.normal(size=(n, num_features))
+        rows[:, -1] += labels  # the signal lies in the worker's block
+    return Dataset(small_schema(num_features, num_classes), rows, labels)
+
+
+def split_features(model):
+    def walk(node):
+        if "feature" in node:
+            yield node["feature"]
+            yield from walk(node["left"])
+            yield from walk(node["right"])
+
+    return {f for rnd in model.gbdt.trees for t in rnd for f in walk(to_plain(t)["root"])}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after seconds: a hang fails, not stalls, the test."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSplitWorker:
+    """train_gbdt searches features [0, h) here and [h, F) in a forked split
+    worker; its trees and losses are the one-process ones, bit for bit."""
+
+    def assert_serial(self, ds, cfg):
+        model = train_gbdt(ds, cfg)
+        assert_no_child_left()
+        trees, losses = serial_boosting(ds, cfg)
+        assert [[to_plain(t) for t in rnd] for rnd in model.gbdt.trees] == trees
+        assert model.gbdt.train_loss == losses
+        return model
+
+    @pytest.mark.parametrize("num_features", [1, 2, 5])
+    def test_trees_equal_one_process_trees(self, num_features):
+        cfg = GbdtConfig(rounds=6, max_depth=3, shrinkage=0.3, min_leaf_count=2)
+        model = self.assert_serial(boosting_case(num_features, num_features), cfg)
+        if num_features > 1:  # both blocks won splits
+            used = split_features(model)
+            assert min(used) < (num_features + 1) // 2 <= max(used)
+
+    def test_gain_ties_across_the_blocks_go_to_the_lower_feature(self):
+        ds = boosting_case(7, 2, integer=True)
+        # Features 2, 3 (the worker's block) repeat 0, 1: every gain ties across the blocks.
+        twin = Dataset(small_schema(4, 3), np.hstack([ds.rows, ds.rows]), ds.labels)
+        cfg = GbdtConfig(rounds=5, max_depth=3, shrinkage=0.3, min_leaf_count=1)
+        model = self.assert_serial(twin, cfg)
+        assert split_features(model) <= {0, 1}
+        single = train_gbdt(ds, cfg)
+        assert [[to_plain(t) for t in r] for r in model.gbdt.trees] == [
+            [to_plain(t) for t in r] for r in single.gbdt.trees
+        ]
+
+    @pytest.mark.parametrize("max_depth", range(5))
+    def test_every_depth(self, max_depth):
+        cfg = GbdtConfig(rounds=4, max_depth=max_depth, shrinkage=0.3, min_leaf_count=1)
+        self.assert_serial(boosting_case(20 + max_depth, 7, integer=max_depth % 2 == 1), cfg)
+
+    def test_levels_swapped_in_several_messages(self, monkeypatch):
+        monkeypatch.setattr(tree_module, "_CHUNK", 3)  # a depth-2 level has 4 nodes
+        cfg = GbdtConfig(rounds=4, max_depth=4, shrinkage=0.3, min_leaf_count=1)
+        self.assert_serial(boosting_case(25, 6), cfg)
+
+    def test_swap_of_a_level_larger_than_two_pipe_buffers_completes(self):
+        # 3,000 candidates of 25 pickled bytes per side: sent as one message
+        # each, both sides would block in write forever.
+        mine = [(float(i), 2**31 - 1 - i, -float(i)) for i in range(3000)]
+        theirs = [(-float(i), i, float(i) / 7) for i in range(3000)]
+
+        def peer_side(peer):
+            peer.send(tree_module._swap(peer, theirs))
+
+        with time_limit(20), forked(peer_side, "swap peer") as peer:
+            assert tree_module._swap(peer, mine) == theirs
+            assert peer.recv() == mine
+        assert_no_child_left()
+
+    def test_min_leaf_count_that_forbids_every_split(self):
+        cfg = GbdtConfig(rounds=3, max_depth=3, min_leaf_count=46)  # 90 rows: no side keeps 46
+        model = self.assert_serial(boosting_case(30, 4), cfg)
+        assert split_features(model) == set()
+
+    def test_no_rounds(self):
+        model = self.assert_serial(boosting_case(31, 3), GbdtConfig(rounds=0))
+        assert model.gbdt.trees == [] and len(model.gbdt.train_loss) == 1
+
+    @staticmethod
+    def in_worker_only(monkeypatch, action):
+        """Make best_split run action() in the split worker; this process searches as usual."""
+        here, real = os.getpid(), tree_module.best_split
+
+        def best_split(*args):
+            return real(*args) if os.getpid() == here else action()
+
+        monkeypatch.setattr(tree_module, "best_split", best_split)
+
+    def test_worker_ending_mid_fit_raises_child_process_error(self, monkeypatch):
+        self.in_worker_only(monkeypatch, lambda: os._exit(1))
+        with time_limit(20), pytest.raises(ChildProcessError, match="^split worker ended .*code 1"):
+            train_gbdt(boosting_case(40, 5), GbdtConfig(rounds=3))
+        assert_no_child_left()
+
+    def test_worker_exception_raised_here_with_its_type_and_message(self, monkeypatch):
+        def fail_in_worker():
+            raise ArithmeticError("split search failed in the worker")
+
+        self.in_worker_only(monkeypatch, fail_in_worker)
+        with pytest.raises(ArithmeticError, match="^split search failed in the worker$") as info:
+            train_gbdt(boosting_case(41, 5), GbdtConfig(rounds=3))
+        assert_no_child_left()
+        assert isinstance(info.value.__cause__, WorkerTraceback)
+        assert "in fail_in_worker" in str(info.value.__cause__)
+
+    def test_loss_guard_here_kills_and_reaps_the_worker(self, monkeypatch):
+        from itertools import count
+
+        from advssl import prm
+
+        losses = count()
+        monkeypatch.setattr(prm, "categorical_ce", lambda probs, labels: next(losses))
+        with pytest.raises(DivergenceError, match="increased at round 0"):
+            train_gbdt(boosting_case(42, 5), GbdtConfig(rounds=3))
+        assert_no_child_left()
 
 
 class TestPredictProba:
