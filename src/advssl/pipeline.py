@@ -18,8 +18,8 @@ writes WORKER_VARIANTS while this process does prm_only and full, then
 writes the tables in VARIANTS order: every artifact has the bytes of a
 one-process run. `full` stays here: it is the longest variant (about the
 other two together), the paper's model, and the one a profile of this
-process should see. worker.forked owns the fork, the channel and the
-failure protocol; prm.train_gbdt forks its split worker through it too.
+process should see. worker.forked owns the fork, the pipe and the
+failure protocol.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .persist import ConfigError, finite_number, from_plain, to_plain, write_jso
 from .persist import save_assl_model, save_plain_model
 from .prm import PlainModel, PrmConfig, pseudo_label, train_prm
 from .trainer import AsslConfig, predict_proba_matrix, train
-from .worker import WorkerTraceback, forked  # WorkerTraceback: re-exported
+from .worker import forked
 
 # Variant name -> AsslConfig overrides (None: the Phase-I model alone), in ablate order.
 VARIANTS = {
@@ -328,31 +328,35 @@ def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
         paths, report = run_variant(prep, variant, os.path.join(seed_dir, variant))
         return paths, report, round(time.monotonic() - t0, 3)
 
-    def train_in_worker(parent):
-        parent.send({v: train_and_write(v) for v in WORKER_VARIANTS})
+    def train_in_worker():
+        return {v: train_and_write(v) for v in WORKER_VARIANTS}
 
-    with forked(train_in_worker, "ablation worker") as worker:
+    with forked(train_in_worker, "ablation worker") as worker_result:
         done = {v: train_and_write(v) for v in VARIANTS if v not in WORKER_VARIANTS}
-        return {**done, **worker.recv()}
+        return {**done, **worker_result()}
 
 
 def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
     """cmd_ablate body: all ablation variants on identical data and seeds.
 
-    The manifest's timings_sec gains seed_<s>/<variant>: the seconds that
-    variant took to train, evaluate and write in its own process.
+    The manifest's timings_sec gains, per seed, seed_<s>/<phase> for the
+    phases prepare, phase1_fit and pseudo_label (as in execute_run), and
+    seed_<s>/<variant>: the seconds that variant took to train, evaluate and
+    write in its own process.
     """
     run_dir = os.path.join(output_root, f"ablate-{cfg.config_hash()}")
     rows = []
     by_variant: dict[str, list[MetricsReport]] = {v: [] for v in VARIANTS}
     with _run_manifest(cfg, run_dir) as manifest:
+        timings = manifest["timings_sec"]
         for seed in cfg.seeds:
             prep = prepare_seed(cfg, seed)
+            timings.update({f"seed_{seed}/{k}": t for k, t in prep.seconds.items()})
             done = _train_seed_variants(prep, os.path.join(run_dir, f"seed_{seed}"))
             for variant in VARIANTS:
                 paths, report, seconds = done[variant]
                 manifest["artifacts"][f"seed_{seed}/{variant}"] = paths
-                manifest["timings_sec"][f"seed_{seed}/{variant}"] = seconds
+                timings[f"seed_{seed}/{variant}"] = seconds
                 by_variant[variant].append(report)
                 rows.append(
                     {

@@ -15,16 +15,8 @@ two distinct values. Ties go to the lowest feature index, then to the
 smallest threshold. The trees are the ones a per-node stable sort of
 each feature would give, bit for bit.
 
-A tree grows level by level (_grow): every node of a level that may split
-is searched, then each one splits or becomes a leaf. A fit may share the
-search with a split worker (serve_split_worker in another process, see
-prm.train_gbdt): this process searches the block of features [0, h), the
-worker the block [h, F), h = ceil(F/2), and each keeps only its block's
-sorted lists. Once per level the two swap their blocks' best candidates
-and both take, per node, the higher gain, ties going to the lower block.
-That is best_split's first-max rule over all features, so the trees are
-the one-process trees bit for bit. Without a worker the same loop searches
-every feature and swaps nothing.
+Trees grow level by level (_grow), in this process: every node of a level
+is searched, then split or made a leaf.
 
 Prediction walks a tree in blocks of three levels over x.T (_evaluate):
 a depth-3 tree is seven vectorised tests and one gather, bit for bit.
@@ -32,7 +24,6 @@ a depth-3 tree is seven vectorised tests and one gather, bit for bit.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,63 +178,26 @@ def best_split(
 def _keep(at: np.ndarray, rows: np.ndarray, values: np.ndarray, size: int):
     """The (F, n) sorted lists restricted to the flat positions at, size per
     feature, order kept."""
-    shape = (rows.shape[0], size)  # every feature keeps the same rows; F may be 0
+    shape = (rows.shape[0], size)  # every feature keeps the same rows
     return rows.take(at).reshape(shape), values.take(at).reshape(shape)
 
 
-def _winner(low, high):
-    """The better of two blocks' candidates for one node (either may be None):
-    the higher gain, ties going to low, the block of the lower features."""
-    return high if high is not None and (low is None or high[0] > low[0]) else low
-
-
-# Candidates per exchange message: at most 25 pickled bytes each, so the
-# <= 2 messages a pipe can hold at once fit a 64 KiB Linux pipe, and both
-# sides may send before they read without a deadlock.
-_CHUNK = 1024
-
-
-def _swap(peer, mine: list) -> list:
-    """The peer's candidates for the nodes of mine: each side sends first, so
-    the side that finishes its search later never waits."""
-    theirs = []
-    for start in range(0, len(mine), _CHUNK):
-        peer.send(mine[start : start + _CHUNK])
-        theirs += peer.recv()
-    return theirs
-
-
-def _grow(x, targets, max_depth, min_leaf_count, rows, values, first, peer):
-    """(root, fitted) of the tree grown level by level, searching the presorted
-    block (rows, values) of features [first, first + len(rows)).
-
-    peer (None: a single block) is the channel to the process that searches
-    the other block; the two swap candidates once per level in which some
-    node may split. The block that starts at feature 0 is the lower one.
-    """
+def _grow(x, targets, max_depth, min_leaf_count, rows, values):
+    """(root, fitted) of the tree grown level by level from the presorted
+    lists (rows, values) of all features."""
     n = x.shape[0]
     fitted = np.empty(n)
     root = TreeNode()
     level = [(root, np.arange(n), rows, values)]
     for depth in range(max_depth + 1):
-        found, may_split = [], False
-        for _, idx, rows, values in level:
+        children = []
+        for node, idx, rows, values in level:
             best = None
             # A split needs depth left, min_leaf_count rows per side and non-constant targets.
             if depth < max_depth and idx.shape[0] >= 2 * min_leaf_count:
                 ys = targets[idx]
                 if ys.min() != ys.max():
-                    may_split = True
                     best = best_split(rows, values, targets, ys.sum(), min_leaf_count)
-                    if best is not None:
-                        best = (best[0], first + best[1], best[2])
-            found.append(best)
-        if peer is not None and may_split:
-            theirs = _swap(peer, found)
-            pairs = zip(found, theirs) if first == 0 else zip(theirs, found)  # (lower, upper)
-            found = [_winner(low, high) for low, high in pairs]
-        children = []
-        for (node, idx, rows, values), best in zip(level, found):
             if best is None:
                 node.value = float(targets[idx].mean())
                 fitted[idx] = node.value
@@ -265,28 +219,19 @@ def _grow(x, targets, max_depth, min_leaf_count, rows, values, first, peer):
     return root, fitted
 
 
-def _split_point(num_features: int) -> int:
-    """h: this process searches features [0, h), a split worker [h, F)."""
-    return (num_features + 1) // 2
-
-
 def fit_regression_tree(
     x: np.ndarray,
     targets: np.ndarray,
     max_depth: int,
     min_leaf_count: int = 1,
     presorted: tuple[np.ndarray, np.ndarray] | None = None,
-    peer=None,
 ) -> RegressionTree:
     """Greedy exact least-squares tree.
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
     side, on constant targets, and on zero SSE gain. presorted, when given,
     is presort(x); otherwise x is sorted here. The tree's `fitted` holds
-    each row's leaf value. peer, when given, is the channel to a split
-    worker running serve_split_worker on the same x, presort, max_depth and
-    min_leaf_count: the targets go to it, this process searches features
-    [0, h) and the worker [h, F), in step level by level.
+    each row's leaf value.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -307,24 +252,7 @@ def fit_regression_tree(
         raise ValueError(
             f"presorted must be two arrays of shape {expected} (features, rows)"
         )
-    rows, values = presorted
-    if peer is not None:
-        peer.send(targets)
-        h = _split_point(x.shape[1])
-        rows, values = rows[:h], values[:h]
-    root, fitted = _grow(x, targets, max_depth, min_leaf_count, rows, values, 0, peer)
+    root, fitted = _grow(x, targets, max_depth, min_leaf_count, *presorted)
     tree = RegressionTree(root, max_depth, min_leaf_count)
     tree.fitted = fitted
     return tree
-
-
-def serve_split_worker(peer, x: np.ndarray, presorted, max_depth: int, min_leaf_count: int):
-    """A split worker's body: for each targets column that arrives on peer,
-    grow the tree over features [h, F) in step with the fit_regression_tree
-    call that sent it, and keep nothing; return when peer closes."""
-    x = np.asarray(x, dtype=np.float64)
-    h = _split_point(x.shape[1])
-    rows, values = presorted[0][h:], presorted[1][h:]
-    with contextlib.suppress(EOFError):  # the fitting process closed the channel
-        while True:
-            _grow(x, peer.recv(), max_depth, min_leaf_count, rows, values, h, peer)

@@ -16,10 +16,10 @@ from advssl.cli import main
 from advssl.data import Dataset, DatasetSchema, SynthConfig, generate_synthetic, save_csv
 from advssl.persist import to_plain
 from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
-from advssl.prm import GbdtConfig, LogregConfig, PrmConfig
+from advssl.prm import GbdtConfig, LogregConfig, PrmConfig, train_gbdt
 from advssl.trainer import INFERENCE_HEADS, AsslConfig
 from test_persist import splits
-from test_prm import time_limit
+from test_pipeline import assert_no_child_left
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 
@@ -152,6 +152,17 @@ class TestRun:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"].startswith("DivergenceError: ")
+
+    def test_phase1_forks_nothing(self, tmp_path, capsys, monkeypatch):
+        def fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        cfg = load_config(SMOKE)
+        labeled, _, _ = generate_synthetic(cfg.data.synth)
+        assert len(train_gbdt(labeled, cfg.prm.gbdt).gbdt.trees) == cfg.prm.gbdt.rounds
+        code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
+        assert code == 0, err
 
     def test_output_root_under_a_file_exits_3(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -506,10 +517,7 @@ class TestAblateWorker:
 
         monkeypatch.setattr(pipeline, "run_variant", run_variant)
 
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left = staticmethod(assert_no_child_left)
 
     def test_divergence_in_the_worker_exits_4(self, cfg_path, tmp_path, capsys, monkeypatch):
         from advssl.trainer import DivergenceError
@@ -551,58 +559,6 @@ class TestAblateWorker:
         assert proc.stdout.count("buffered before the fork") == 1
         assert proc.stdout.count("exit handler") == 1
         assert proc.stdout.count("ablation complete") == 1
-
-
-class TestRunSplitWorker:
-    """run's GBDT Phase I searches half of the features in a forked split
-    worker; its failures end like any other, and it leaves no process behind."""
-
-    def test_worker_ending_mid_fit_exits_3(self, tmp_path, capsys, monkeypatch):
-        from advssl import tree
-
-        here, real = os.getpid(), tree.best_split
-
-        def best_split(*args):
-            return real(*args) if os.getpid() == here else os._exit(1)
-
-        monkeypatch.setattr(tree, "best_split", best_split)
-        with time_limit(30):
-            code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
-        assert code == 3
-        assert err == "error: code=3 reason=split worker ended without a result (exit code 1)\n"
-        TestAblateWorker.assert_no_child_left()
-
-    def test_loss_guard_here_exits_4_and_leaves_no_child(self, tmp_path, capsys, monkeypatch):
-        from itertools import count
-
-        from advssl import prm
-
-        losses = count()
-        monkeypatch.setattr(prm, "categorical_ce", lambda probs, labels: next(losses))
-        code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
-        assert code == 4
-        assert len(err.splitlines()) == 1 and err.startswith("error: code=4 ")
-        TestAblateWorker.assert_no_child_left()
-
-    def test_worker_skips_exit_handlers_and_buffered_output(self, tmp_path):
-        # As for ablate: the split worker must not flush this copy of the
-        # stdout buffer or run the atexit handlers.
-        script = (
-            "import atexit, sys\n"
-            "from advssl.cli import main\n"
-            "atexit.register(print, 'exit handler')\n"
-            "print('buffered before the fork')\n"
-            f"sys.exit(main(['run', '--config', {SMOKE!r}, '--out', {str(tmp_path)!r}]))\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("buffered before the fork") == 1
-        assert proc.stdout.count("exit handler") == 1
-        assert proc.stdout.count("run complete") == 1
 
 
 class TestConfigRoundTrip:

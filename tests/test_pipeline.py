@@ -24,6 +24,7 @@ from advssl.pipeline import (
     write_predictions_csv,
 )
 from advssl.trainer import DivergenceError, train
+from advssl.worker import WorkerTraceback
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 
@@ -278,7 +279,8 @@ class TestAblationWorker:
         run_dir = execute_ablation(replace(cfg, seeds=(3,)), str(tmp_path))["run_dir"]
         with open(os.path.join(run_dir, "manifest.json")) as handle:
             timings = json.load(handle)["timings_sec"]
-        assert set(timings) == {"total"} | {f"seed_3/{v}" for v in VARIANTS}
+        phases = ("prepare", "phase1_fit", "pseudo_label")
+        assert set(timings) == {"total"} | {f"seed_3/{k}" for k in (*phases, *VARIANTS)}
         assert all(0.0 <= t <= timings["total"] for t in timings.values())
 
     def test_worker_exception_raised_here_with_its_type_and_message(
@@ -305,7 +307,7 @@ class TestAblationWorker:
             execute_ablation(cfg, str(tmp_path))
         assert_no_child_left()
         cause = info.value.__cause__
-        assert isinstance(cause, pipeline.WorkerTraceback)
+        assert isinstance(cause, WorkerTraceback)
         assert "return None + 1  # raises TypeError in the worker" in str(cause)
         assert "in add_to_none" in str(cause)
 

@@ -1,13 +1,8 @@
 """Phase-I model tests: logistic regression, GBDT boosting, pseudo-labels."""
 
-import contextlib
-import os
-import signal
-
 import numpy as np
 import pytest
 
-from advssl import tree as tree_module
 from advssl.data import Dataset, DatasetSchema
 from advssl.nnet import DivergenceError, categorical_ce, grad_check, softmax
 from advssl.persist import to_plain
@@ -24,7 +19,6 @@ from advssl.prm import (
     train_prm,
 )
 from advssl.tree import TreeNode, RegressionTree, fit_regression_tree
-from advssl.worker import WorkerTraceback, forked
 
 
 def small_schema(num_features=2, num_classes=3):
@@ -208,7 +202,7 @@ def boosting_case(seed, num_features, num_classes=3, n=90, integer=False):
         rows[:, 0] += labels
     else:
         rows = rng.normal(size=(n, num_features))
-        rows[:, -1] += labels  # the signal lies in the worker's block
+        rows[:, -1] += labels  # the signal lies in the last feature
     return Dataset(small_schema(num_features, num_classes), rows, labels)
 
 
@@ -222,34 +216,11 @@ def split_features(model):
     return {f for rnd in model.gbdt.trees for t in rnd for f in walk(to_plain(t)["root"])}
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@contextlib.contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the block after seconds: a hang fails, not stalls, the test."""
-
-    def expired(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-class TestSplitWorker:
-    """train_gbdt searches features [0, h) here and [h, F) in a forked split
-    worker; its trees and losses are the one-process ones, bit for bit."""
+class TestBoosting:
+    """train_gbdt's trees and losses are those of serial_boosting, bit for bit."""
 
     def assert_serial(self, ds, cfg):
         model = train_gbdt(ds, cfg)
-        assert_no_child_left()
         trees, losses = serial_boosting(ds, cfg)
         assert [[to_plain(t) for t in rnd] for rnd in model.gbdt.trees] == trees
         assert model.gbdt.train_loss == losses
@@ -258,14 +229,11 @@ class TestSplitWorker:
     @pytest.mark.parametrize("num_features", [1, 2, 5])
     def test_trees_equal_one_process_trees(self, num_features):
         cfg = GbdtConfig(rounds=6, max_depth=3, shrinkage=0.3, min_leaf_count=2)
-        model = self.assert_serial(boosting_case(num_features, num_features), cfg)
-        if num_features > 1:  # both blocks won splits
-            used = split_features(model)
-            assert min(used) < (num_features + 1) // 2 <= max(used)
+        self.assert_serial(boosting_case(num_features, num_features), cfg)
 
-    def test_gain_ties_across_the_blocks_go_to_the_lower_feature(self):
+    def test_gain_ties_across_features_go_to_the_lower_feature(self):
         ds = boosting_case(7, 2, integer=True)
-        # Features 2, 3 (the worker's block) repeat 0, 1: every gain ties across the blocks.
+        # Features 2, 3 repeat 0, 1: every gain ties across features.
         twin = Dataset(small_schema(4, 3), np.hstack([ds.rows, ds.rows]), ds.labels)
         cfg = GbdtConfig(rounds=5, max_depth=3, shrinkage=0.3, min_leaf_count=1)
         model = self.assert_serial(twin, cfg)
@@ -280,25 +248,6 @@ class TestSplitWorker:
         cfg = GbdtConfig(rounds=4, max_depth=max_depth, shrinkage=0.3, min_leaf_count=1)
         self.assert_serial(boosting_case(20 + max_depth, 7, integer=max_depth % 2 == 1), cfg)
 
-    def test_levels_swapped_in_several_messages(self, monkeypatch):
-        monkeypatch.setattr(tree_module, "_CHUNK", 3)  # a depth-2 level has 4 nodes
-        cfg = GbdtConfig(rounds=4, max_depth=4, shrinkage=0.3, min_leaf_count=1)
-        self.assert_serial(boosting_case(25, 6), cfg)
-
-    def test_swap_of_a_level_larger_than_two_pipe_buffers_completes(self):
-        # 3,000 candidates of 25 pickled bytes per side: sent as one message
-        # each, both sides would block in write forever.
-        mine = [(float(i), 2**31 - 1 - i, -float(i)) for i in range(3000)]
-        theirs = [(-float(i), i, float(i) / 7) for i in range(3000)]
-
-        def peer_side(peer):
-            peer.send(tree_module._swap(peer, theirs))
-
-        with time_limit(20), forked(peer_side, "swap peer") as peer:
-            assert tree_module._swap(peer, mine) == theirs
-            assert peer.recv() == mine
-        assert_no_child_left()
-
     def test_min_leaf_count_that_forbids_every_split(self):
         cfg = GbdtConfig(rounds=3, max_depth=3, min_leaf_count=46)  # 90 rows: no side keeps 46
         model = self.assert_serial(boosting_case(30, 4), cfg)
@@ -308,34 +257,7 @@ class TestSplitWorker:
         model = self.assert_serial(boosting_case(31, 3), GbdtConfig(rounds=0))
         assert model.gbdt.trees == [] and len(model.gbdt.train_loss) == 1
 
-    @staticmethod
-    def in_worker_only(monkeypatch, action):
-        """Make best_split run action() in the split worker; this process searches as usual."""
-        here, real = os.getpid(), tree_module.best_split
-
-        def best_split(*args):
-            return real(*args) if os.getpid() == here else action()
-
-        monkeypatch.setattr(tree_module, "best_split", best_split)
-
-    def test_worker_ending_mid_fit_raises_child_process_error(self, monkeypatch):
-        self.in_worker_only(monkeypatch, lambda: os._exit(1))
-        with time_limit(20), pytest.raises(ChildProcessError, match="^split worker ended .*code 1"):
-            train_gbdt(boosting_case(40, 5), GbdtConfig(rounds=3))
-        assert_no_child_left()
-
-    def test_worker_exception_raised_here_with_its_type_and_message(self, monkeypatch):
-        def fail_in_worker():
-            raise ArithmeticError("split search failed in the worker")
-
-        self.in_worker_only(monkeypatch, fail_in_worker)
-        with pytest.raises(ArithmeticError, match="^split search failed in the worker$") as info:
-            train_gbdt(boosting_case(41, 5), GbdtConfig(rounds=3))
-        assert_no_child_left()
-        assert isinstance(info.value.__cause__, WorkerTraceback)
-        assert "in fail_in_worker" in str(info.value.__cause__)
-
-    def test_loss_guard_here_kills_and_reaps_the_worker(self, monkeypatch):
+    def test_loss_guard_raises_at_the_first_increase(self, monkeypatch):
         from itertools import count
 
         from advssl import prm
@@ -344,7 +266,6 @@ class TestSplitWorker:
         monkeypatch.setattr(prm, "categorical_ce", lambda probs, labels: next(losses))
         with pytest.raises(DivergenceError, match="increased at round 0"):
             train_gbdt(boosting_case(42, 5), GbdtConfig(rounds=3))
-        assert_no_child_left()
 
 
 class TestPredictProba:
