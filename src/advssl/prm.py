@@ -23,7 +23,7 @@ from .nnet import (
     softmax,
     softmax_backward,
 )
-from .tree import RegressionTree, fit_regression_tree, presort
+from .tree import RegressionTree, TreeNode, fit_regression_tree, presort
 
 VARIANTS = ("logistic_regression", "gbdt")
 
@@ -172,13 +172,28 @@ def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 
     )
 
 
-def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
-    """Multiclass softmax boosting.
+_HALVINGS = 30  # of a round's step before a rise in training loss is an error
 
-    Per round: p = softmax(scores); one tree per class fitted to the
-    residuals y_k - p_k; class scores move by shrinkage * tree. Training
-    log-loss must never increase from one round to the next (checked each
-    round, with 1e-12 slack for float accumulation).
+
+def _scale_leaves(node: TreeNode, factor: float):
+    if node.is_leaf:
+        node.value *= factor
+    else:
+        _scale_leaves(node.left, factor)
+        _scale_leaves(node.right, factor)
+
+
+def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
+    """Multiclass softmax boosting with Newton leaves (Friedman 2001, Algorithm 6).
+
+    Per round: p = softmax(scores); one tree per class k whose splits fit
+    the residuals r = y_k - p_k by least squares and whose leaves are the
+    Newton step (K-1)/K * sum(r) / sum(|r|(1-|r|)) over their rows (0 where
+    that sum is 0); class scores move by shrinkage * tree. Training log-loss
+    must never increase from one round to the next (1e-12 slack for float
+    accumulation): a Newton step can overshoot, so a round whose step would
+    raise the loss takes half of it, as often as needed up to _HALVINGS
+    times, and its leaves are scaled to match; past that the fit raises.
     """
     cfg = cfg or GbdtConfig()
     _check_labeled(labeled)
@@ -204,19 +219,34 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     for t in range(cfg.rounds):
         round_trees = []
         for k in range(m):
-            tree = fit_regression_tree(
-                x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count, presorted
+            residuals = y[:, k] - probs[:, k]
+            hessians = np.abs(residuals)
+            hessians *= 1.0 - hessians
+            hessians *= m / (m - 1)  # leaf = (K-1)/K * sum(r) / sum(|r|(1-|r|))
+            round_trees.append(
+                fit_regression_tree(
+                    x, residuals, cfg.max_depth, cfg.min_leaf_count, presorted, hessians
+                )
             )
-            scores[:, k] += cfg.shrinkage * tree.fitted
-            tree.fitted = None  # the model keeps the nodes, not n values per tree
-            round_trees.append(tree)
-        trees.append(round_trees)
-        probs = softmax(scores)  # this round's loss and the next round's residuals
-        loss = categorical_ce(probs, labels)
-        if loss > losses[-1] + 1e-12:
+        update = np.column_stack([tree.fitted for tree in round_trees])
+        step = cfg.shrinkage
+        for _ in range(_HALVINGS + 1):
+            trial = scores + step * update
+            probs = softmax(trial)  # this round's loss and the next round's residuals
+            loss = categorical_ce(probs, labels)
+            if loss <= losses[-1] + 1e-12:
+                break
+            step /= 2.0
+        else:
             raise DivergenceError(
                 f"training log-loss increased at round {t}: {losses[-1]} -> {loss}"
             )
+        scores = trial
+        for tree in round_trees:
+            tree.fitted = None  # the model keeps the nodes, not n values per tree
+            if step != cfg.shrinkage:  # a power of two: shrinkage * leaf stays step * leaf
+                _scale_leaves(tree.root, step / cfg.shrinkage)
+        trees.append(round_trees)
         losses.append(loss)
     return PlainModel(
         variant="gbdt",
@@ -247,4 +277,4 @@ def pseudo_label(model: PlainModel, unlabeled: Dataset) -> PseudoLabeledDataset:
     probs = model.predict_proba_matrix(unlabeled.rows)
     labels = probs.argmax(axis=1).astype(np.int64)  # argmax keeps lowest index on ties
     confidences = probs[np.arange(probs.shape[0]), labels]
-    return PseudoLabeledDataset(rows=unlabeled.rows.copy(), labels=labels, confidences=confidences)
+    return PseudoLabeledDataset(rows=unlabeled.rows, labels=labels, confidences=confidences)

@@ -2,7 +2,11 @@
 
 The weak learner behind gradient boosting: each internal node picks the
 (feature, threshold) pair with the largest SSE reduction, thresholds are
-midpoints between consecutive distinct values, leaves carry target means.
+midpoints between consecutive distinct values. A leaf carries the sum of
+its rows' targets over the sum of their denominators, when the fit is
+given per-row denominators (boosting passes Hessians, which makes every
+leaf a Newton step; Friedman 2001, Algorithm 6), and the mean of its
+targets otherwise.
 
 No node sorts. The training matrix is sorted column-wise once (presort;
 boosting shares one presort across all its trees), and each node holds
@@ -182,7 +186,15 @@ def _keep(at: np.ndarray, rows: np.ndarray, values: np.ndarray, size: int):
     return rows.take(at).reshape(shape), values.take(at).reshape(shape)
 
 
-def _grow(x, targets, max_depth, min_leaf_count, rows, values):
+def _leaf_value(targets, denominators, idx) -> float:
+    """Mean of the leaf's targets, or their sum over the denominators' sum (0.0 when that is 0)."""
+    if denominators is None:
+        return float(targets[idx].mean())
+    weight = denominators[idx].sum()
+    return float(targets[idx].sum() / weight) if weight != 0.0 else 0.0
+
+
+def _grow(x, targets, denominators, max_depth, min_leaf_count, rows, values):
     """(root, fitted) of the tree grown level by level from the presorted
     lists (rows, values) of all features."""
     n = x.shape[0]
@@ -199,7 +211,7 @@ def _grow(x, targets, max_depth, min_leaf_count, rows, values):
                 if ys.min() != ys.max():
                     best = best_split(rows, values, targets, ys.sum(), min_leaf_count)
             if best is None:
-                node.value = float(targets[idx].mean())
+                node.value = _leaf_value(targets, denominators, idx)
                 fitted[idx] = node.value
                 continue
             _, node.feature, node.threshold = best
@@ -225,13 +237,17 @@ def fit_regression_tree(
     max_depth: int,
     min_leaf_count: int = 1,
     presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    denominators: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy exact least-squares tree.
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
     side, on constant targets, and on zero SSE gain. presorted, when given,
-    is presort(x); otherwise x is sorted here. The tree's `fitted` holds
-    each row's leaf value.
+    is presort(x); otherwise x is sorted here. Each leaf is the mean of its
+    rows' targets; with per-row denominators it is sum(targets) /
+    sum(denominators) over its rows instead, 0.0 where that sum is 0 (the
+    split search still fits targets by least squares). The tree's `fitted`
+    holds each row's leaf value.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -252,7 +268,7 @@ def fit_regression_tree(
         raise ValueError(
             f"presorted must be two arrays of shape {expected} (features, rows)"
         )
-    root, fitted = _grow(x, targets, max_depth, min_leaf_count, *presorted)
+    root, fitted = _grow(x, targets, denominators, max_depth, min_leaf_count, *presorted)
     tree = RegressionTree(root, max_depth, min_leaf_count)
     tree.fitted = fitted
     return tree

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advssl.data import Dataset, DatasetSchema
 from advssl.nnet import DivergenceError, categorical_ce, grad_check, softmax
@@ -170,9 +172,19 @@ class TestGbdt:
         )
 
 
+def newton_tree(x, residuals, num_classes, cfg):
+    """Least-squares splits on the residuals r, leaves (K-1)/K * sum(r) / sum(|r|(1-|r|))."""
+    a = np.abs(residuals)
+    denominators = a * (1.0 - a) * (num_classes / (num_classes - 1))
+    return fit_regression_tree(
+        x, residuals, cfg.max_depth, cfg.min_leaf_count, denominators=denominators
+    )
+
+
 def serial_boosting(ds: Dataset, cfg: GbdtConfig):
-    """(trees under to_plain, train_loss) of softmax boosting with every tree
-    fitted in this process over all features: the one-process definition."""
+    """(trees under to_plain, train_loss) of softmax boosting with Newton
+    leaves, every tree fitted in this process over all features and no step
+    halved: the one-process definition."""
     x, labels = ds.rows, ds.labels
     n, m = x.shape[0], ds.schema.num_classes
     counts = np.bincount(labels, minlength=m).astype(np.float64)
@@ -182,10 +194,7 @@ def serial_boosting(ds: Dataset, cfg: GbdtConfig):
     probs = softmax(scores)
     losses, trees = [categorical_ce(probs, labels)], []
     for _ in range(cfg.rounds):
-        fitted = [
-            fit_regression_tree(x, y[:, k] - probs[:, k], cfg.max_depth, cfg.min_leaf_count)
-            for k in range(m)
-        ]
+        fitted = [newton_tree(x, y[:, k] - probs[:, k], m, cfg) for k in range(m)]
         for k, tree in enumerate(fitted):
             scores[:, k] += cfg.shrinkage * tree.fitted
         trees.append([to_plain(t) for t in fitted])
@@ -256,6 +265,38 @@ class TestBoosting:
     def test_no_rounds(self):
         model = self.assert_serial(boosting_case(31, 3), GbdtConfig(rounds=0))
         assert model.gbdt.trees == [] and len(model.gbdt.train_loss) == 1
+
+    def test_a_round_that_would_raise_the_loss_takes_half_its_step(self):
+        ds = boosting_case(1, 2, num_classes=5, n=40)
+        cfg = GbdtConfig(rounds=5, max_depth=1, shrinkage=1.0, min_leaf_count=1)
+        _, whole_steps = serial_boosting(ds, cfg)
+        assert np.diff(whole_steps)[2] > 0.4  # round 2's whole Newton step overshoots
+        model = train_gbdt(ds, cfg)
+        assert model.gbdt.train_loss[:3] == whole_steps[:3]
+        assert np.all(np.diff(model.gbdt.train_loss) <= 1e-12)
+        # The halved rounds' leaves are scaled: the model reproduces its loss bit for bit.
+        probs = model.predict_proba_matrix(ds.rows)
+        assert categorical_ce(probs, ds.labels) == model.gbdt.train_loss[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_small_random_fits_never_trip_the_loss_guard(self, data):
+        num_classes = data.draw(st.integers(2, 5), label="classes")
+        n = data.draw(st.integers(1, 40), label="rows")
+        num_features = data.draw(st.integers(1, 3), label="features")
+        value = st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))
+        row = st.lists(value, min_size=num_features, max_size=num_features)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        labels = data.draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+        cfg = GbdtConfig(
+            rounds=data.draw(st.integers(1, 12), label="rounds"),
+            max_depth=data.draw(st.integers(0, 3), label="max_depth"),
+            shrinkage=data.draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)), label="shrinkage"),
+            min_leaf_count=1,
+        )
+        ds = Dataset(small_schema(num_features, num_classes), np.array(rows), np.array(labels))
+        model = train_gbdt(ds, cfg)  # raises DivergenceError if the guard trips
+        assert np.all(np.diff(model.gbdt.train_loss) <= 1e-12)
 
     def test_loss_guard_raises_at_the_first_increase(self, monkeypatch):
         from itertools import count

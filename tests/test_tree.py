@@ -1,6 +1,8 @@
 """Regression-tree tests; the oracles are an exhaustive split search and a
 frozen copy of the recursive row-partitioning predict."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,60 @@ class TestFitRegressionTree:
         clone = from_plain(RegressionTree, to_plain(tree), "tree")
         grid = rng.normal(size=(25, 3))
         np.testing.assert_array_equal(tree.predict(grid), clone.predict(grid))
+
+
+def _leaves(node, idx, x):
+    """(leaf, the rows of x that reach it) for every leaf under node."""
+    if node.is_leaf:
+        return [(node, idx)]
+    left = x[idx, node.feature] <= node.threshold
+    return _leaves(node.left, idx[left], x) + _leaves(node.right, idx[~left], x)
+
+
+class TestLeafRule:
+    """With denominators a leaf is sum(targets) / sum(denominators) over its
+    rows; without them it is the mean of its targets."""
+
+    @staticmethod
+    def newton(residuals, num_classes=3):
+        a = np.abs(residuals)
+        return a * (1.0 - a) * (num_classes / (num_classes - 1))
+
+    def test_three_class_newton_leaves_by_hand(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        r = np.array([0.5, 0.3, -0.2, -0.4])
+        tree = fit_regression_tree(x, r, max_depth=1, denominators=self.newton(r))
+        assert tree.root.threshold == 1.5
+        # (K-1)/K * sum(r) / sum(|r|(1-|r|)), K = 3:
+        # left 2/3 * 0.8 / (0.25 + 0.21) = 80/69, right 2/3 * -0.6 / (0.16 + 0.24) = -1
+        assert tree.root.left.value == pytest.approx(80 / 69, rel=1e-14)
+        assert tree.root.right.value == pytest.approx(-1.0, rel=1e-14)
+        root_only = fit_regression_tree(x, r, max_depth=0, denominators=self.newton(r))
+        # 2/3 * 0.2 / (0.25 + 0.21 + 0.16 + 0.24) = 2/3 * 0.2 / 0.86 = 20/129
+        assert root_only.root.value == pytest.approx(20 / 129, rel=1e-14)
+
+    def test_zero_denominator_sum_gives_zero_and_no_warning(self):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        r = np.array([1.0, 1.0, -0.5, 0.0])  # |r| in {0, 1} on the left: no curvature there
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = fit_regression_tree(x, r, max_depth=1, denominators=self.newton(r))
+            flat = fit_regression_tree(x, r, max_depth=0, denominators=np.zeros(4))
+        assert tree.root.threshold == 1.5
+        assert tree.root.left.value == 0.0
+        assert tree.root.right.value == pytest.approx(2 / 3 * -0.5 / 0.25, rel=1e-14)
+        assert flat.root.value == 0.0
+        right = tree.root.right.value
+        np.testing.assert_array_equal(tree.fitted, [0.0, 0.0, right, right])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_without_denominators_leaves_are_means_and_splits_do_not_move(self, seed):
+        x, t, depth, min_leaf = random_fit_case(3000 + seed)
+        plain = fit_regression_tree(x, t, depth, min_leaf)
+        for leaf, idx in _leaves(plain.root, np.arange(x.shape[0]), x):
+            assert leaf.value == float(t[idx].mean())  # bit for bit
+        weighted = fit_regression_tree(x, t, depth, min_leaf, denominators=np.abs(t) + 1.0)
+        assert _thresholds(weighted.root) == _thresholds(plain.root)
 
 
 def _depth(node):
