@@ -36,7 +36,7 @@ from .nnet import DenseLayer, MlpParams
 from .prm import PlainModel
 from .trainer import AsslConfig, AsslModel
 
-FORMAT_PLAIN = "advssl/plain-model/1"
+FORMAT_PLAIN = "advssl/plain-model/2"
 FORMAT_ASSL = "advssl/assl-model/1"
 
 
@@ -95,11 +95,11 @@ def _wrong(where: str, expected: str, raw) -> ConfigError:
 
 @contextlib.contextmanager
 def _named(where: str, error=ConfigError):
-    """Re-raise a KeyError (missing key), TypeError, AttributeError or
-    ValueError from the block as one error(f"{where}: ...")."""
+    """Re-raise a KeyError (missing key), IndexError, TypeError, AttributeError
+    or ValueError from the block as one error(f"{where}: ...")."""
     try:
         yield
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise error(f"{where}: {detail}") from None
 
@@ -163,11 +163,46 @@ def save_plain_model(
     write_json(path, {**_envelope(FORMAT_PLAIN, schema, normalizer), **to_plain(model)})
 
 
+def _check_widths(model, schema: DatasetSchema, normalizer: Normalizer | None) -> None:
+    """Raise a ValueError unless model and normalizer map the schema's features
+    to its labels: input width, class count, one tree per class in every GBDT
+    round, every split on a feature below input_dim, one normalizer entry per
+    feature."""
+    f, m = schema.num_features, schema.num_classes
+    if isinstance(model, AsslModel):
+        widths = {"encoder.in_dim": (model.encoder.in_dim, f)}
+        widths["supervised_head.out_dim"] = (model.supervised_head.out_dim, m)
+    elif model.variant == "logistic_regression":
+        widths = {"input_dim": (model.input_dim, f)}
+        widths["logreg.weights.shape"] = (model.logreg.weights.shape, (m, f))
+        widths["logreg.bias.shape"] = (model.logreg.bias.shape, (m,))
+    else:
+        widths = {"input_dim": (model.input_dim, f)}
+        widths["gbdt.base_score.shape"] = (model.gbdt.base_score.shape, (m,))
+        nodes = []
+        for t, trees in enumerate(model.gbdt.trees):
+            widths[f"len(gbdt.trees[{t}])"] = (len(trees), m)
+            nodes += [tree.root for tree in trees]
+        while nodes:
+            node = nodes.pop()
+            if not node.is_leaf:
+                if not 0 <= node.feature < f:
+                    raise ValueError(f"a split reads feature {node.feature}; the schema has {f}")
+                nodes += [node.left, node.right]
+    if normalizer is not None:
+        for name in ("mean", "std", "constant"):
+            widths[f"normalizer.{name}.shape"] = (getattr(normalizer, name).shape, (f,))
+    for name, (got, want) in widths.items():
+        if got != want:
+            raise ValueError(f"{name} is {got}; the schema needs {want}")
+
+
 def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
     """(format, what load_plain/assl_model returns) of the file, parsed once.
     A format other than expect (when given), a number that is not finite
     (NaN, Infinity, 1e999), a schema_hash that is not the hash of the
-    file's schema, or a missing or unknown key is a ValueError."""
+    file's schema, a missing or unknown key, or a model whose widths do not
+    fit the schema (_check_widths) is a ValueError."""
     with _named(os.path.basename(str(path)), ValueError):
         with open(path, encoding="utf-8") as handle:
             d = json.load(handle, parse_float=finite_number, parse_constant=finite_number)
@@ -183,6 +218,7 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
             model = from_plain(PlainModel, d, "model")
             if {"logistic_regression": model.logreg, "gbdt": model.gbdt}.get(model.variant) is None:
                 raise ValueError(f"no parameters for a {model.variant!r} model")
+            _check_widths(model, schema, normalizer)
             return fmt, (model, schema, normalizer)
         cfg = from_plain(AsslConfig, d.pop("config"), "config")
         nets = {
@@ -191,7 +227,9 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
         }
         if d:
             raise ValueError(f"unknown key {next(iter(d))!r}")
-        return fmt, (AsslModel(**nets), cfg, schema, normalizer)
+        model = AsslModel(**nets)
+        _check_widths(model, schema, normalizer)
+        return fmt, (model, cfg, schema, normalizer)
 
 
 def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:

@@ -101,6 +101,8 @@ class RunConfig:
         for seed in self.seeds:
             if not 0 <= seed < 2**32:
                 raise ConfigError(f"seed {seed} lies outside [0, 2**32)")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
         split_fractions(self.split)

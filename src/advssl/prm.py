@@ -76,21 +76,21 @@ class LogregParams:
 
 @dataclass
 class GbdtModel:
-    num_classes: int
-    shrinkage: float
+    """Boosted class scores; a leaf holds what its round added: step * Newton leaf."""
+
     base_score: np.ndarray  # (m,) log class priors
     trees: list[list[RegressionTree]]  # trees[round][class]
     train_loss: list[float] = field(default_factory=list)
 
     def raw_scores(self, x: np.ndarray) -> np.ndarray:
-        """base + shrinkage * tree, summed per class in round order; (n, m)."""
+        """base + tree, summed per class in round order; (n, m)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         xt = np.ascontiguousarray(x.T)  # each tree test reads one contiguous row
         scores = np.tile(self.base_score[:, None], (1, x.shape[0]))  # (m, n)
         out = np.empty(x.shape[0])
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
-                scores[k] += self.shrinkage * tree.predict_transposed(xt, out)
+                scores[k] += tree.predict_transposed(xt, out)
         return np.ascontiguousarray(scores.T)
 
 
@@ -100,7 +100,6 @@ class PlainModel:
 
     variant: str
     input_dim: int
-    num_classes: int
     logreg: LogregParams | None = None
     gbdt: GbdtModel | None = None
 
@@ -167,7 +166,6 @@ def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 
     return PlainModel(
         variant="logistic_regression",
         input_dim=f,
-        num_classes=m,
         logreg=LogregParams(weights=weights, bias=bias),
     )
 
@@ -189,11 +187,12 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     Per round: p = softmax(scores); one tree per class k whose splits fit
     the residuals r = y_k - p_k by least squares and whose leaves are the
     Newton step (K-1)/K * sum(r) / sum(|r|(1-|r|)) over their rows (0 where
-    that sum is 0); class scores move by shrinkage * tree. Training log-loss
-    must never increase from one round to the next (1e-12 slack for float
-    accumulation): a Newton step can overshoot, so a round whose step would
-    raise the loss takes half of it, as often as needed up to _HALVINGS
-    times, and its leaves are scaled to match; past that the fit raises.
+    that sum is 0); class scores move by step * tree, step = shrinkage.
+    Training log-loss must never increase from one round to the next (1e-12
+    slack for float accumulation): a Newton step can overshoot, so a round
+    whose step would raise the loss halves its step, as often as needed up
+    to _HALVINGS times; past that the fit raises. Every accepted round's
+    leaves are then scaled by its step, so a leaf holds the score it added.
     """
     cfg = cfg or GbdtConfig()
     _check_labeled(labeled)
@@ -244,21 +243,13 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
         scores = trial
         for tree in round_trees:
             tree.fitted = None  # the model keeps the nodes, not n values per tree
-            if step != cfg.shrinkage:  # a power of two: shrinkage * leaf stays step * leaf
-                _scale_leaves(tree.root, step / cfg.shrinkage)
+            _scale_leaves(tree.root, step)  # fl(step * leaf), as scores took it
         trees.append(round_trees)
         losses.append(loss)
     return PlainModel(
         variant="gbdt",
         input_dim=x.shape[1],
-        num_classes=m,
-        gbdt=GbdtModel(
-            num_classes=m,
-            shrinkage=cfg.shrinkage,
-            base_score=base,
-            trees=trees,
-            train_loss=losses,
-        ),
+        gbdt=GbdtModel(base_score=base, trees=trees, train_loss=losses),
     )
 
 

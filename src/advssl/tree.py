@@ -2,11 +2,11 @@
 
 The weak learner behind gradient boosting: each internal node picks the
 (feature, threshold) pair with the largest SSE reduction, thresholds are
-midpoints between consecutive distinct values. A leaf carries the sum of
-its rows' targets over the sum of their denominators, when the fit is
-given per-row denominators (boosting passes Hessians, which makes every
-leaf a Newton step; Friedman 2001, Algorithm 6), and the mean of its
-targets otherwise.
+midpoints between consecutive distinct values. One leaf rule: a leaf
+carries the sum of its rows' targets over the sum of their denominators,
+0.0 where that sum is 0. Without per-row denominators each row counts 1,
+so the leaf is the mean of its targets; boosting passes Hessians, which
+makes every leaf a Newton step (Friedman 2001, Algorithm 6).
 
 No node sorts. The training matrix is sorted column-wise once (presort;
 boosting shares one presort across all its trees), and each node holds
@@ -19,8 +19,8 @@ two distinct values. Ties go to the lowest feature index, then to the
 smallest threshold. The trees are the ones a per-node stable sort of
 each feature would give, bit for bit.
 
-Trees grow level by level (_grow), in this process: every node of a level
-is searched, then split or made a leaf.
+Trees grow level by level (_grow): every node of a level is searched, then
+split or made a leaf.
 
 Prediction walks a tree in blocks of three levels over x.T (_evaluate):
 a depth-3 tree is seven vectorised tests and one gather, bit for bit.
@@ -74,8 +74,6 @@ class TreeNode:
 @dataclass
 class RegressionTree:
     root: TreeNode
-    max_depth: int
-    min_leaf_count: int
     # Set by the fit: each training row's leaf value, predict(x) bit for bit.
     fitted: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -187,10 +185,9 @@ def _keep(at: np.ndarray, rows: np.ndarray, values: np.ndarray, size: int):
 
 
 def _leaf_value(targets, denominators, idx) -> float:
-    """Mean of the leaf's targets, or their sum over the denominators' sum (0.0 when that is 0)."""
-    if denominators is None:
-        return float(targets[idx].mean())
-    weight = denominators[idx].sum()
+    """sum(targets) / sum(denominators) over the leaf's rows, 0.0 where that
+    sum is 0; without denominators each row counts 1 (the mean, bit for bit)."""
+    weight = idx.shape[0] if denominators is None else denominators[idx].sum()
     return float(targets[idx].sum() / weight) if weight != 0.0 else 0.0
 
 
@@ -243,11 +240,11 @@ def fit_regression_tree(
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
     side, on constant targets, and on zero SSE gain. presorted, when given,
-    is presort(x); otherwise x is sorted here. Each leaf is the mean of its
-    rows' targets; with per-row denominators it is sum(targets) /
-    sum(denominators) over its rows instead, 0.0 where that sum is 0 (the
-    split search still fits targets by least squares). The tree's `fitted`
-    holds each row's leaf value.
+    is presort(x); otherwise x is sorted here. Each leaf is sum(targets) /
+    sum(denominators) over its rows, 0.0 where that sum is 0; without
+    denominators each row counts 1, which is the mean (the split search
+    fits targets by least squares either way). The tree's `fitted` holds
+    each row's leaf value.
     """
     x = np.asarray(x, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -269,6 +266,6 @@ def fit_regression_tree(
             f"presorted must be two arrays of shape {expected} (features, rows)"
         )
     root, fitted = _grow(x, targets, denominators, max_depth, min_leaf_count, *presorted)
-    tree = RegressionTree(root, max_depth, min_leaf_count)
+    tree = RegressionTree(root)
     tree.fitted = fitted
     return tree

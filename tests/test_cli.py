@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -98,16 +99,13 @@ class TestRun:
         rep_b = next((tmp_path / "b").glob("run-*/seed_0/report.json")).read_bytes()
         assert rep_a == rep_b
 
-    def test_identical_seeds_give_identical_reports(self, tmp_path, capsys):
-        cfg_path = tmp_path / "cfg.json"
-        raw = load_smoke()
-        raw["seeds"] = [0, 0]
-        cfg_path.write_text(json.dumps(raw))
+    def test_a_seed_reports_the_same_after_another_seed(self, tmp_path, capsys):
         from advssl.pipeline import execute_run
 
-        out = execute_run(load_config(cfg_path), str(tmp_path / "out"))
-        a, b = out["reports"]
-        assert a.to_dict() == b.to_dict()
+        smoke = load_config(SMOKE)
+        after = execute_run(dataclasses.replace(smoke, seeds=(1, 0)), str(tmp_path / "a"))
+        alone = execute_run(smoke, str(tmp_path / "b"))
+        assert after["reports"][1].to_dict() == alone["reports"][0].to_dict()
 
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -212,6 +210,14 @@ class TestRun:
         )
         assert code == 0
         assert "seed 3:" in out
+
+    def test_repeated_seed_in_the_flag_exits_2(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--config", SMOKE, "--out", str(tmp_path), "--seeds", "0,0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: code=2 reason=seeds must be distinct, got [0, 0]\n"
+        assert not list(tmp_path.glob("run-*"))
 
 
 class TestPredict:
@@ -371,6 +377,68 @@ class TestPredictRejectsBadModelFiles:
 
         model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
         assert "tree node" in self._predict_fails(capsys, model, trained_run)
+
+    def test_network_without_layers(self, trained_run, tmp_path, capsys):
+        def edit(payload):
+            payload["networks"]["encoder"] = []
+
+        model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
+        assert "index out of range" in self._predict_fails(capsys, model, trained_run)
+
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_normalizer_narrower_than_the_schema(self, trained_run, tmp_path, capsys, name):
+        def edit(payload):  # one entry broadcasts over 5 features
+            payload["normalizer"] = {k: v[:1] for k, v in payload["normalizer"].items()}
+
+        model = _tampered(trained_run / name, tmp_path / name, edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "normalizer.mean.shape is (1,); the schema needs (5,)" in err
+
+    def test_plain_model_format_1_is_refused(self, trained_run, tmp_path, capsys):
+        def edit(payload):  # the old record: class count and shrinkage stored beside the trees
+            payload.update(format="advssl/plain-model/1", num_classes=3)
+            payload["gbdt"].update(num_classes=3, shrinkage=0.2)
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "format 'advssl/plain-model/1' is not advssl/plain-model/2" in err
+
+    def test_logreg_with_more_classes_than_labels(self, trained_run, tmp_path, capsys):
+        def edit(payload):  # 4 classes for 3 labels; class 3 wins every row
+            del payload["gbdt"]
+            logreg = {"weights": [[0.0] * 5 for _ in range(4)], "bias": [0, 0, 0, 1]}
+            payload.update(variant="logistic_regression", logreg=logreg)
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "logreg.weights.shape is (4, 5); the schema needs (3, 5)" in err
+
+    def test_split_on_a_feature_outside_the_schema(self, trained_run, tmp_path, capsys):
+        def edit(payload):
+            payload["gbdt"]["trees"][0][0]["root"]["feature"] = 99
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "a split reads feature 99; the schema has 5" in err
+
+    def test_round_with_a_tree_per_class_too_many(self, trained_run, tmp_path, capsys):
+        def edit(payload):
+            payload["gbdt"]["trees"][0].append(payload["gbdt"]["trees"][0][0])
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "len(gbdt.trees[0]) is 4; the schema needs 3" in err
+
+    def test_heads_with_more_classes_than_labels(self, trained_run, tmp_path, capsys):
+        def edit(payload):  # both heads emit a fourth class that wins every row
+            for head in ("supervised_head", "semi_head"):
+                layer = payload["networks"][head][-1]
+                layer["weights"].append([0.0] * len(layer["weights"][0]))
+                layer["bias"].append(100.0)
+
+        model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "supervised_head.out_dim is 4; the schema needs 3" in err
 
 
 def run_python(*args):
@@ -606,6 +674,7 @@ REJECTED_CONFIGS = {
     "seeds_string": lambda raw: raw.update(seeds="12"),
     "seeds_float": lambda raw: raw.update(seeds=[1.7]),
     "seeds_bool": lambda raw: raw.update(seeds=[True]),
+    "seeds_repeated": lambda raw: raw.update(seeds=[1, 2, 1]),
     "split_two": lambda raw: raw.update(split=[0.5, 0.5]),
     "rounds_string": lambda raw: raw["prm"]["gbdt"].update(rounds="3"),
     "data_list": lambda raw: raw.update(data=[1]),

@@ -148,17 +148,15 @@ def tree_nodes(num_features):
 def plain_models(kind, f, m):
     if kind == "logistic_regression":
         params = st.builds(LogregParams, vectors(m * f).map(lambda w: w.reshape(m, f)), vectors(m))
-        return st.builds(PlainModel, st.just(kind), st.just(f), st.just(m), logreg=params)
-    tree = st.builds(RegressionTree, tree_nodes(f), st.integers(1, 4), st.integers(1, 5))
+        return st.builds(PlainModel, st.just(kind), st.just(f), logreg=params)
+    tree = st.builds(RegressionTree, tree_nodes(f))
     gbdt = st.builds(
         GbdtModel,
-        st.just(m),
-        edge_floats,
         vectors(m),
         st.lists(st.lists(tree, min_size=m, max_size=m), max_size=3),
         st.lists(edge_floats, max_size=3),
     )
-    return st.builds(PlainModel, st.just(kind), st.just(f), st.just(m), gbdt=gbdt)
+    return st.builds(PlainModel, st.just(kind), st.just(f), gbdt=gbdt)
 
 
 class TestModelFileProperties:
@@ -252,7 +250,7 @@ class TestCodec:
         rng = np.random.default_rng(1)
         tree = fit_regression_tree(rng.normal(size=(30, 2)), rng.normal(size=30), 2)
         assert tree.fitted is not None
-        assert set(to_plain(tree)) == {"max_depth", "min_leaf_count", "root"}
+        assert set(to_plain(tree)) == {"root"}
         assert from_plain(RegressionTree, to_plain(tree), "tree").fitted is None
 
     def test_int_for_float_is_kept_as_written(self):
@@ -331,7 +329,7 @@ run_configs = st.builds(
     prm=prm_configs,
     assl=assl_configs,
     split=splits,
-    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4).map(tuple),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True).map(tuple),
     variant=st.sampled_from(list(VARIANTS)),
 )
 json_values = st.recursive(

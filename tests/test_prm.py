@@ -72,7 +72,6 @@ class TestLogreg:
         model = PlainModel(
             variant="logistic_regression",
             input_dim=2,
-            num_classes=4,
             logreg=type("L", (), {"weights": np.zeros((4, 2)), "bias": np.zeros(4)})(),
         )
         np.testing.assert_allclose(
@@ -137,18 +136,14 @@ class TestGbdt:
                 left=TreeNode(value=v_left),
                 right=TreeNode(value=v_right),
             ),
-            max_depth=1,
-            min_leaf_count=1,
         )
         gbdt = GbdtModel(
-            num_classes=2,
-            shrinkage=0.5,
             base_score=np.array([0.1, -0.2]),
-            trees=[[stump(1.0, -1.0), stump(-2.0, 2.0)]],
+            trees=[[stump(0.5, -0.5), stump(-1.0, 1.0)]],
         )
-        model = PlainModel(variant="gbdt", input_dim=1, num_classes=2, gbdt=gbdt)
+        model = PlainModel(variant="gbdt", input_dim=1, gbdt=gbdt)
         probs = model.predict_proba_matrix(np.array([[-1.0]]))[0]
-        expected = softmax(np.array([0.1 + 0.5 * 1.0, -0.2 + 0.5 * -2.0]))
+        expected = softmax(np.array([0.1 + 0.5, -0.2 + -1.0]))
         np.testing.assert_allclose(probs, expected, atol=1e-15)
 
     def test_bad_shrinkage_rejected(self):
@@ -181,10 +176,20 @@ def newton_tree(x, residuals, num_classes, cfg):
     )
 
 
+def scale_leaves(node: TreeNode, factor: float):
+    """Multiply every leaf under node by factor, in place."""
+    if node.is_leaf:
+        node.value *= factor
+    else:
+        scale_leaves(node.left, factor)
+        scale_leaves(node.right, factor)
+
+
 def serial_boosting(ds: Dataset, cfg: GbdtConfig):
     """(trees under to_plain, train_loss) of softmax boosting with Newton
     leaves, every tree fitted in this process over all features and no step
-    halved: the one-process definition."""
+    halved: the one-process definition. A leaf holds what its round added,
+    shrinkage * Newton leaf."""
     x, labels = ds.rows, ds.labels
     n, m = x.shape[0], ds.schema.num_classes
     counts = np.bincount(labels, minlength=m).astype(np.float64)
@@ -197,6 +202,7 @@ def serial_boosting(ds: Dataset, cfg: GbdtConfig):
         fitted = [newton_tree(x, y[:, k] - probs[:, k], m, cfg) for k in range(m)]
         for k, tree in enumerate(fitted):
             scores[:, k] += cfg.shrinkage * tree.fitted
+            scale_leaves(tree.root, cfg.shrinkage)
         trees.append([to_plain(t) for t in fitted])
         probs = softmax(scores)
         losses.append(categorical_ce(probs, labels))
@@ -297,6 +303,9 @@ class TestBoosting:
         ds = Dataset(small_schema(num_features, num_classes), np.array(rows), np.array(labels))
         model = train_gbdt(ds, cfg)  # raises DivergenceError if the guard trips
         assert np.all(np.diff(model.gbdt.train_loss) <= 1e-12)
+        # Each leaf holds the step its round applied, halved or not: the loss replays bit for bit.
+        probs = model.predict_proba_matrix(ds.rows)
+        assert categorical_ce(probs, ds.labels) == model.gbdt.train_loss[-1]
 
     def test_loss_guard_raises_at_the_first_increase(self, monkeypatch):
         from itertools import count
@@ -333,7 +342,7 @@ class FixedProbaModel(PlainModel):
     """Test double: returns the same probability row for every input."""
 
     def __init__(self, probs, input_dim=2):
-        super().__init__(variant="gbdt", input_dim=input_dim, num_classes=len(probs))
+        super().__init__(variant="gbdt", input_dim=input_dim)
         self._probs = np.asarray(probs, dtype=np.float64)
 
     def predict_proba_matrix(self, x):

@@ -64,8 +64,7 @@ def reference_tree(x, targets, max_depth, min_leaf_count):
             "right": build(idx[~go_left], depth + 1),
         }
 
-    root = build(np.arange(x.shape[0]), 0)
-    return {"max_depth": max_depth, "min_leaf_count": min_leaf_count, "root": root}
+    return {"root": build(np.arange(x.shape[0]), 0)}
 
 
 def random_fit_case(seed):
@@ -338,7 +337,7 @@ def reference_raw_scores(model, x):
     scores = np.tile(model.base_score, (x.shape[0], 1))
     for round_trees in model.trees:
         for k, tree in enumerate(round_trees):
-            scores[:, k] += model.shrinkage * reference_predict(tree, x)
+            scores[:, k] += reference_predict(tree, x)
     return scores
 
 
@@ -383,11 +382,11 @@ def hand_built_trees():
         _node(1, -0.0, _node(2, 0.5, chain_left, _leaf(2.0)), _node(0, 1.0, _leaf(3.0), chain_right)),
     )
     return {
-        "single_leaf": RegressionTree(_leaf(4.25), max_depth=3, min_leaf_count=1),
-        "stump": RegressionTree(_node(1, 0.0, _leaf(-1.0), _leaf(1.0)), 1, 1),
-        "right_chain_deeper_than_max_depth": RegressionTree(chain_right, max_depth=2, min_leaf_count=1),
-        "left_chain": RegressionTree(chain_left, max_depth=5, min_leaf_count=1),
-        "mixed": RegressionTree(mixed, max_depth=10, min_leaf_count=1),
+        "single_leaf": RegressionTree(_leaf(4.25)),
+        "stump": RegressionTree(_node(1, 0.0, _leaf(-1.0), _leaf(1.0))),
+        "right_chain_deeper_than_max_depth": RegressionTree(chain_right),
+        "left_chain": RegressionTree(chain_left),
+        "mixed": RegressionTree(mixed),
     }
 
 
