@@ -182,16 +182,23 @@ def fit_normalizer(train_labeled: Dataset) -> Normalizer:
     return Normalizer(mean=mean, std=std, constant=constant)
 
 
-def apply_normalizer(norm: Normalizer, ds: Dataset) -> Dataset:
-    """z = (x - mean) / std; constant features pass through as 0.
+def standardize(norm: Normalizer, rows: np.ndarray) -> np.ndarray:
+    """The one z-score rule, written over `rows` in place and returned:
+    z = (x - mean) / std, and constant features become 0.
 
     Not idempotent: applying twice standardizes twice.
     """
-    safe_std = np.where(norm.constant, 1.0, norm.std)
-    rows = (ds.rows - norm.mean) / safe_std
+    rows -= norm.mean
+    rows /= np.where(norm.constant, 1.0, norm.std)
     rows[:, norm.constant] = 0.0
+    return rows
+
+
+def apply_normalizer(norm: Normalizer, ds: Dataset) -> Dataset:
+    """A new Dataset of standardize(norm, ...) over a copy of ds.rows, in
+    ds.rows's memory layout; ds is left as it was."""
     labels = None if ds.labels is None else ds.labels.copy()
-    return Dataset(ds.schema, rows, labels)
+    return Dataset(ds.schema, standardize(norm, ds.rows.copy(order="K")), labels)
 
 
 def largest_remainder(total: int, fractions: np.ndarray) -> np.ndarray:
@@ -288,25 +295,24 @@ class SynthConfig:
 def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     """Returns (labeled, unlabeled, hidden_truth).
 
+    Row i of class c is means[c] + noise_std * z_i, z one (total, F) draw of
+    the synth_noise stream, drawn a class at a time straight into the outputs.
+    The unlabeled pool is feature-major (order="F"): standardize updates it in
+    place and tree scoring reads it a feature at a time, so it is never copied.
     hidden_truth carries the emitted label for every unlabeled row; it is
     never consumed by training code, only by evaluation harnesses.
     """
     schema = synthetic_schema(cfg.num_features, cfg.num_classes)
-    m, spc = cfg.num_classes, cfg.samples_per_class
+    m, spc, f = cfg.num_classes, cfg.samples_per_class, cfg.num_features
     total = m * spc
 
     means_rng = named_rng(cfg.seed, "synth_class_means")
-    directions = means_rng.normal(size=(m, cfg.num_features))
+    directions = means_rng.normal(size=(m, f))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     means = cfg.separation_scale * directions / norms
 
-    noise_rng = named_rng(cfg.seed, "synth_noise")
-    rows = np.repeat(means, spc, axis=0) + cfg.noise_std * noise_rng.normal(
-        size=(total, cfg.num_features)
-    )
     labels = np.repeat(np.arange(m, dtype=np.int64), spc)
-
     if cfg.label_noise_rate > 0:
         noise_lab_rng = named_rng(cfg.seed, "synth_label_noise")
         flip = noise_lab_rng.random(total) < cfg.label_noise_rate
@@ -324,9 +330,24 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
         chosen = pick_rng.permutation(cls_idx)[: per_class[cls]]
         labeled_mask[chosen] = True
 
-    labeled = Dataset(schema, rows[labeled_mask], labels[labeled_mask])
-    unlabeled = Dataset(schema, rows[~labeled_mask], None)
-    hidden_truth = labels[~labeled_mask].copy()
+    noise_rng = named_rng(cfg.seed, "synth_noise")
+    n_labeled = int(labeled_mask.sum())
+    labeled_rows = np.empty((n_labeled, f))
+    pool_rows = np.empty((total - n_labeled, f), order="F")
+    n_lab = n_pool = 0
+    for cls in range(m):
+        chunk = noise_rng.normal(size=(spc, f))  # the stream's next spc rows
+        chunk *= cfg.noise_std
+        chunk += means[cls]
+        picked = labeled_mask[cls * spc : (cls + 1) * spc]
+        k = int(picked.sum())
+        labeled_rows[n_lab : n_lab + k] = chunk[picked]
+        pool_rows[n_pool : n_pool + spc - k] = chunk[~picked]
+        n_lab, n_pool = n_lab + k, n_pool + spc - k
+
+    labeled = Dataset(schema, labeled_rows, labels[labeled_mask])
+    unlabeled = Dataset(schema, pool_rows, None)
+    hidden_truth = labels[~labeled_mask]
     return labeled, unlabeled, hidden_truth
 
 

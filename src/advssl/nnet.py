@@ -190,9 +190,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     squeeze = arr.ndim == 1
     if squeeze:
         arr = arr.reshape(1, -1)
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    out = ez / ez.sum(axis=1, keepdims=True)
+    out = arr - arr.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
     return out[0] if squeeze else out
 
 

@@ -49,6 +49,7 @@ from .data import (
     load_csv,
     save_csv,
     split_fractions,
+    standardize,
     stratified_split,
 )
 from .metrics import MetricsReport, aggregate_runs, classification_report, confusion_matrix
@@ -174,7 +175,7 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     test = apply_normalizer(normalizer, test_raw)
     if unlabeled is None:
         unlabeled = Dataset(labeled.schema, np.empty((0, labeled.schema.num_features)))
-    unlabeled = apply_normalizer(normalizer, unlabeled)
+    standardize(normalizer, unlabeled.rows)  # the pool is this seed's own: no copy
     t1 = time.monotonic()
     prm_model = train_prm(train, cfg.prm, seed=seed)
     t2 = time.monotonic()

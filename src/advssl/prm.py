@@ -85,7 +85,7 @@ class GbdtModel:
     def raw_scores(self, x: np.ndarray) -> np.ndarray:
         """base + tree, summed per class in round order; (n, m)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        xt = np.ascontiguousarray(x.T)  # each tree test reads one contiguous row
+        xt = np.ascontiguousarray(x.T)  # feature rows: the pool itself when it is feature-major
         scores = np.tile(self.base_score[:, None], (1, x.shape[0]))  # (m, n)
         out = np.empty(x.shape[0])
         for round_trees in self.trees:
@@ -138,15 +138,16 @@ def _check_labeled(labeled: Dataset):
         raise ValueError("training dataset has no labels")
 
 
-def logreg_loss_and_grads(
+def logreg_grads(
     weights: np.ndarray, bias: np.ndarray, x: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dw, db) of categorical_ce(softmax(x @ weights.T + bias), labels)
+    + l2 * (sum(weights**2) + sum(bias**2)); the fit never reads the loss."""
     probs = softmax(x @ weights.T + bias)
-    loss = categorical_ce(probs, labels) + l2 * (float(np.sum(weights**2)) + float(np.sum(bias**2)))
     dlogits = softmax_backward(probs, categorical_ce_grad(probs, labels))
     dw = dlogits.T @ x + 2.0 * l2 * weights
     db = dlogits.sum(axis=0) + 2.0 * l2 * bias
-    return loss, dw, db
+    return dw, db
 
 
 def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 0) -> PlainModel:
@@ -161,7 +162,7 @@ def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 
     weights, bias = params[: m * f].reshape(m, f), params[m * f :]  # views of params
     state = AdamState.for_params(params, learning_rate=cfg.learning_rate)
     for _ in range(cfg.iterations):
-        _, dw, db = logreg_loss_and_grads(weights, bias, labeled.rows, labeled.labels, cfg.l2)
+        dw, db = logreg_grads(weights, bias, labeled.rows, labeled.labels, cfg.l2)
         adam_step(params, np.concatenate([dw.ravel(), db]), state)
     return PlainModel(
         variant="logistic_regression",

@@ -1,6 +1,7 @@
 """Data pipeline tests: schema, normalization, splits, synthesis, CSV I/O."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from advssl.data import (
     load_csv,
     atomic_write,
     save_csv,
+    standardize,
     stratified_split,
 )
+from advssl.nnet import named_rng
 
 
 class TestSchema:
@@ -90,6 +93,66 @@ class TestNormalizer:
         schema = DatasetSchema(("a",), ("L0", "L1"))
         with pytest.raises(DataError):
             fit_normalizer(Dataset(schema, np.empty((0, 1))))
+
+
+def z_scores(norm, rows):
+    """The standardization rule, spelled out: (x - mean) / std, constant -> 0."""
+    out = (rows - norm.mean) / np.where(norm.constant, 1.0, norm.std)
+    out[:, norm.constant] = 0.0
+    return out
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def traced_peak(fn):
+    """(fn(), the most bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def normalizer_case():
+    """Rows with a constant feature and the normalizer fitted on them."""
+    rng = np.random.default_rng(21)
+    schema = DatasetSchema(("a", "b", "c"), ("L0", "L1"))
+    rows = rng.normal(loc=2.0, scale=3.0, size=(40, 3))
+    rows[:, 1] = 4.0
+    norm = fit_normalizer(Dataset(schema, rows, np.zeros(40, dtype=int)))
+    assert norm.constant.tolist() == [False, True, False]
+    return schema, rows, norm
+
+
+class TestStandardize:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_and_bit_identical_to_apply_normalizer(self, order):
+        schema, rows, norm = normalizer_case()
+        given = rows.copy(order=order)
+        out = standardize(norm, given)
+        assert out is given
+        assert_same_bits(out, z_scores(norm, rows))
+        assert_same_bits(out, apply_normalizer(norm, Dataset(schema, rows.copy(order=order))).rows)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_apply_normalizer_leaves_its_input_and_keeps_its_layout(self, order):
+        schema, rows, norm = normalizer_case()
+        ds = Dataset(schema, rows.copy(order=order), np.zeros(40, dtype=int))
+        out = apply_normalizer(norm, ds)
+        assert_same_bits(ds.rows, rows)
+        assert out.rows.flags[f"{order}_CONTIGUOUS"]
+        assert not np.shares_memory(out.rows, ds.rows)
+
+    def test_standardizing_the_pool_allocates_no_copy(self):
+        labeled, unlabeled, _ = generate_synthetic(SynthConfig())
+        norm = fit_normalizer(labeled)
+        _, peak = traced_peak(lambda: standardize(norm, unlabeled.rows))
+        assert peak < 2**20  # the pool is 5.6 MB
 
 
 class TestStratifiedSplit:
@@ -206,6 +269,34 @@ class TestGenerateSynthetic:
         # rows are emitted class block by class block
         np.testing.assert_array_equal(truth, np.repeat(np.arange(3), 20))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(seed=5),
+            SynthConfig(
+                num_features=5, num_classes=3, samples_per_class=50,
+                label_noise_rate=0.2, noise_std=0.7, seed=6,
+            ),
+            SynthConfig(num_features=4, num_classes=3, samples_per_class=20, labeled_fraction=1.0),
+            SynthConfig(num_features=4, num_classes=3, samples_per_class=20, labeled_fraction=0.0),
+        ],
+        ids=["default", "noisy", "all-labeled", "none-labeled"],
+    )
+    def test_equals_the_one_draw_definition(self, cfg):
+        labeled, unlabeled, truth = generate_synthetic(cfg)
+        ref_rows, ref_labels, ref_pool, ref_truth = one_draw_reference(cfg)
+        assert_same_bits(labeled.rows, ref_rows)
+        assert_same_bits(labeled.labels, ref_labels)
+        assert_same_bits(unlabeled.rows, ref_pool)
+        assert_same_bits(truth, ref_truth)
+        assert labeled.rows.flags.c_contiguous
+        assert unlabeled.rows.flags.f_contiguous
+
+    def test_peak_memory_stays_near_the_output(self):
+        (labeled, unlabeled, truth), peak = traced_peak(lambda: generate_synthetic(SynthConfig()))
+        output = labeled.rows.nbytes + labeled.labels.nbytes + unlabeled.rows.nbytes + truth.nbytes
+        assert peak <= 1.6 * output  # one draw of every row at once costs 2.2x
+
     def test_zero_separation_is_chance_level(self):
         cfg = SynthConfig(
             num_features=5,
@@ -223,6 +314,30 @@ class TestGenerateSynthetic:
         dists = ((labeled.rows[:, None, :] - means[None]) ** 2).sum(axis=2)
         acc = (dists.argmin(axis=1) == labeled.labels).mean()
         assert abs(acc - 0.25) < 0.05
+
+
+def one_draw_reference(cfg):
+    """generate_synthetic as defined: all rows from one (total, F) noise draw,
+    then split by the labeled mask. (labeled rows, labels, pool, truth)."""
+    m, spc, f = cfg.num_classes, cfg.samples_per_class, cfg.num_features
+    total = m * spc
+    directions = named_rng(cfg.seed, "synth_class_means").normal(size=(m, f))
+    norms = np.linalg.norm(directions, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    means = cfg.separation_scale * directions / norms
+    noise = named_rng(cfg.seed, "synth_noise").normal(size=(total, f))
+    rows = np.repeat(means, spc, axis=0) + cfg.noise_std * noise
+    labels = np.repeat(np.arange(m, dtype=np.int64), spc)
+    if cfg.label_noise_rate > 0:
+        rng = named_rng(cfg.seed, "synth_label_noise")
+        flip = rng.random(total) < cfg.label_noise_rate
+        labels = np.where(flip, (labels + rng.integers(1, m, size=total)) % m, labels)
+    pick_rng = named_rng(cfg.seed, "synth_labeled_pick")
+    per_class = largest_remainder(int(round(cfg.labeled_fraction * total)), np.full(m, 1.0 / m))
+    mask = np.zeros(total, dtype=bool)
+    for cls in range(m):
+        mask[pick_rng.permutation(np.arange(cls * spc, (cls + 1) * spc))[: per_class[cls]]] = True
+    return rows[mask], labels[mask], rows[~mask], labels[~mask]
 
 
 class TestCsv:

@@ -107,6 +107,34 @@ class TestSoftmax:
             assert np.max(np.abs(p - shifted)) < 1e-12
 
 
+def three_temporary_softmax(logits):
+    """softmax as first written: shifted, exp and quotient are three arrays."""
+    arr = np.atleast_2d(logits)
+    shifted = arr - arr.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    out = ez / ez.sum(axis=1, keepdims=True)
+    return out[0] if np.ndim(logits) == 1 else out
+
+
+class TestSoftmaxBits:
+    @pytest.mark.parametrize(
+        "logits",
+        [
+            np.random.default_rng(8).normal(scale=5.0, size=(200, 9)),
+            np.random.default_rng(9).normal(size=7),
+            np.random.default_rng(10).choice([-700.0, 700.0], size=(20, 4)),
+        ],
+        ids=["rows", "1-D", "+-700"],
+    )
+    def test_equals_the_three_temporary_form(self, logits):
+        before = logits.copy()
+        out = softmax(logits)
+        expected = three_temporary_softmax(logits)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(logits, before)
+
+
 class TestMlpForwardBackward:
     def test_single_identity_layer(self):
         mlp = MlpParams([DenseLayer(np.eye(3), np.zeros(3), "identity")])

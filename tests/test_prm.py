@@ -1,11 +1,13 @@
 """Phase-I model tests: logistic regression, GBDT boosting, pseudo-labels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advssl.data import Dataset, DatasetSchema
+from advssl.data import Dataset, DatasetSchema, SynthConfig, generate_synthetic
 from advssl.nnet import DivergenceError, categorical_ce, grad_check, softmax
 from advssl.persist import to_plain
 from advssl.prm import (
@@ -14,7 +16,7 @@ from advssl.prm import (
     LogregConfig,
     PlainModel,
     PrmConfig,
-    logreg_loss_and_grads,
+    logreg_grads,
     pseudo_label,
     train_gbdt,
     train_logreg,
@@ -63,8 +65,10 @@ class TestLogreg:
         params = [rng.normal(size=(3, 4)), rng.normal(size=3)]
 
         def loss(ps):
-            value, dw, db = logreg_loss_and_grads(ps[0], ps[1], x, labels, l2=0.01)
-            return value, [dw, db]
+            # the objective logreg_grads differentiates, written out here
+            probs = softmax(x @ ps[0].T + ps[1])
+            value = categorical_ce(probs, labels) + 0.01 * (np.sum(ps[0] ** 2) + np.sum(ps[1] ** 2))
+            return float(value), list(logreg_grads(ps[0], ps[1], x, labels, l2=0.01))
 
         assert grad_check(loss, params, epsilon=1e-6) < 1e-5
 
@@ -384,6 +388,29 @@ class TestPseudoLabel:
         b = pseudo_label(model, unlabeled)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(a.confidences, b.confidences)
+
+    @pytest.mark.parametrize("variant", ["logistic_regression", "gbdt"])
+    def test_pool_layout_does_not_change_labels_or_confidences(self, variant):
+        labeled, unlabeled, _ = generate_synthetic(
+            SynthConfig(num_features=6, num_classes=4, samples_per_class=100, seed=18)
+        )
+        cfg = PrmConfig(variant, GbdtConfig(rounds=4, max_depth=3), LogregConfig(iterations=40))
+        model = train_prm(labeled, cfg)
+        by_rows = pseudo_label(model, Dataset(labeled.schema, np.ascontiguousarray(unlabeled.rows)))
+        by_features = pseudo_label(model, Dataset(labeled.schema, np.asfortranarray(unlabeled.rows)))
+        np.testing.assert_array_equal(by_rows.labels, by_features.labels)
+        assert by_rows.confidences.tobytes() == by_features.confidences.tobytes()
+
+    def test_gbdt_reads_a_feature_major_pool_without_copying_it(self):
+        labeled, unlabeled, _ = generate_synthetic(SynthConfig(seed=19))
+        model = train_gbdt(labeled, GbdtConfig(rounds=2, max_depth=2))
+        tracemalloc.start()
+        try:
+            pseudo_label(model, unlabeled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < unlabeled.rows.nbytes  # a transposed copy alone is that much
 
     def test_confidences_within_simplex_bounds(self):
         ds = blobs_dataset(seed=15, num_classes=3)
