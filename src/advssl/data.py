@@ -354,8 +354,9 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
 def load_csv(path, schema: DatasetSchema) -> Dataset:
     """Load a UTF-8 CSV with a header row into a Dataset.
 
-    Columns are mapped to schema order by header name; a `rating` column is
-    optional and may hold label names or integer indices. Unparsable,
+    Columns are mapped to schema order by header name, and a name given
+    twice is an error; a `rating` column is optional and may hold label
+    names or integer indices. Unparsable,
     missing or non-finite feature cells are an error that lists the 1-based
     data row numbers.
     """
@@ -370,6 +371,9 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         except StopIteration:
             raise DataError("file has no header row") from None
         header = [h.strip() for h in header]
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise DataError(f"columns named more than once: {', '.join(repeated)}")
         known = set(schema.feature_names) | {LABEL_COLUMN}
         unknown = [h for h in header if h not in known]
         if unknown:

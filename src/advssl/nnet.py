@@ -1,9 +1,11 @@
-"""Minimal dense-network core: forward/backward passes, Adam, gradient checks.
+"""The numeric core of both phases: dense layers, forward/backward passes,
+losses, L2, Adam and gradient checks.
 
-Everything downstream (classifier heads, encoder, discriminator, logistic
-regression) is built from these pieces. All math is float64 and every
-gradient has a closed form that the test suite verifies against central
-finite differences.
+Phase II's encoder, heads and discriminator and Phase I's logistic
+regression (one identity layer) are built from these pieces and train with
+the same mlp_forward / mlp_backward / add_l2_grad / adam_step. All math is
+float64 and every gradient has a closed form that the test suite verifies
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 # Probabilities are clamped to [PROB_EPS, 1 - PROB_EPS] before any log().
 PROB_EPS = 1e-12
+
+# Adam's decay rates and denominator guard: one value each serves every network.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -133,9 +140,6 @@ class MlpParams:
         twin._store(buffer)
         return twin
 
-    def copy(self) -> "MlpParams":
-        return self.on(self.flat.copy())
-
 
 def init_dense(in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """He-uniform init for relu layers, Xavier-uniform otherwise; zero bias."""
@@ -184,16 +188,13 @@ def activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax; 1-D input is treated as a single row."""
+def softmax(logits: Matrix) -> Matrix:
+    """Row-wise stable softmax of a 2-D array."""
     arr = np.asarray(logits, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr.reshape(1, -1)
     out = arr - arr.max(axis=1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)
-    return out[0] if squeeze else out
+    return out
 
 
 def mlp_forward(mlp: MlpParams, x: Matrix) -> tuple[Matrix, list[tuple]]:
@@ -278,10 +279,6 @@ def bce_one_hot_and_grad(probs: Matrix, labels: np.ndarray) -> tuple[float, Matr
     return loss, -(y / pc - not_y / not_pc) * inside / probs.shape[0]
 
 
-def bce_one_hot(probs: Matrix, labels: np.ndarray) -> float:
-    return bce_one_hot_and_grad(probs, labels)[0]
-
-
 def categorical_ce(probs: Matrix, labels: np.ndarray) -> float:
     """Plain multiclass cross-entropy -mean(log p[true])."""
     probs = as_matrix(probs, "probs")
@@ -315,17 +312,10 @@ class AdamState:
     two arrays of its shape that adam_step works in."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
     second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
     workspace: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
 
     @classmethod
     def for_params(cls, params: np.ndarray, **kwargs) -> "AdamState":
@@ -341,7 +331,8 @@ def adam_step(
 ) -> tuple[np.ndarray, AdamState]:
     """One in-place, element-wise Adam update with bias correction.
 
-    theta -= lr * m_hat / (sqrt(v_hat) + eps)
+    theta -= lr * m_hat / (sqrt(v_hat) + eps), with ADAM_BETA1, ADAM_BETA2
+    and eps = ADAM_EPSILON.
 
     It allocates nothing: each product goes to state.workspace in this
     expression's evaluation order, so the bits are the expression's.
@@ -351,7 +342,7 @@ def adam_step(
         raise ValueError(f"param, grad and Adam state shapes differ: {shapes}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state.first_moment, state.second_moment
     step, root = state.workspace
     m *= b1
@@ -360,21 +351,31 @@ def adam_step(
     v += np.multiply(np.multiply(1.0 - b2, grads, out=step), grads, out=step)
     np.multiply(state.learning_rate, np.divide(m, 1.0 - b1**t, out=step), out=step)  # lr * m_hat
     np.sqrt(np.divide(v, 1.0 - b2**t, out=root), out=root)  # sqrt(v_hat)
-    root += state.epsilon
+    root += ADAM_EPSILON
     step /= root
     params -= step
     return params, state
 
 
 def l2_penalty(params, lam: float) -> float:
-    """lam * sum of squares over every entry (weights and biases alike), one
-    dot product over an MlpParams' flat buffer; its gradient 2 * lam * a is
-    added by the trainer, in place."""
+    """lam * sum of squares over every entry (weights and biases alike) of
+    an MlpParams (one dot product over its flat buffer) or a list of arrays;
+    0.0 when lam is 0, whatever the entries. add_l2_grad adds its gradient."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    if lam == 0:
+        return 0.0
     if isinstance(params, MlpParams):
         return lam * float(params.flat @ params.flat)
     return lam * float(sum(np.sum(a * a) for a in params))
+
+
+def add_l2_grad(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:
+    """Add 2 * lam * net.flat, the gradient of l2_penalty(net, lam), to the
+    flat gradient buffer grads in place and return it; nothing when lam is 0."""
+    if lam:
+        grads += 2.0 * lam * net.flat
+    return grads
 
 
 def grad_check(loss_fn, params: list[np.ndarray], epsilon: float = 1e-5) -> float:

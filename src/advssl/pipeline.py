@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.schema is not None and self.data.synth is not None:
+            raise ConfigError("schema applies to CSV sources only; data.synth builds its own")
         split_fractions(self.split)
 
     def config_hash(self) -> str:

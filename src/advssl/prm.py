@@ -1,7 +1,8 @@
 """Phase I: plain rating models and pseudo-labeling of the unlabeled pool.
 
 Two interchangeable model families are provided: multinomial logistic
-regression (full-batch Adam on cross-entropy + L2) and multiclass softmax
+regression (a one-layer network of nnet, trained by full-batch Adam on
+cross-entropy + L2 as Phase II trains its networks) and multiclass softmax
 gradient boosting on depth-limited regression trees. Either one can stamp
 pseudo rating labels onto unlabeled rows.
 """
@@ -17,9 +18,12 @@ from .nnet import (
     AdamState,
     DivergenceError,
     adam_step,
+    add_l2_grad,
     categorical_ce,
     categorical_ce_grad,
-    named_rng,
+    init_mlp,
+    mlp_backward,
+    mlp_forward,
     softmax,
     softmax_backward,
 )
@@ -138,36 +142,29 @@ def _check_labeled(labeled: Dataset):
         raise ValueError("training dataset has no labels")
 
 
-def logreg_grads(
-    weights: np.ndarray, bias: np.ndarray, x: np.ndarray, labels: np.ndarray, l2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dw, db) of categorical_ce(softmax(x @ weights.T + bias), labels)
-    + l2 * (sum(weights**2) + sum(bias**2)); the fit never reads the loss."""
-    probs = softmax(x @ weights.T + bias)
-    dlogits = softmax_backward(probs, categorical_ce_grad(probs, labels))
-    dw = dlogits.T @ x + 2.0 * l2 * weights
-    db = dlogits.sum(axis=0) + 2.0 * l2 * bias
-    return dw, db
-
-
 def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 0) -> PlainModel:
-    """Multinomial softmax regression, full-batch Adam, deterministic per seed."""
+    """Multinomial softmax regression, deterministic per seed: one identity
+    layer (init_mlp's draw from the logreg_init stream) trained by full-batch
+    Adam on cross-entropy + l2 * ||weights and bias||^2, through the passes,
+    L2 gradient and Adam step Phase II uses. The fit never reads the loss."""
     cfg = cfg or LogregConfig()
     _check_labeled(labeled)
     m = labeled.schema.num_classes
     f = labeled.schema.num_features
-    rng = named_rng(seed, "logreg_init")
-    limit = np.sqrt(6.0 / (f + m))
-    params = np.concatenate([rng.uniform(-limit, limit, size=m * f), np.zeros(m)])
-    weights, bias = params[: m * f].reshape(m, f), params[m * f :]  # views of params
-    state = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+    net = init_mlp([f, m], ["identity"], seed, "logreg_init")
+    grads = net.on(np.empty_like(net.flat))
+    state = AdamState.for_params(net.flat, learning_rate=cfg.learning_rate)
     for _ in range(cfg.iterations):
-        dw, db = logreg_grads(weights, bias, labeled.rows, labeled.labels, cfg.l2)
-        adam_step(params, np.concatenate([dw.ravel(), db]), state)
+        logits, cache = mlp_forward(net, labeled.rows)
+        probs = softmax(logits)
+        dlogits = softmax_backward(probs, categorical_ce_grad(probs, labeled.labels))
+        mlp_backward(net, cache, dlogits, grads, inputs=False)
+        adam_step(net.flat, add_l2_grad(grads.flat, net, cfg.l2), state)
+    layer = net.layers[0]
     return PlainModel(
         variant="logistic_regression",
         input_dim=f,
-        logreg=LogregParams(weights=weights, bias=bias),
+        logreg=LogregParams(weights=layer.weights, bias=layer.bias),
     )
 
 

@@ -35,7 +35,7 @@ from .nnet import (
     Matrix,
     MlpParams,
     adam_step,
-    bce_one_hot,
+    add_l2_grad,
     bce_one_hot_and_grad,
     clamp_probs,
     init_mlp,
@@ -173,7 +173,7 @@ def classify(head: MlpParams, embeddings: Matrix) -> Matrix:
 
 def loss_bce_l2(probs: Matrix, labels, lam: float, params) -> float:
     """Per-class binary cross-entropy over one-hot targets + lam*||params||^2."""
-    return bce_one_hot(probs, labels) + l2_penalty(params, lam)
+    return bce_one_hot_and_grad(probs, labels)[0] + l2_penalty(params, lam)
 
 
 def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> float:
@@ -193,18 +193,6 @@ def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> 
     return value + l2_penalty(disc_params, lambda_adv)
 
 
-def _l2_value(net: MlpParams, lam: float) -> float:
-    """lam * ||net||^2 (as l2_penalty computes it); 0.0 when lam is 0."""
-    return l2_penalty(net, lam) if lam else 0.0
-
-
-def _add_l2(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:
-    """Add the gradient 2*lam*params of _l2_value in place; nothing when lam is 0."""
-    if lam:
-        grads += 2.0 * lam * net.flat
-    return grads
-
-
 def _head_grads(model: AsslModel, name: str, emb: Matrix, labels, lam: float, grads):
     """(per-class BCE + L2 value, embedding gradient) of the head `name`; its
     parameter gradient is written into its part of grads (an AsslModel)."""
@@ -213,8 +201,8 @@ def _head_grads(model: AsslModel, name: str, emb: Matrix, labels, lam: float, gr
     probs = softmax(logits)
     loss, dprobs = bce_one_hot_and_grad(probs, labels)
     d_emb = mlp_backward(head, cache, softmax_backward(probs, dprobs), out)[1]
-    _add_l2(out.flat, head, lam)
-    return loss + _l2_value(head, lam), d_emb
+    add_l2_grad(out.flat, head, lam)
+    return loss + l2_penalty(head, lam), d_emb
 
 
 def _adversarial_grad(d: Matrix, n_l: int, scale: float) -> Matrix:
@@ -267,11 +255,11 @@ def _discriminator_grads(model: AsslModel, emb: Matrix, n_l: int, cfg: AsslConfi
     disc = model.discriminator
     d, cache = mlp_forward(disc, emb)
     d_l, d_u = d[:n_l], d[n_l:]
-    likelihood = float(np.log(clamp_probs(d_l)).mean() + np.log(1.0 - clamp_probs(d_u)).mean())
-    reg_value = _l2_value(disc, cfg.lambda_adv)
+    likelihood = loss_adversarial(d_l, d_u, 0.0, ())
+    reg_value = l2_penalty(disc, cfg.lambda_adv)
     out = grads.discriminator
     mlp_backward(disc, cache, _adversarial_grad(d, n_l, -1.0), out, inputs=False)
-    _add_l2(out.flat, disc, cfg.lambda_adv)
+    add_l2_grad(out.flat, disc, cfg.lambda_adv)
     accuracy = float(((d_l > 0.5).sum() + (d_u <= 0.5).sum()) / d.size)
     return -likelihood + reg_value, likelihood + reg_value, accuracy
 

@@ -58,6 +58,15 @@ def csv_source_config(tmp_path, with_pool: bool) -> dict:
     return raw
 
 
+def repeat_first_column(path) -> str:
+    """Append a copy of the CSV's first column to every record; return its name."""
+    with open(path, newline="") as handle:
+        records = list(csv.reader(handle))
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(r + r[:1] for r in records)
+    return records[0][0]
+
+
 class TestRun:
     def test_smoke_run_writes_artifacts(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
@@ -120,6 +129,16 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path))
         assert code == 3
         assert "error: code=3" in err
+
+    @pytest.mark.parametrize("source", ["labeled_csv", "unlabeled_csv"])
+    def test_column_named_twice_exits_3(self, tmp_path, capsys, source):
+        raw = csv_source_config(tmp_path, with_pool=True)
+        name = repeat_first_column(raw["data"][source])
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        code, out, err = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == f"error: code=3 reason=columns named more than once: {name}\n"
+        assert not list(tmp_path.glob("run-*/seed_0/*.json"))
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -286,6 +305,14 @@ class TestPredict:
         )
         assert code == 0, err
         assert len(loads) == 1
+
+    def test_column_named_twice_exits_3(self, trained_run, tmp_path, capsys):
+        twice = tmp_path / "twice.csv"
+        twice.write_bytes((trained_run / "test_split.csv").read_bytes())
+        name = repeat_first_column(twice)
+        code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(twice))
+        assert (code, out) == (3, "")
+        assert err == f"error: code=3 reason=columns named more than once: {name}\n"
 
     def test_schema_mismatch_exits_3(self, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -679,6 +706,7 @@ REJECTED_CONFIGS = {
     "rounds_string": lambda raw: raw["prm"]["gbdt"].update(rounds="3"),
     "data_list": lambda raw: raw.update(data=[1]),
     "variant_no_semi": lambda raw: raw.update(variant="no_semi"),
+    "schema_with_synth": lambda raw: raw.update(schema={"features": ["a"], "labels": ["x", "y"]}),
     "list_root": None,
     "learning_rate_nan": lambda raw: raw["assl"].update(learning_rate=float("nan")),
     "noise_std_infinity": lambda raw: raw["data"]["synth"].update(noise_std=float("inf")),

@@ -387,6 +387,21 @@ class TestCsv:
         with pytest.raises(DataError, match="L9"):
             load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("a,b,a,rating\n1,2,3,L0\n", "a"),
+            ("a,b,rating,rating\n1,2,L0,L1\n", "rating"),
+            ("a, b,b \n1,2,3\n", "b"),  # names are compared stripped
+        ],
+        ids=["feature", "rating", "padded"],
+    )
+    def test_column_named_twice_rejected(self, tmp_path, text, column):
+        path = tmp_path / "twice.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"^columns named more than once: {column}$"):
+            load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
+
     def test_columns_reordered_by_name(self, tmp_path):
         path = tmp_path / "reorder.csv"
         path.write_text("b,a,rating\n2.0,1.0,L1\n")

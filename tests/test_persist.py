@@ -294,13 +294,14 @@ synth_configs = st.builds(
 )
 # Three fractions >= 0 that sum to 1 (within rounding), zeros included.
 splits = st.tuples(*[st.integers(0, 9)] * 3).filter(any).map(lambda w: tuple(v / sum(w) for v in w))
-sources = st.builds(DataSource, synth=synth_configs) | st.builds(
-    DataSource, labeled_csv=name, unlabeled_csv=st.none() | name
-)
 schemas = st.builds(
     DatasetSchema,
     st.lists(name.filter(lambda n: n != "rating"), min_size=1, max_size=5, unique=True).map(tuple),
     st.lists(name, min_size=2, max_size=5).map(tuple),
+)
+# (data, schema): a schema only for CSV sources, since data.synth builds its own.
+sources = st.tuples(st.builds(DataSource, synth=synth_configs), st.none()) | st.tuples(
+    st.builds(DataSource, labeled_csv=name, unlabeled_csv=st.none() | name), st.none() | schemas
 )
 prm_configs = st.builds(
     PrmConfig,
@@ -323,9 +324,8 @@ assl_configs = st.builds(
     suppress_pseudo=st.booleans(),
 )
 run_configs = st.builds(
-    RunConfig,
-    data=sources,
-    schema=st.none() | schemas,
+    lambda source, **rest: RunConfig(data=source[0], schema=source[1], **rest),
+    sources,
     prm=prm_configs,
     assl=assl_configs,
     split=splits,

@@ -1,20 +1,24 @@
 """Pipeline-level integration tests, including the data-flow leakage audit."""
 
+import ast
 import json
 import os
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import advssl
 from advssl import pipeline
-from advssl.data import Dataset, DatasetSchema
+from advssl.data import Dataset, DatasetSchema, SynthConfig
 from advssl.persist import to_plain
 from advssl.pipeline import (
     VARIANTS,
     WORKER_VARIANTS,
     ConfigError,
+    DataSource,
+    RunConfig,
     execute_ablation,
     execute_run,
     load_config,
@@ -23,7 +27,8 @@ from advssl.pipeline import (
     run_variant,
     write_predictions_csv,
 )
-from advssl.trainer import DivergenceError, train
+from advssl.prm import GbdtConfig, LogregConfig, PrmConfig
+from advssl.trainer import AsslConfig, DivergenceError, train
 from advssl.worker import WorkerTraceback
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
@@ -180,6 +185,76 @@ class TestRunConfig:
 
     def test_round_trip_through_the_codec(self, smoke_cfg):
         assert parse_config(to_plain(smoke_cfg)) == smoke_cfg
+
+    def test_schema_with_a_synth_source_rejected(self, smoke_cfg):
+        """data.synth builds its own schema; one given beside it would only move the hash."""
+        schema = DatasetSchema(("a", "b"), ("L0", "L1"))
+        with pytest.raises(ConfigError, match="schema applies to CSV sources only"):
+            replace(smoke_cfg, schema=schema)
+        csv_source = DataSource(labeled_csv="l.csv")
+        assert replace(smoke_cfg, data=csv_source, schema=schema).schema == schema
+
+
+# Every setting a config can hold, by config class: adding or removing one
+# must change this table (and the option count in ROADMAP aim 2).
+OPTION_SURFACE = {
+    DataSource: ["synth", "labeled_csv", "unlabeled_csv"],
+    RunConfig: ["data", "schema", "prm", "assl", "split", "seeds", "variant"],
+    SynthConfig: [
+        "num_features",
+        "num_classes",
+        "samples_per_class",
+        "labeled_fraction",
+        "separation_scale",
+        "noise_std",
+        "label_noise_rate",
+        "seed",
+    ],
+    PrmConfig: ["variant", "gbdt", "logreg"],
+    GbdtConfig: ["rounds", "max_depth", "shrinkage", "min_leaf_count"],
+    LogregConfig: ["iterations", "learning_rate", "l2"],
+    AsslConfig: [
+        "embedding_dim",
+        "encoder_hidden",
+        "head_hidden",
+        "disc_hidden",
+        "lambda_l",
+        "lambda_u",
+        "lambda_adv",
+        "alpha",
+        "epochs",
+        "batch_size",
+        "learning_rate",
+        "disc_learning_rate",
+        "seed",
+        "inference_head",
+        "suppress_pseudo",
+    ],
+}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("cls", OPTION_SURFACE, ids=lambda cls: cls.__name__)
+    def test_init_fields_are_pinned(self, cls):
+        assert [f.name for f in fields(cls) if f.init] == OPTION_SURFACE[cls]
+
+    def test_no_module_reads_the_environment(self):
+        package_dir = os.path.dirname(advssl.__file__)
+        modules = sorted(n for n in os.listdir(package_dir) if n.endswith(".py"))
+        assert "pipeline.py" in modules
+        readers = []
+        for name in modules:
+            with open(os.path.join(package_dir, name), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    touched = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    touched = [alias.name for alias in node.names]
+                else:
+                    continue
+                readers += [f"{name}: {t}" for t in touched if t in ("environ", "environb", "getenv")]
+        assert readers == []
 
 
 class TestArtifactWriters:

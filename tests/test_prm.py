@@ -7,8 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advssl.data import Dataset, DatasetSchema, SynthConfig, generate_synthetic
-from advssl.nnet import DivergenceError, categorical_ce, grad_check, softmax
+from advssl.data import (
+    Dataset,
+    DatasetSchema,
+    SynthConfig,
+    apply_normalizer,
+    fit_normalizer,
+    generate_synthetic,
+    stratified_split,
+)
+from advssl.nnet import (
+    AdamState,
+    DivergenceError,
+    adam_step,
+    categorical_ce,
+    categorical_ce_grad,
+    grad_check,
+    named_rng,
+    softmax,
+    softmax_backward,
+)
 from advssl.persist import to_plain
 from advssl.prm import (
     GbdtConfig,
@@ -16,7 +34,6 @@ from advssl.prm import (
     LogregConfig,
     PlainModel,
     PrmConfig,
-    logreg_grads,
     pseudo_label,
     train_gbdt,
     train_logreg,
@@ -44,6 +61,83 @@ def blobs_dataset(seed=0, n_per=40, sep=4.0, num_classes=2):
     )
 
 
+def logreg_grads(weights, bias, x, labels, l2):
+    """(dw, db) of categorical_ce(softmax(x @ weights.T + bias), labels)
+    + l2 * (sum(weights**2) + sum(bias**2))."""
+    probs = softmax(x @ weights.T + bias)
+    dlogits = softmax_backward(probs, categorical_ce_grad(probs, labels))
+    dw = dlogits.T @ x + 2.0 * l2 * weights
+    db = dlogits.sum(axis=0) + 2.0 * l2 * bias
+    return dw, db
+
+
+def reference_logreg(ds: Dataset, cfg: LogregConfig, seed: int):
+    """(weights, bias) of logistic regression written out by hand: its own
+    linear-softmax gradient with L2 always added, one parameter buffer
+    split into weight and bias views, full-batch Adam on the concatenated
+    gradient. train_logreg must equal it bit for bit."""
+    m, f = ds.schema.num_classes, ds.schema.num_features
+    rng = named_rng(seed, "logreg_init")
+    limit = np.sqrt(6.0 / (f + m))
+    params = np.concatenate([rng.uniform(-limit, limit, size=m * f), np.zeros(m)])
+    weights, bias = params[: m * f].reshape(m, f), params[m * f :]
+    state = AdamState.for_params(params, learning_rate=cfg.learning_rate)
+    for _ in range(cfg.iterations):
+        dw, db = logreg_grads(weights, bias, ds.rows, ds.labels, cfg.l2)
+        adam_step(params, np.concatenate([dw.ravel(), db]), state)
+    return weights, bias
+
+
+def default_scale_train_split(seed):
+    """The normalized training split of default-scale synthetic data, as a run prepares it."""
+    labeled = generate_synthetic(SynthConfig(seed=seed))[0]
+    train = stratified_split(labeled, (0.7, 0.15, 0.15), seed)[0]
+    return apply_normalizer(fit_normalizer(train), train)
+
+
+def small_logreg_case(seed, num_classes=3, absent=()):
+    rng = np.random.default_rng(seed)
+    labels = rng.choice([k for k in range(num_classes) if k not in absent], 60)
+    rows = rng.normal(size=(60, 4)) + labels[:, None]
+    return Dataset(small_schema(4, num_classes), rows, labels)
+
+
+class TestLogregReference:
+    """train_logreg, a one-layer network on nnet's passes, L2 and Adam,
+    equals reference_logreg bit for bit."""
+
+    def assert_reference(self, ds, cfg, seed):
+        model = train_logreg(ds, cfg, seed)
+        weights, bias = reference_logreg(ds, cfg, seed)
+        assert model.logreg.weights.tobytes() == weights.tobytes()
+        assert model.logreg.bias.tobytes() == bias.tobytes()
+        return model
+
+    def test_default_config_on_a_default_scale_split(self):
+        ds = default_scale_train_split(720)
+        assert (ds.schema.num_features, ds.schema.num_classes) == (39, 9)
+        self.assert_reference(ds, LogregConfig(), 720)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            LogregConfig(iterations=80, l2=0.0),
+            LogregConfig(iterations=80, l2=0.3),
+            LogregConfig(iterations=0),
+            LogregConfig(iterations=1),
+            LogregConfig(iterations=20, learning_rate=0.0),
+        ],
+        ids=["l2_zero", "l2_large", "no_iterations", "one_iteration", "learning_rate_zero"],
+    )
+    def test_small_cases(self, cfg):
+        self.assert_reference(small_logreg_case(11), cfg, 3)
+
+    def test_a_class_absent_from_the_labels(self):
+        ds = small_logreg_case(12, num_classes=4, absent=(2,))
+        model = self.assert_reference(ds, LogregConfig(iterations=80), 4)
+        assert (model.predict_proba_matrix(ds.rows).argmax(axis=1) != 2).all()
+
+
 class TestLogreg:
     def test_single_class_saturates(self):
         rng = np.random.default_rng(1)
@@ -65,7 +159,7 @@ class TestLogreg:
         params = [rng.normal(size=(3, 4)), rng.normal(size=3)]
 
         def loss(ps):
-            # the objective logreg_grads differentiates, written out here
+            # the objective the reference's logreg_grads differentiates
             probs = softmax(x @ ps[0].T + ps[1])
             value = categorical_ce(probs, labels) + 0.01 * (np.sum(ps[0] ** 2) + np.sum(ps[1] ** 2))
             return float(value), list(logreg_grads(ps[0], ps[1], x, labels, l2=0.01))
@@ -147,7 +241,7 @@ class TestGbdt:
         )
         model = PlainModel(variant="gbdt", input_dim=1, gbdt=gbdt)
         probs = model.predict_proba_matrix(np.array([[-1.0]]))[0]
-        expected = softmax(np.array([0.1 + 0.5, -0.2 + -1.0]))
+        expected = softmax(np.array([[0.1 + 0.5, -0.2 + -1.0]]))[0]
         np.testing.assert_allclose(probs, expected, atol=1e-15)
 
     def test_bad_shrinkage_rejected(self):
