@@ -352,16 +352,16 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
 
 
 def load_csv(path, schema: DatasetSchema) -> Dataset:
-    """Load a UTF-8 CSV with a header row into a Dataset.
+    """Load a UTF-8 CSV with a header row into a Dataset; a leading
+    byte-order mark is skipped.
 
-    Columns are mapped to schema order by header name, and a name given
-    twice is an error; a `rating` column is optional and may hold label
-    names or integer indices. Unparsable,
-    missing or non-finite feature cells are an error that lists the 1-based
-    data row numbers.
+    Columns are mapped to schema order by header name, and an empty name or
+    a name given twice is an error; a `rating` column is optional and may
+    hold label names or integer indices. Unparsable, missing or non-finite
+    feature cells are an error that lists the 1-based data row numbers.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
@@ -371,6 +371,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         except StopIteration:
             raise DataError("file has no header row") from None
         header = [h.strip() for h in header]
+        if "" in header:
+            raise DataError(f"header column {header.index('') + 1} has no name")
         repeated = sorted({h for h in header if header.count(h) > 1})
         if repeated:
             raise DataError(f"columns named more than once: {', '.join(repeated)}")

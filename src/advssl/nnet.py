@@ -2,10 +2,10 @@
 losses, L2, Adam and gradient checks.
 
 Phase II's encoder, heads and discriminator and Phase I's logistic
-regression (one identity layer) are built from these pieces and train with
-the same mlp_forward / mlp_backward / add_l2_grad / adam_step. All math is
-float64 and every gradient has a closed form that the test suite verifies
-against central finite differences.
+regression (one identity layer) are built from these pieces: all train with
+mlp_forward / mlp_backward / add_l2_grad / adam_step, all predict with
+mlp_forward, all math is float64, and every gradient has a closed form that
+the test suite verifies against central finite differences.
 """
 
 from __future__ import annotations

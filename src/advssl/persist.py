@@ -36,7 +36,7 @@ from .nnet import DenseLayer, MlpParams
 from .prm import PlainModel
 from .trainer import AsslConfig, AsslModel
 
-FORMAT_PLAIN = "advssl/plain-model/2"
+FORMAT_PLAIN = "advssl/plain-model/3"
 FORMAT_ASSL = "advssl/assl-model/1"
 
 
@@ -165,17 +165,17 @@ def save_plain_model(
 
 def _check_widths(model, schema: DatasetSchema, normalizer: Normalizer | None) -> None:
     """Raise a ValueError unless model and normalizer map the schema's features
-    to its labels: input width, class count, one tree per class in every GBDT
-    round, every split on a feature below input_dim, one normalizer entry per
-    feature."""
+    to its labels: input width, class count, an identity logreg layer, one tree
+    per class in every GBDT round, every split on a feature below input_dim,
+    one normalizer entry per feature."""
     f, m = schema.num_features, schema.num_classes
     if isinstance(model, AsslModel):
         widths = {"encoder.in_dim": (model.encoder.in_dim, f)}
         widths["supervised_head.out_dim"] = (model.supervised_head.out_dim, m)
-    elif model.variant == "logistic_regression":
+    elif model.logreg is not None:
         widths = {"input_dim": (model.input_dim, f)}
         widths["logreg.weights.shape"] = (model.logreg.weights.shape, (m, f))
-        widths["logreg.bias.shape"] = (model.logreg.bias.shape, (m,))
+        widths["logreg.activation"] = (model.logreg.activation, "identity")
     else:
         widths = {"input_dim": (model.input_dim, f)}
         widths["gbdt.base_score.shape"] = (model.gbdt.base_score.shape, (m,))
@@ -216,8 +216,6 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
         normalizer = from_plain(Normalizer | None, d.pop("normalizer"), "normalizer")
         if fmt == FORMAT_PLAIN:
             model = from_plain(PlainModel, d, "model")
-            if {"logistic_regression": model.logreg, "gbdt": model.gbdt}.get(model.variant) is None:
-                raise ValueError(f"no parameters for a {model.variant!r} model")
             _check_widths(model, schema, normalizer)
             return fmt, (model, schema, normalizer)
         cfg = from_plain(AsslConfig, d.pop("config"), "config")

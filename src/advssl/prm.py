@@ -1,10 +1,10 @@
 """Phase I: plain rating models and pseudo-labeling of the unlabeled pool.
 
-Two interchangeable model families are provided: multinomial logistic
-regression (a one-layer network of nnet, trained by full-batch Adam on
-cross-entropy + L2 as Phase II trains its networks) and multiclass softmax
-gradient boosting on depth-limited regression trees. Either one can stamp
-pseudo rating labels onto unlabeled rows.
+Two model families are provided: multinomial logistic regression, one
+identity DenseLayer of nnet that trains and predicts through the passes and
+Adam step Phase II uses, and multiclass softmax gradient boosting on
+depth-limited regression trees. A PlainModel holds exactly one of the two,
+and either can stamp pseudo rating labels onto unlabeled rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import numpy as np
 from .data import Dataset
 from .nnet import (
     AdamState,
+    DenseLayer,
     DivergenceError,
+    MlpParams,
     adam_step,
     add_l2_grad,
     categorical_ce,
@@ -73,12 +75,6 @@ class PrmConfig:
 
 
 @dataclass
-class LogregParams:
-    weights: np.ndarray  # (m, F)
-    bias: np.ndarray  # (m,)
-
-
-@dataclass
 class GbdtModel:
     """Boosted class scores; a leaf holds what its round added: step * Newton leaf."""
 
@@ -100,12 +96,16 @@ class GbdtModel:
 
 @dataclass
 class PlainModel:
-    """Phase-I rating model: a variant tag plus its fitted payload."""
+    """Phase-I rating model: one fitted payload, which is its kind; a logistic
+    regression is the DenseLayer it trained, predicted through mlp_forward."""
 
-    variant: str
     input_dim: int
-    logreg: LogregParams | None = None
+    logreg: DenseLayer | None = None
     gbdt: GbdtModel | None = None
+
+    def __post_init__(self):
+        if (self.logreg is None) == (self.gbdt is None):
+            raise ValueError("a plain model holds exactly one of logreg and gbdt")
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -113,9 +113,8 @@ class PlainModel:
             raise ValueError(
                 f"input has {x.shape[1]} features, model expects {self.input_dim}"
             )
-        if self.variant == "logistic_regression":
-            logits = x @ self.logreg.weights.T + self.logreg.bias
-            return softmax(logits)
+        if self.logreg is not None:
+            return softmax(mlp_forward(MlpParams([self.logreg]), x)[0])
         return softmax(self.gbdt.raw_scores(x))
 
 
@@ -160,12 +159,7 @@ def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 
         dlogits = softmax_backward(probs, categorical_ce_grad(probs, labeled.labels))
         mlp_backward(net, cache, dlogits, grads, inputs=False)
         adam_step(net.flat, add_l2_grad(grads.flat, net, cfg.l2), state)
-    layer = net.layers[0]
-    return PlainModel(
-        variant="logistic_regression",
-        input_dim=f,
-        logreg=LogregParams(weights=layer.weights, bias=layer.bias),
-    )
+    return PlainModel(input_dim=f, logreg=net.layers[0])
 
 
 _HALVINGS = 30  # of a round's step before a rise in training loss is an error
@@ -245,7 +239,6 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
         trees.append(round_trees)
         losses.append(loss)
     return PlainModel(
-        variant="gbdt",
         input_dim=x.shape[1],
         gbdt=GbdtModel(base_score=base, trees=trees, train_loss=losses),
     )

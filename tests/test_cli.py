@@ -295,6 +295,22 @@ class TestPredict:
         assert code == 0, err
         assert list(csv.reader(io.StringIO(out, newline=""))) == stored
 
+    def test_csv_with_a_byte_order_mark_predicts_the_same(self, trained_run, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (trained_run / "test_split.csv").read_bytes())
+        code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(marked))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == (trained_run / "predictions.csv").read_text().splitlines()[1:]
+
+    def test_header_with_a_trailing_comma_exits_3(self, trained_run, tmp_path, capsys):
+        lines = (trained_run / "test_split.csv").read_text().splitlines()
+        trailing = tmp_path / "trailing.csv"
+        trailing.write_text("".join(line + ",\n" for line in lines))
+        code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(trailing))
+        assert (code, out) == (3, "")
+        column = len(lines[0].split(",")) + 1
+        assert err == f"error: code=3 reason=header column {column} has no name\n"
+
     @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
     def test_model_file_parsed_once(self, trained_run, capsys, monkeypatch, name):
         loads = []
@@ -333,7 +349,7 @@ def _first_parameter(payload):
     """The container and key of one trained parameter of either model format."""
     if "networks" in payload:
         return payload["networks"]["encoder"][0]["weights"][0], 0
-    if payload["variant"] == "gbdt":
+    if "gbdt" in payload:
         return payload["gbdt"]["base_score"], 0
     return payload["logreg"]["weights"][0], 0
 
@@ -370,7 +386,7 @@ class TestPredictRejectsBadModelFiles:
         assert "normalizer" in self._predict_fails(capsys, model, trained_run)
 
     @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
-    @pytest.mark.parametrize("fmt", ["advssl/other-model/1", None, 7])
+    @pytest.mark.parametrize("fmt", ["advssl/other-model/1", "advssl/plain-model/2", None, 7])
     def test_unknown_format(self, trained_run, tmp_path, capsys, name, fmt):
         def edit(payload):
             payload["format"] = fmt
@@ -428,17 +444,44 @@ class TestPredictRejectsBadModelFiles:
 
         model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
         err = self._predict_fails(capsys, model, trained_run)
-        assert "format 'advssl/plain-model/1' is not advssl/plain-model/2" in err
+        assert "format 'advssl/plain-model/1' is not advssl/plain-model/3" in err
 
     def test_logreg_with_more_classes_than_labels(self, trained_run, tmp_path, capsys):
         def edit(payload):  # 4 classes for 3 labels; class 3 wins every row
             del payload["gbdt"]
-            logreg = {"weights": [[0.0] * 5 for _ in range(4)], "bias": [0, 0, 0, 1]}
-            payload.update(variant="logistic_regression", logreg=logreg)
+            payload["logreg"] = {"weights": [[0.0] * 5 for _ in range(4)], "bias": [0, 0, 0, 1]}
 
         model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
         err = self._predict_fails(capsys, model, trained_run)
         assert "logreg.weights.shape is (4, 5); the schema needs (3, 5)" in err
+
+    @pytest.mark.parametrize("payloads", ["both", "neither"])
+    def test_not_exactly_one_payload(self, trained_run, tmp_path, capsys, payloads):
+        def edit(payload):
+            if payloads == "both":  # a logistic regression beside the GBDT
+                payload["logreg"] = {"weights": [[0.0] * 5] * 3, "bias": [0, 0, 0]}
+            else:
+                del payload["gbdt"]
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "prm_model.json: model: a plain model holds exactly one of logreg and gbdt" in err
+
+    @pytest.mark.parametrize(
+        "layer, reason",
+        [
+            ({"bias": [0, 0, 0], "activation": "relu"}, "logreg.activation is relu"),
+            ({"bias": [0, 0]}, "logreg: bias shape (2,) does not match out_dim 3"),
+        ],
+        ids=["relu", "short_bias"],
+    )
+    def test_logreg_layer_prediction_cannot_use(self, trained_run, tmp_path, capsys, layer, reason):
+        def edit(payload):
+            del payload["gbdt"]
+            payload["logreg"] = {"weights": [[1.0] * 5] * 3, **layer}
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        assert reason in self._predict_fails(capsys, model, trained_run)
 
     def test_split_on_a_feature_outside_the_schema(self, trained_run, tmp_path, capsys):
         def edit(payload):
@@ -547,6 +590,16 @@ class TestSynth:
             capsys, "run", "--config", str(cfg_path), "--out", str(tmp_path / "out")
         )
         assert code == 0, err
+        code, _, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path / "synth"))
+        assert code == 0, err
+
+        def artifacts(out):  # relative path -> bytes of every file but the manifest
+            run_dir = next((tmp_path / out).glob("run-*"))
+            files = [p for p in run_dir.rglob("*") if p.is_file() and p.name != "manifest.json"]
+            return {str(p.relative_to(run_dir)): p.read_bytes() for p in files}
+
+        from_csv = artifacts("out")
+        assert len(from_csv) == 7 and from_csv == artifacts("synth")
 
 
 class TestAblate:

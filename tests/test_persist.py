@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from advssl.data import Dataset, DatasetSchema, SynthConfig, fit_normalizer
+from advssl.nnet import DenseLayer
 from advssl.persist import (
     ConfigError,
     from_plain,
@@ -25,7 +26,6 @@ from advssl.prm import (
     GbdtConfig,
     GbdtModel,
     LogregConfig,
-    LogregParams,
     PlainModel,
     PrmConfig,
     train_gbdt,
@@ -147,8 +147,8 @@ def tree_nodes(num_features):
 
 def plain_models(kind, f, m):
     if kind == "logistic_regression":
-        params = st.builds(LogregParams, vectors(m * f).map(lambda w: w.reshape(m, f)), vectors(m))
-        return st.builds(PlainModel, st.just(kind), st.just(f), logreg=params)
+        layer = st.builds(DenseLayer, vectors(m * f).map(lambda w: w.reshape(m, f)), vectors(m))
+        return st.builds(PlainModel, st.just(f), logreg=layer)
     tree = st.builds(RegressionTree, tree_nodes(f))
     gbdt = st.builds(
         GbdtModel,
@@ -156,7 +156,7 @@ def plain_models(kind, f, m):
         st.lists(st.lists(tree, min_size=m, max_size=m), max_size=3),
         st.lists(edge_floats, max_size=3),
     )
-    return st.builds(PlainModel, st.just(kind), st.just(f), gbdt=gbdt)
+    return st.builds(PlainModel, st.just(f), gbdt=gbdt)
 
 
 class TestModelFileProperties:

@@ -27,8 +27,10 @@ from advssl.pipeline import (
     run_variant,
     write_predictions_csv,
 )
-from advssl.prm import GbdtConfig, LogregConfig, PrmConfig
+from advssl.nnet import AdamState, DenseLayer
+from advssl.prm import GbdtConfig, GbdtModel, LogregConfig, PlainModel, PrmConfig
 from advssl.trainer import AsslConfig, DivergenceError, train
+from advssl.tree import RegressionTree
 from advssl.worker import WorkerTraceback
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
@@ -230,6 +232,12 @@ OPTION_SURFACE = {
         "inference_head",
         "suppress_pseudo",
     ],
+    # The records a model file or an optimizer carries: a field that comes back fails here.
+    PlainModel: ["input_dim", "logreg", "gbdt"],
+    GbdtModel: ["base_score", "trees", "train_loss"],
+    RegressionTree: ["root"],
+    DenseLayer: ["weights", "bias", "activation"],
+    AdamState: ["learning_rate", "step_count", "first_moment", "second_moment", "workspace"],
 }
 
 

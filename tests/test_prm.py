@@ -18,6 +18,7 @@ from advssl.data import (
 )
 from advssl.nnet import (
     AdamState,
+    DenseLayer,
     DivergenceError,
     adam_step,
     categorical_ce,
@@ -111,6 +112,8 @@ class TestLogregReference:
         weights, bias = reference_logreg(ds, cfg, seed)
         assert model.logreg.weights.tobytes() == weights.tobytes()
         assert model.logreg.bias.tobytes() == bias.tobytes()
+        probs = softmax(ds.rows @ weights.T + bias)  # the linear forward pass, written out
+        assert model.predict_proba_matrix(ds.rows).tobytes() == probs.tobytes()
         return model
 
     def test_default_config_on_a_default_scale_split(self):
@@ -167,11 +170,7 @@ class TestLogreg:
         assert grad_check(loss, params, epsilon=1e-6) < 1e-5
 
     def test_zero_weights_predict_uniform(self):
-        model = PlainModel(
-            variant="logistic_regression",
-            input_dim=2,
-            logreg=type("L", (), {"weights": np.zeros((4, 2)), "bias": np.zeros(4)})(),
-        )
+        model = PlainModel(input_dim=2, logreg=DenseLayer(np.zeros((4, 2)), np.zeros(4)))
         np.testing.assert_allclose(
             model.predict_proba_matrix(np.array([[1.0, -1.0]]))[0], np.full(4, 0.25), atol=1e-15
         )
@@ -239,7 +238,7 @@ class TestGbdt:
             base_score=np.array([0.1, -0.2]),
             trees=[[stump(0.5, -0.5), stump(-1.0, 1.0)]],
         )
-        model = PlainModel(variant="gbdt", input_dim=1, gbdt=gbdt)
+        model = PlainModel(input_dim=1, gbdt=gbdt)
         probs = model.predict_proba_matrix(np.array([[-1.0]]))[0]
         expected = softmax(np.array([[0.1 + 0.5, -0.2 + -1.0]]))[0]
         np.testing.assert_allclose(probs, expected, atol=1e-15)
@@ -436,33 +435,28 @@ class TestPredictProba:
             model.predict_proba_matrix(np.array([[1.0, 2.0, 3.0]]))
 
 
-class FixedProbaModel(PlainModel):
-    """Test double: returns the same probability row for every input."""
-
-    def __init__(self, probs, input_dim=2):
-        super().__init__(variant="gbdt", input_dim=input_dim)
-        self._probs = np.asarray(probs, dtype=np.float64)
-
-    def predict_proba_matrix(self, x):
-        x = np.atleast_2d(x)
-        return np.tile(self._probs, (x.shape[0], 1))
+def constant_model(probs, input_dim=2) -> PlainModel:
+    """A logistic regression with zero weights: softmax(log(probs)) for every row."""
+    bias = np.log(np.asarray(probs, dtype=np.float64))
+    layer = DenseLayer(np.zeros((bias.size, input_dim)), bias)
+    return PlainModel(input_dim=input_dim, logreg=layer)
 
 
 class TestPseudoLabel:
     def test_constant_model_labels_and_confidence(self):
         ds = Dataset(small_schema(2, 3), np.random.default_rng(13).normal(size=(5, 2)))
-        out = pseudo_label(FixedProbaModel([0.1, 0.7, 0.2]), ds)
+        out = pseudo_label(constant_model([0.1, 0.7, 0.2]), ds)
         np.testing.assert_array_equal(out.labels, np.ones(5, dtype=int))
         np.testing.assert_allclose(out.confidences, 0.7)
 
     def test_tie_breaks_to_lowest_index(self):
         ds = Dataset(small_schema(2, 3), np.zeros((3, 2)))
-        out = pseudo_label(FixedProbaModel([0.4, 0.4, 0.2]), ds)
+        out = pseudo_label(constant_model([0.4, 0.4, 0.2]), ds)
         np.testing.assert_array_equal(out.labels, [0, 0, 0])
 
     def test_empty_input_gives_empty_result(self):
         ds = Dataset(small_schema(2, 3), np.empty((0, 2)))
-        out = pseudo_label(FixedProbaModel([0.5, 0.3, 0.2]), ds)
+        out = pseudo_label(constant_model([0.5, 0.3, 0.2]), ds)
         assert len(out) == 0
 
     @pytest.mark.parametrize("variant", ["logistic_regression", "gbdt"])
@@ -519,8 +513,15 @@ class TestTrainPrm:
         ds = blobs_dataset(seed=17)
         gbdt = train_prm(ds, PrmConfig(variant="gbdt", gbdt=GbdtConfig(rounds=2, max_depth=1)))
         logreg = train_prm(ds, PrmConfig(variant="logistic_regression"), seed=3)
-        assert gbdt.variant == "gbdt"
-        assert logreg.variant == "logistic_regression"
+        assert isinstance(gbdt.gbdt, GbdtModel) and gbdt.logreg is None
+        assert isinstance(logreg.logreg, DenseLayer) and logreg.gbdt is None
+
+    def test_a_plain_model_holds_exactly_one_payload(self):
+        layer = DenseLayer(np.zeros((2, 1)), np.zeros(2))
+        gbdt = GbdtModel(base_score=np.zeros(2), trees=[])
+        for payloads in ({}, {"logreg": layer, "gbdt": gbdt}):
+            with pytest.raises(ValueError, match="exactly one of logreg and gbdt"):
+                PlainModel(input_dim=1, **payloads)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
