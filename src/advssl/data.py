@@ -138,8 +138,8 @@ class Dataset:
         return self.labels is not None
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        labels = None if self.labels is None else self.labels[idx].copy()
-        return Dataset(self.schema, self.rows[idx].copy(), labels)
+        labels = None if self.labels is None else self.labels[idx]
+        return Dataset(self.schema, self.rows[idx], labels)
 
 
 @dataclass
@@ -268,8 +268,7 @@ class SynthConfig:
     Class means sit at separation_scale times random unit directions; rows
     add isotropic noise_std noise. labeled_fraction of the rows keep their
     labels, the rest become the unlabeled pool (their generating classes
-    are returned separately, for evaluation only). label_noise_rate flips
-    that fraction of all emitted labels to a uniformly random other class.
+    are returned separately, for evaluation only).
     """
 
     num_features: int = 39
@@ -278,7 +277,6 @@ class SynthConfig:
     labeled_fraction: float = 0.1
     separation_scale: float = 3.0
     noise_std: float = 1.0
-    label_noise_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -286,8 +284,6 @@ class SynthConfig:
             raise DataError("num_features, num_classes, samples_per_class must be positive")
         if not 0.0 <= self.labeled_fraction <= 1.0:
             raise DataError("labeled_fraction must lie in [0, 1]")
-        if not 0.0 <= self.label_noise_rate <= 1.0:
-            raise DataError("label_noise_rate must lie in [0, 1]")
         if self.separation_scale < 0 or self.noise_std < 0:
             raise DataError("separation_scale and noise_std must be >= 0")
 
@@ -299,7 +295,7 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     the synth_noise stream, drawn a class at a time straight into the outputs.
     The unlabeled pool is feature-major (order="F"): standardize updates it in
     place and tree scoring reads it a feature at a time, so it is never copied.
-    hidden_truth carries the emitted label for every unlabeled row; it is
+    hidden_truth carries the generating class of every unlabeled row; it is
     never consumed by training code, only by evaluation harnesses.
     """
     schema = synthetic_schema(cfg.num_features, cfg.num_classes)
@@ -313,11 +309,6 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dataset, np.ndarray]:
     means = cfg.separation_scale * directions / norms
 
     labels = np.repeat(np.arange(m, dtype=np.int64), spc)
-    if cfg.label_noise_rate > 0:
-        noise_lab_rng = named_rng(cfg.seed, "synth_label_noise")
-        flip = noise_lab_rng.random(total) < cfg.label_noise_rate
-        offsets = noise_lab_rng.integers(1, m, size=total)
-        labels = np.where(flip, (labels + offsets) % m, labels)
 
     pick_rng = named_rng(cfg.seed, "synth_labeled_pick")
     target_labeled = int(round(cfg.labeled_fraction * total))

@@ -46,9 +46,8 @@ def named_rng(seed: int, name: str) -> np.random.Generator:
 
 
 def as_matrix(x, name: str = "input") -> Matrix:
+    """x as a float64 array; anything but 2-D is a ValueError that names it."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     return arr
@@ -359,15 +358,13 @@ def adam_step(
 
 def l2_penalty(params, lam: float) -> float:
     """lam * sum of squares over every entry (weights and biases alike) of
-    an MlpParams (one dot product over its flat buffer) or a list of arrays;
-    0.0 when lam is 0, whatever the entries. add_l2_grad adds its gradient."""
+    an MlpParams, one dot product over its flat buffer; 0.0 when lam is 0,
+    before params is read. add_l2_grad adds its gradient."""
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     if lam == 0:
         return 0.0
-    if isinstance(params, MlpParams):
-        return lam * float(params.flat @ params.flat)
-    return lam * float(sum(np.sum(a * a) for a in params))
+    return lam * float(params.flat @ params.flat)
 
 
 def add_l2_grad(grads: np.ndarray, net: MlpParams, lam: float) -> np.ndarray:

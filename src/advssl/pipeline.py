@@ -207,8 +207,6 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
     write its models, history, report and round-trip CSVs into seed_dir;
     return (artifact paths, report). A variant whose table entry suppresses
     the pseudo pool (the supervised baseline) writes no model.json."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
     overrides = VARIANTS[variant]
     if overrides is None:
         probs = prep.prm_model.predict_proba_matrix(prep.test.rows)
@@ -326,7 +324,8 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
 def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
     """Train, evaluate and write every variant of one prepared seed, with
     WORKER_VARIANTS in a forked worker (worker.forked); return variant ->
-    (artifact paths, report, seconds in the process that ran it)."""
+    (artifact paths, report, seconds in the process that ran it). Before
+    each variant here, a worker that has already failed raises its error."""
 
     def train_and_write(variant):
         t0 = time.monotonic()
@@ -337,7 +336,11 @@ def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
         return {v: train_and_write(v) for v in WORKER_VARIANTS}
 
     with forked(train_in_worker, "ablation worker") as worker_result:
-        done = {v: train_and_write(v) for v in VARIANTS if v not in WORKER_VARIANTS}
+        done = {}
+        for variant in VARIANTS:
+            if variant not in WORKER_VARIANTS:
+                worker_result(wait=False)
+                done[variant] = train_and_write(variant)
         return {**done, **worker_result()}
 
 

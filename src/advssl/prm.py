@@ -21,6 +21,7 @@ from .nnet import (
     MlpParams,
     adam_step,
     add_l2_grad,
+    as_matrix,
     categorical_ce,
     categorical_ce_grad,
     init_mlp,
@@ -83,8 +84,7 @@ class GbdtModel:
     train_loss: list[float] = field(default_factory=list)
 
     def raw_scores(self, x: np.ndarray) -> np.ndarray:
-        """base + tree, summed per class in round order; (n, m)."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        """base + tree, summed per class in round order; (n, m) for a float64 (n, F) x."""
         xt = np.ascontiguousarray(x.T)  # feature rows: the pool itself when it is feature-major
         scores = np.tile(self.base_score[:, None], (1, x.shape[0]))  # (m, n)
         out = np.empty(x.shape[0])
@@ -108,7 +108,7 @@ class PlainModel:
             raise ValueError("a plain model holds exactly one of logreg and gbdt")
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = as_matrix(x)
         if x.shape[1] != self.input_dim:
             raise ValueError(
                 f"input has {x.shape[1]} features, model expects {self.input_dim}"
@@ -141,12 +141,11 @@ def _check_labeled(labeled: Dataset):
         raise ValueError("training dataset has no labels")
 
 
-def train_logreg(labeled: Dataset, cfg: LogregConfig | None = None, seed: int = 0) -> PlainModel:
+def train_logreg(labeled: Dataset, cfg: LogregConfig, seed: int = 0) -> PlainModel:
     """Multinomial softmax regression, deterministic per seed: one identity
     layer (init_mlp's draw from the logreg_init stream) trained by full-batch
     Adam on cross-entropy + l2 * ||weights and bias||^2, through the passes,
     L2 gradient and Adam step Phase II uses. The fit never reads the loss."""
-    cfg = cfg or LogregConfig()
     _check_labeled(labeled)
     m = labeled.schema.num_classes
     f = labeled.schema.num_features
@@ -173,7 +172,7 @@ def _scale_leaves(node: TreeNode, factor: float):
         _scale_leaves(node.right, factor)
 
 
-def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
+def train_gbdt(labeled: Dataset, cfg: GbdtConfig) -> PlainModel:
     """Multiclass softmax boosting with Newton leaves (Friedman 2001, Algorithm 6).
 
     Per round: p = softmax(scores); one tree per class k whose splits fit
@@ -186,11 +185,8 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig | None = None) -> PlainModel:
     to _HALVINGS times; past that the fit raises. Every accepted round's
     leaves are then scaled by its step, so a leaf holds the score it added.
     """
-    cfg = cfg or GbdtConfig()
     _check_labeled(labeled)
     m = labeled.schema.num_classes
-    if m < 2:
-        raise ValueError("gbdt needs at least 2 classes")
     x, labels = labeled.rows, labeled.labels
     n = x.shape[0]
 

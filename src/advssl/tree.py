@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nnet import as_matrix
+
 
 @dataclass
 class TreeNode:
@@ -79,9 +81,7 @@ class RegressionTree:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf value per row; rows go left when value <= threshold (NaN goes right)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            x = x.reshape(1, -1)
+        x = as_matrix(x)
         return self.predict_transposed(x.T, np.empty(x.shape[0]))
 
     def predict_transposed(self, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,7 +236,7 @@ def fit_regression_tree(
     presorted: tuple[np.ndarray, np.ndarray] | None = None,
     denominators: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Greedy exact least-squares tree.
+    """Greedy exact least-squares tree on the (rows, features) matrix x.
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
     side, on constant targets, and on zero SSE gain. presorted, when given,
@@ -246,10 +246,8 @@ def fit_regression_tree(
     fits targets by least squares either way). The tree's `fitted` holds
     each row's leaf value.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_matrix(x)
     targets = np.asarray(targets, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
     if x.shape[0] == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
     if x.shape[0] != targets.shape[0]:

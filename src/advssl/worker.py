@@ -3,8 +3,10 @@
 `forked(body, name)` forks. The child runs body() and ends by os._exit, so
 it never runs the parent's atexit handlers or flushes the parent's stdio
 buffers. The child pickles body's result into a pipe; the parent reads it
-through the function the with-block yields. Each side closes the pipe end
-it does not use, so a child that has ended reads as EOF, never as a hang.
+through the function the with-block yields, once, and keeps it. Each side
+closes the pipe end it does not use, so a child that has ended reads as
+EOF, never as a hang. The child writes only after body returns or raises,
+so a pipe with anything to read means body is done.
 
 Failures reach the parent as its own exceptions:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pickle
+import select
 
 
 class WorkerTraceback(Exception):
@@ -40,7 +43,8 @@ class _Failure:
 @contextlib.contextmanager
 def forked(body, name: str):
     """Run body() in a forked child for the with-block; yield a function
-    that waits for the child and returns body's result. name ("ablation
+    result(wait=True) that waits for the child and returns body's result;
+    with wait=False it returns None while body still runs. name ("ablation
     worker") starts the ChildProcessError of a child that ends without one."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -61,9 +65,14 @@ def forked(body, name: str):
     os.close(write_fd)
     reader = open(read_fd, "rb")
     reaped = False
+    kept = []
 
-    def result():
+    def result(wait: bool = True):
         nonlocal reaped
+        if kept:
+            return kept[0]
+        if not wait and not select.select([reader], [], [], 0)[0]:
+            return None
         data = reader.read()  # to EOF: the child has written all or ended
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         reaped = True
@@ -72,6 +81,7 @@ def forked(body, name: str):
         message = pickle.loads(data)
         if isinstance(message, _Failure):
             raise message.exc from WorkerTraceback(message.frames)
+        kept.append(message)
         return message
 
     try:

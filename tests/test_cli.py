@@ -845,7 +845,6 @@ tiny_configs = st.builds(
             labeled_fraction=unit,
             separation_scale=small,
             noise_std=small,
-            label_noise_rate=unit,
             seed=st.integers(0, 2**32 - 1),
         ),
     ),

@@ -241,27 +241,12 @@ class TestGenerateSynthetic:
         dists = ((unlabeled.rows[:, None, :] - means[None]) ** 2).sum(axis=2)
         assert (dists.argmin(axis=1) == truth).mean() > 0.99
 
-    def test_label_noise_flips_some_labels(self):
-        base = SynthConfig(num_features=3, num_classes=3, samples_per_class=200, seed=4)
-        noisy = SynthConfig(
-            num_features=3,
-            num_classes=3,
-            samples_per_class=200,
-            label_noise_rate=0.3,
-            seed=4,
-        )
-        clean_labeled, _, clean_truth = generate_synthetic(base)
-        noisy_labeled, _, noisy_truth = generate_synthetic(noisy)
-        flipped = (clean_truth != noisy_truth).mean()
-        assert 0.2 < flipped < 0.4
-
     def test_hidden_truth_is_generating_class_without_label_noise(self):
         cfg = SynthConfig(
             num_features=3,
             num_classes=3,
             samples_per_class=20,
             labeled_fraction=0.0,
-            label_noise_rate=0.0,
             seed=11,
         )
         labeled, unlabeled, truth = generate_synthetic(cfg)
@@ -275,7 +260,7 @@ class TestGenerateSynthetic:
             SynthConfig(seed=5),
             SynthConfig(
                 num_features=5, num_classes=3, samples_per_class=50,
-                label_noise_rate=0.2, noise_std=0.7, seed=6,
+                noise_std=0.7, seed=6,
             ),
             SynthConfig(num_features=4, num_classes=3, samples_per_class=20, labeled_fraction=1.0),
             SynthConfig(num_features=4, num_classes=3, samples_per_class=20, labeled_fraction=0.0),
@@ -328,10 +313,6 @@ def one_draw_reference(cfg):
     noise = named_rng(cfg.seed, "synth_noise").normal(size=(total, f))
     rows = np.repeat(means, spc, axis=0) + cfg.noise_std * noise
     labels = np.repeat(np.arange(m, dtype=np.int64), spc)
-    if cfg.label_noise_rate > 0:
-        rng = named_rng(cfg.seed, "synth_label_noise")
-        flip = rng.random(total) < cfg.label_noise_rate
-        labels = np.where(flip, (labels + rng.integers(1, m, size=total)) % m, labels)
     pick_rng = named_rng(cfg.seed, "synth_labeled_pick")
     per_class = largest_remainder(int(round(cfg.labeled_fraction * total)), np.full(m, 1.0 / m))
     mask = np.zeros(total, dtype=bool)

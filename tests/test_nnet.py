@@ -382,7 +382,8 @@ class TestL2Penalty:
         assert add_l2_grad(grads, mlp, 0.0) is grads and list(grads) == [1.0, -2.0]
 
     def test_hand_single_weight(self):
-        assert l2_penalty([np.array([2.0])], 0.5) == 2.0
+        mlp = MlpParams([DenseLayer(np.array([[2.0]]), np.zeros(1), "identity")])
+        assert l2_penalty(mlp, 0.5) == 2.0
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):

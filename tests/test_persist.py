@@ -289,7 +289,6 @@ synth_configs = st.builds(
     labeled_fraction=st.floats(0, 1),
     separation_scale=weight,
     noise_std=weight,
-    label_noise_rate=st.floats(0, 1),
     seed=st.integers(0, 2**32 - 1),
 )
 # Three fractions >= 0 that sum to 1 (within rounding), zeros included.

@@ -1,9 +1,12 @@
 """Pipeline-level integration tests, including the data-flow leakage audit."""
 
 import ast
+import glob
 import json
 import os
+import re
 import time
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -33,7 +36,8 @@ from advssl.trainer import AsslConfig, DivergenceError, train
 from advssl.tree import RegressionTree
 from advssl.worker import WorkerTraceback
 
-SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SMOKE = os.path.join(ROOT, "configs", "smoke.json")
 
 
 @pytest.fixture(scope="module")
@@ -118,12 +122,6 @@ class TestRunVariant:
                 assert len(handle.readlines()) == 1 + len(prep.test)
             assert 0.0 <= report.accuracy <= 1.0
 
-    def test_unknown_variant_rejected(self, smoke_cfg, tmp_path):
-        prep = prepare_seed(smoke_cfg, 0)
-        with pytest.raises(ConfigError):
-            run_variant(prep, "mystery", str(tmp_path))
-        assert os.listdir(tmp_path) == []
-
     def test_model_json_unless_the_table_suppresses_the_pseudo_pool(self, smoke_cfg, tmp_path):
         cfg = replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=2))
         written = {}
@@ -151,7 +149,7 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "edit, expected",
         [
-            (None, "7c5e4889f681"),
+            (None, "55886cd2b81f"),
             # A CSV source leaves its null unlabeled_csv out, like any None-default field.
             (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "947150623bcf"),
             # An int given for a float field is hashed as written, not as a float.
@@ -161,7 +159,7 @@ class TestRunConfig:
                     "data": {"synth": {**raw["data"]["synth"], "noise_std": 1}},
                     "assl": {**raw["assl"], "alpha": 0},
                 },
-                "aef24421d813",
+                "854fcb9ac16a",
             ),
         ],
         ids=["smoke", "csv_source", "ints_for_floats"],
@@ -209,7 +207,6 @@ OPTION_SURFACE = {
         "labeled_fraction",
         "separation_scale",
         "noise_std",
-        "label_noise_rate",
         "seed",
     ],
     PrmConfig: ["variant", "gbdt", "logreg"],
@@ -241,6 +238,55 @@ OPTION_SURFACE = {
 }
 
 
+WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def public_definitions(tree):
+    """Public module-level functions and classes, and public methods, as
+    "name" or "Class.name"."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+
+
+def names_used(tree) -> Counter:
+    """Identifiers a module names: names, attributes, imports and the words of
+    strings other than docstrings. A name inside the def or class of that name
+    (recursion) does not count."""
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node)
+    }
+    named = Counter()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name):
+            words = [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, ast.alias):
+            words = [node.name.rsplit(".", 1)[-1]]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words = [] if id(node) in docstrings else WORD.findall(node.value)
+        else:
+            words = []
+        named.update(w for w in words if w not in inside)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return named
+
+
 class TestOptionSurface:
     @pytest.mark.parametrize("cls", OPTION_SURFACE, ids=lambda cls: cls.__name__)
     def test_init_fields_are_pinned(self, cls):
@@ -263,6 +309,27 @@ class TestOptionSurface:
                     continue
                 readers += [f"{name}: {t}" for t in touched if t in ("environ", "environb", "getenv")]
         assert readers == []
+
+    def test_every_public_name_has_a_caller_outside_the_unit_tests(self):
+        """A public function, class or method of advssl is named somewhere
+        else in the package, bench/, configs/ or the acceptance criteria."""
+        package = sorted(glob.glob(os.path.join(ROOT, "src", "advssl", "*.py")))
+        callers = sorted(glob.glob(os.path.join(ROOT, "bench", "*.py")))
+        callers.append(os.path.join(ROOT, "tests", "test_acceptance.py"))
+        assert len(package) >= 13 and len(callers) >= 8
+        named, defined = Counter(), []
+        for path in package + callers:
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            named += names_used(tree)
+            if path in package:
+                defined += [f"{os.path.basename(path)}: {d}" for d in public_definitions(tree)]
+        for path in glob.glob(os.path.join(ROOT, "configs", "*.json")) + glob.glob(
+            os.path.join(ROOT, "bench", "*.json")
+        ):
+            with open(path, encoding="utf-8") as handle:
+                named.update(WORD.findall(handle.read()))
+        assert [d for d in defined if not named[re.split(r"\W+", d)[-1]]] == []
 
 
 class TestArtifactWriters:
@@ -393,6 +460,33 @@ class TestAblationWorker:
         assert isinstance(cause, WorkerTraceback)
         assert "return None + 1  # raises TypeError in the worker" in str(cause)
         assert "in add_to_none" in str(cause)
+
+    def test_worker_failure_is_raised_before_full_trains(self, cfg, tmp_path, monkeypatch):
+        real = pipeline.run_variant
+
+        def run_variant(prep, variant, seed_dir):
+            if variant == "supervised_mlp":
+                raise DivergenceError("the worker failed first")
+            if variant == "full":
+                raise AssertionError("full trained after the worker had failed")
+            if variant == "prm_only":
+                # The worker is this process's only child; WNOWAIT leaves it to forked to reap.
+                deadline = time.monotonic() + 20
+                while not os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+                    assert time.monotonic() < deadline, "the worker did not end"
+                    time.sleep(0.01)
+            return real(prep, variant, seed_dir)
+
+        monkeypatch.setattr(pipeline, "run_variant", run_variant)
+        with pytest.raises(DivergenceError, match="^the worker failed first$"):
+            execute_ablation(cfg, str(tmp_path))
+        assert_no_child_left()
+        (run_dir,) = tmp_path.glob("ablate-*")
+        payload = json.loads((run_dir / "manifest.json").read_text())
+        assert payload["status"] == "failed"
+        assert payload["error"] == "DivergenceError: the worker failed first"
+        assert (run_dir / "seed_0" / "prm_only" / "report.json").exists()
+        assert not (run_dir / "seed_0" / "full").exists()
 
     def test_worker_ending_without_a_result_raises_child_process_error(
         self, cfg, tmp_path, monkeypatch

@@ -186,7 +186,7 @@ class TestLogreg:
     def test_empty_dataset_rejected(self):
         ds = Dataset(small_schema(), np.empty((0, 2)), np.empty(0, dtype=int))
         with pytest.raises(ValueError):
-            train_logreg(ds)
+            train_logreg(ds, LogregConfig())
 
 
 class TestGbdt:

@@ -154,7 +154,7 @@ class TestLossBceL2:
         assert abs(loss - expected) < 1e-12
 
     def test_l2_term_added(self):
-        params = [np.array([2.0])]
+        params = MlpParams([DenseLayer(np.array([[2.0]]), np.zeros(1), "identity")])
         base = loss_bce_l2(np.array([[0.5, 0.5]]), [0], 0.0, params)
         with_reg = loss_bce_l2(np.array([[0.5, 0.5]]), [0], 0.25, params)
         assert abs((with_reg - base) - 1.0) < 1e-12

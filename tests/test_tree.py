@@ -135,6 +135,8 @@ class TestFitRegressionTree:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             fit_regression_tree(np.empty((0, 2)), np.empty(0), max_depth=1)
+        with pytest.raises(ValueError, match="must be 2-D"):  # neither a row nor a column
+            fit_regression_tree(np.zeros(4), np.zeros(4), max_depth=1)
 
     def test_min_leaf_count_respected(self):
         rng = np.random.default_rng(1)
@@ -413,9 +415,11 @@ class TestPredictMatchesRecursiveReference:
     @pytest.mark.parametrize("name", sorted(hand_built_trees()))
     def test_one_row_and_no_rows(self, name):
         tree = hand_built_trees()[name]
-        row = np.array([0.05, -0.0, np.nan])
+        row = np.array([[0.05, -0.0, np.nan]])
         assert tree.predict(row).tobytes() == reference_predict(tree, row).tobytes()
         assert tree.predict(np.empty((0, 3))).shape == (0,)
+        with pytest.raises(ValueError, match="must be 2-D"):
+            tree.predict(row[0])
 
     def test_predict_transposed_writes_into_out(self):
         tree = hand_built_trees()["mixed"]
@@ -430,6 +434,6 @@ class TestPredictMatchesRecursiveReference:
         labels = (x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5).astype(int)
         schema = DatasetSchema(tuple(f"f{i}" for i in range(4)), ("A", "B", "C"))
         model = train_gbdt(Dataset(schema, x, labels), GbdtConfig(rounds=12, max_depth=4)).gbdt
-        for rows in (x, probe_rows(model.trees[0][0], 4, rng), x[0]):
+        for rows in (x, probe_rows(model.trees[0][0], 4, rng), x[:1]):
             got, want = model.raw_scores(rows), reference_raw_scores(model, rows)
             assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
