@@ -350,12 +350,17 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     a name given twice is an error; a `rating` column is optional and may
     hold label names or integer indices. Unparsable, missing or non-finite
     feature cells are an error that lists the 1-based data row numbers.
+    A first pass counts the lines; the second parses the records into one
+    feature-major array of that many columns, and rows is its (n, F)
+    transpose, as for the pool of generate_synthetic.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
+        capacity = sum(1 for _ in handle) - 1  # the record count, unless a cell spans lines
+        handle.seek(0)
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -377,29 +382,36 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         col_of = {name: header.index(name) for name in schema.feature_names}
         label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
 
-        rows: list[list[float]] = []
-        labels: list[int] = []
+        columns = np.empty((schema.num_features, capacity))
+        labels = None if label_col is None else np.empty(capacity, dtype=np.int64)
+        cells = [col_of[name] for name in schema.feature_names]
+        row_num = 0
         for row_num, record in enumerate(reader, start=1):
             if len(record) != len(header):
                 raise DataError(
                     f"row {row_num} has {len(record)} cells, header has {len(header)}"
                 )
-            values = []
-            for name in schema.feature_names:
-                try:
-                    values.append(float(record[col_of[name]]))
-                except ValueError:
-                    values.append(np.nan)  # float('nan'/'inf') parses too: both fail below
-            rows.append(values)
-            if label_col is not None:
-                labels.append(schema.label_index(record[label_col]))
+            try:
+                columns[:, row_num - 1] = [float(record[c]) for c in cells]
+            except ValueError:  # float('nan'/'inf') parses too: both fail below
+                columns[:, row_num - 1] = [_float_or_nan(record[c]) for c in cells]
+            if labels is not None:
+                labels[row_num - 1] = schema.label_index(record[label_col])
+    if row_num < capacity:  # a quoted cell held a line break
+        columns = columns[:, :row_num].copy()
+        labels = None if labels is None else labels[:row_num].copy()
 
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), schema.num_features)
-    bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1)) + 1
+    bad_rows = np.flatnonzero(~np.isfinite(columns).all(axis=0)) + 1
     if bad_rows.size:
         raise DataError("unparsable values in row(s): " + ", ".join(map(str, bad_rows)))
-    label_arr = np.asarray(labels, dtype=np.int64) if label_col is not None else None
-    return Dataset(schema, data, label_arr)
+    return Dataset(schema, columns.T, labels)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
 
 
 @contextlib.contextmanager

@@ -8,16 +8,21 @@ carries the sum of its rows' targets over the sum of their denominators,
 so the leaf is the mean of its targets; boosting passes Hessians, which
 makes every leaf a Newton step (Friedman 2001, Algorithm 6).
 
-No node sorts. The training matrix is sorted column-wise once (presort;
-boosting shares one presort across all its trees), and each node holds
-its rows as one sorted list per feature. A split divides those lists for
-the children by a stable partition, so every child's lists stay sorted
-and equal ties keep ascending row order. best_split searches all features
-of a node in one vectorised pass: one prefix sum per feature, gains at
-every position that leaves min_leaf_count rows per side and lies between
-two distinct values. Ties go to the lowest feature index, then to the
-smallest threshold. The trees are the ones a per-node stable sort of
-each feature would give, bit for bit.
+No node sorts and no node allocates a per-feature array. presort builds
+one workspace per training matrix (boosting shares it across all its
+trees): the column-wise row order, the features that hold a repeated
+value, and the scratch buffers that the search and the partition
+overwrite; values are read from x itself. Each node holds its rows as one
+sorted list per feature, nothing more. A split divides those lists for the children by a
+stable partition into one of two level buffers, so every child's lists
+stay sorted and equal values keep ascending row order. best_split
+searches all features of a node in one vectorised pass: one prefix sum
+per feature, gains at every position that leaves min_leaf_count rows per
+side and lies between two distinct values. Only a feature with a repeated
+value anywhere in x can have two equal values side by side in a node, so
+only those features gather their node values for that test. Ties go to
+the lowest feature index, then to the smallest threshold. The trees are
+the ones a per-node stable sort of each feature would give, bit for bit.
 
 Trees grow level by level (_grow): every node of a level is searched, then
 split or made a leaf.
@@ -126,62 +131,101 @@ def _evaluate(node: TreeNode, xt: np.ndarray, rows: np.ndarray | None, out: np.n
                 _evaluate(sub, xt, sel if rows is None else rows[sel], out)
 
 
-def presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature row order of x (stable sort by value) and the values in that order.
+@dataclass(eq=False)
+class Presorted:
+    """What every tree fit on one training matrix x shares (see presort).
 
-    Returns (rows, values), both shaped (F, n). Sort once per training
-    matrix and pass the result to every fit_regression_tree call on it.
+    rows is the (F, n) per-feature row order of the (n, F) matrix x and
+    tied the features that hold a repeated value. scratch, go_left and
+    levels are the buffers that best_split and the partition overwrite at
+    every node; a fit never writes rows, x or tied. x is read in place, not
+    copied: a copy is one more (F, n) array at the fit's peak memory.
     """
-    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
-    rows = np.argsort(xt, axis=1, kind="stable")
-    return rows, np.take_along_axis(xt, rows, axis=1)
+
+    rows: np.ndarray
+    x: np.ndarray
+    tied: np.ndarray
+
+    def __post_init__(self):
+        size = self.rows.size
+        self.scratch = np.empty((3, size))  # best_split's take, cumsum and gain passes
+        self.go_left = np.empty(size, dtype=bool)
+        self.levels = np.empty((2, size), dtype=np.intp)  # children's row lists, level by level
+
+
+def presort(x: np.ndarray) -> Presorted:
+    """The workspace of every fit_regression_tree call on x: per-feature row
+    order (stable sort by value), the features with a repeated value and the
+    search's scratch. Build it once per training matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    rows = np.argsort(x.T, axis=1, kind="stable")
+    values = np.take_along_axis(x.T, rows, axis=1)
+    tied = np.flatnonzero((values[:, 1:] == values[:, :-1]).any(axis=1))
+    return Presorted(rows, x, tied)
 
 
 def best_split(
+    presorted: Presorted,
     rows: np.ndarray,
-    values: np.ndarray,
     targets: np.ndarray,
     total: float,
     min_leaf_count: int,
 ) -> tuple[float, int, float] | None:
     """Best (gain, feature, threshold) over all exact splits of one node, or None.
 
-    rows and values are the node's (F, n) presorted lists: row f holds the
-    node's row indices sorted by feature f and the matching values. targets
-    is indexed by row; total is the node's target sum in ascending row order.
-    Gain is the SSE reduction sum_L^2/n_L + sum_R^2/n_R - sum^2/n. Ties go
-    to the lowest feature index, then to the smallest threshold.
+    rows is the node's (F, n) presorted lists, C-contiguous: row f holds the
+    node's row indices sorted by feature f. targets is indexed by row; total
+    is the node's target sum in ascending row order. Gain is the SSE
+    reduction sum_L^2/n_L + sum_R^2/n_R - sum^2/n, computed in the scratch of
+    presorted. A position between two equal values is no split; only the
+    features in presorted.tied can hold one. Ties go to the lowest feature
+    index, then to the smallest threshold.
     """
-    n = rows.shape[1]
+    f, n = rows.shape
     lo, hi = min_leaf_count - 1, n - min_leaf_count  # split after position i in [lo, hi)
     if lo >= hi or rows.size == 0:
         return None
-    left_sum = np.cumsum(np.take(targets, rows), axis=1)[:, lo:hi]
+    scratch, span = presorted.scratch, f * (hi - lo)
+    picked = np.take(targets, rows, out=scratch[0, : rows.size].reshape(f, n), mode="clip")
+    left_sum = np.cumsum(picked, axis=1, out=scratch[1, : rows.size].reshape(f, n))[:, lo:hi]
     sizes = np.arange(lo + 1, hi + 1, dtype=np.float64)  # left-side sizes
-    # In place, but in the order of L*L/nL + R*R/nR - total*total/n.
-    gains = left_sum * left_sum
+    # Contiguous outputs (arithmetic on the strided left_sum is slow), in
+    # place, in the order of L*L/nL + R*R/nR - total*total/n.
+    gains = np.multiply(left_sum, left_sum, out=scratch[2, :span].reshape(f, -1))
     gains /= sizes
-    right = total - left_sum
+    right = np.subtract(total, left_sum, out=scratch[0, :span].reshape(f, -1))
     right *= right
     right /= n - sizes
     gains += right
     gains -= total * total / n
-    np.copyto(gains, -np.inf, where=values[:, lo + 1 : hi + 1] == values[:, lo:hi])  # ties
+    tied = presorted.tied
+    if tied.size:
+        values = presorted.x[rows[tied], tied[:, None]]
+        equal = values[:, lo + 1 : hi + 1] == values[:, lo:hi]
+        gains[tied] = np.where(equal, -np.inf, gains[tied])
     pos = gains.argmax(axis=1)  # first max -> smallest threshold wins ties
-    per_feature = gains[np.arange(gains.shape[0]), pos]
+    per_feature = gains[np.arange(f), pos]
     feat = int(per_feature.argmax())  # first max -> lowest feature wins ties
     gain = float(per_feature[feat])
     if gain <= 0.0:
         return None
     i = lo + int(pos[feat])
-    return gain, feat, float((values[feat, i] + values[feat, i + 1]) / 2.0)
+    below, above = presorted.x[rows[feat, i : i + 2], feat]
+    return gain, feat, float((below + above) / 2.0)
 
 
-def _keep(at: np.ndarray, rows: np.ndarray, values: np.ndarray, size: int):
-    """The (F, n) sorted lists restricted to the flat positions at, size per
-    feature, order kept."""
-    shape = (rows.shape[0], size)  # every feature keeps the same rows
-    return rows.take(at).reshape(shape), values.take(at).reshape(shape)
+def _partition(presorted: Presorted, rows, row_left, out):
+    """The children's (F, n_L) and (F, n_R) lists: rows kept where row_left
+    (indexed by row) is True or False, order kept, written one after the
+    other into out."""
+    f = rows.shape[0]
+    flat = rows.reshape(-1)
+    go_left = np.take(row_left, flat, out=presorted.go_left[: flat.size], mode="clip")
+    split = int(np.count_nonzero(go_left))  # every feature keeps the same rows
+    left = np.take(flat, np.flatnonzero(go_left), out=out[:split], mode="clip")
+    go_right = np.logical_not(go_left, out=go_left)
+    right = np.take(flat, np.flatnonzero(go_right), out=out[split : flat.size], mode="clip")
+    return left.reshape(f, -1), right.reshape(f, -1)
 
 
 def _leaf_value(targets, denominators, idx) -> float:
@@ -191,39 +235,37 @@ def _leaf_value(targets, denominators, idx) -> float:
     return float(targets[idx].sum() / weight) if weight != 0.0 else 0.0
 
 
-def _grow(x, targets, denominators, max_depth, min_leaf_count, rows, values):
-    """(root, fitted) of the tree grown level by level from the presorted
-    lists (rows, values) of all features."""
-    n = x.shape[0]
-    fitted = np.empty(n)
+def _grow(presorted: Presorted, targets, denominators, max_depth, min_leaf_count):
+    """(root, fitted) of the tree grown level by level: a node holds its rows
+    in ascending order and, where it may search, its presorted lists, which
+    sit in presorted.rows (the root) or in one of the two level buffers."""
+    n = presorted.x.shape[0]
+    fitted, row_left = np.empty(n), np.empty(n, dtype=bool)
     root = TreeNode()
-    level = [(root, np.arange(n), rows, values)]
+    level = [(root, np.arange(n), presorted.rows)]
     for depth in range(max_depth + 1):
-        children = []
-        for node, idx, rows, values in level:
+        children, out, at = [], presorted.levels[depth % 2], 0
+        for node, idx, rows in level:
             best = None
             # A split needs depth left, min_leaf_count rows per side and non-constant targets.
             if depth < max_depth and idx.shape[0] >= 2 * min_leaf_count:
                 ys = targets[idx]
                 if ys.min() != ys.max():
-                    best = best_split(rows, values, targets, ys.sum(), min_leaf_count)
+                    best = best_split(presorted, rows, targets, ys.sum(), min_leaf_count)
             if best is None:
                 node.value = _leaf_value(targets, denominators, idx)
                 fitted[idx] = node.value
                 continue
             _, node.feature, node.threshold = best
-            go_left = x[idx, node.feature] <= node.threshold
+            np.less_equal(presorted.x[:, node.feature], node.threshold, out=row_left)
+            go_left = row_left[idx]
             left_idx, right_idx = idx[go_left], idx[~go_left]
-            if depth + 1 < max_depth:  # children search: split the sorted lists stably
-                row_left = np.zeros(n, dtype=bool)
-                row_left[left_idx] = True
-                in_left = np.take(row_left, rows).ravel()
-                left = _keep(np.flatnonzero(in_left), rows, values, left_idx.shape[0])
-                right = _keep(np.flatnonzero(~in_left), rows, values, right_idx.shape[0])
-            else:  # children are leaves and never search
-                left = right = (None, None)
+            left = right = None  # children at max_depth are leaves and never search
+            if depth + 1 < max_depth:
+                left, right = _partition(presorted, rows, row_left, out[at:])
+                at += rows.size
             node.left, node.right = TreeNode(), TreeNode()
-            children += [(node.left, left_idx, *left), (node.right, right_idx, *right)]
+            children += [(node.left, left_idx, left), (node.right, right_idx, right)]
         level = children
     return root, fitted
 
@@ -233,18 +275,19 @@ def fit_regression_tree(
     targets: np.ndarray,
     max_depth: int,
     min_leaf_count: int = 1,
-    presorted: tuple[np.ndarray, np.ndarray] | None = None,
+    presorted: Presorted | None = None,
     denominators: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy exact least-squares tree on the (rows, features) matrix x.
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
     side, on constant targets, and on zero SSE gain. presorted, when given,
-    is presort(x); otherwise x is sorted here. Each leaf is sum(targets) /
-    sum(denominators) over its rows, 0.0 where that sum is 0; without
-    denominators each row counts 1, which is the mean (the split search
-    fits targets by least squares either way). The tree's `fitted` holds
-    each row's leaf value.
+    is presort(x): the workspace every fit on x shares, whose row order and
+    repeated-value list a fit only reads and whose scratch it overwrites;
+    otherwise x is sorted here. Each leaf is sum(targets) / sum(denominators)
+    over its rows, 0.0 where that sum is 0; without denominators each row
+    counts 1, which is the mean (the split search fits targets by least
+    squares either way). The tree's `fitted` holds each row's leaf value.
     """
     x = as_matrix(x)
     targets = np.asarray(targets, dtype=np.float64)
@@ -259,11 +302,9 @@ def fit_regression_tree(
     if presorted is None:
         presorted = presort(x)
     expected = (x.shape[1], x.shape[0])
-    if len(presorted) != 2 or any(np.shape(part) != expected for part in presorted):
-        raise ValueError(
-            f"presorted must be two arrays of shape {expected} (features, rows)"
-        )
-    root, fitted = _grow(x, targets, denominators, max_depth, min_leaf_count, *presorted)
+    if not isinstance(presorted, Presorted) or presorted.rows.shape != expected:
+        raise ValueError(f"presorted must be presort(x) of a {expected[1]} x {expected[0]} x")
+    root, fitted = _grow(presorted, targets, denominators, max_depth, min_leaf_count)
     tree = RegressionTree(root)
     tree.fitted = fitted
     return tree

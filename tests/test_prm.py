@@ -29,6 +29,7 @@ from advssl.nnet import (
     softmax_backward,
 )
 from advssl.persist import to_plain
+from advssl import prm
 from advssl.prm import (
     GbdtConfig,
     GbdtModel,
@@ -40,7 +41,7 @@ from advssl.prm import (
     train_logreg,
     train_prm,
 )
-from advssl.tree import TreeNode, RegressionTree, fit_regression_tree
+from advssl.tree import TreeNode, RegressionTree, fit_regression_tree, presort
 
 
 def small_schema(num_features=2, num_classes=3):
@@ -354,6 +355,28 @@ class TestBoosting:
         assert [[to_plain(t) for t in r] for r in model.gbdt.trees] == [
             [to_plain(t) for t in r] for r in single.gbdt.trees
         ]
+
+    def test_mixed_tied_and_untied_features(self):
+        ds = boosting_case(40, 6)
+        rows = ds.rows.copy()
+        rows[:, 1] = np.round(rows[:, 1])  # integer-valued: ties
+        rows[:, 3] = ds.labels + (np.arange(90) % 2)  # ties that carry the signal
+        rows[:, 4] = 2.0  # constant
+        mixed = Dataset(ds.schema, rows, ds.labels)
+        cfg = GbdtConfig(rounds=5, max_depth=3, shrinkage=0.3, min_leaf_count=2)
+        model = self.assert_serial(mixed, cfg)
+        assert {1, 3} & split_features(model) and {0, 2, 5} & split_features(model)
+
+    def test_one_presort_per_fit(self, monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return presort(x)
+
+        monkeypatch.setattr(prm, "presort", counted)
+        self.assert_serial(boosting_case(41, 3), GbdtConfig(rounds=4, max_depth=2))
+        assert calls == [(90, 3)]
 
     @pytest.mark.parametrize("max_depth", range(5))
     def test_every_depth(self, max_depth):

@@ -89,6 +89,23 @@ def random_fit_case(seed):
     return x, t, int(rng.integers(1, 5)), int(rng.integers(1, 7))
 
 
+def mixed_fit_case(seed):
+    """Random (x, targets, depth, min_leaf) whose columns mix three kinds in
+    one matrix: continuous (no repeated value), integer-valued (heavy ties)
+    and constant. The targets lean on the integer columns half the time, so
+    that tied columns win splits."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 201))
+    kinds = rng.permutation(np.arange(int(rng.integers(3, 9))) % 3)  # each kind at least once
+    x = rng.normal(size=(n, kinds.size))
+    x[:, kinds == 1] = rng.integers(0, 4, size=(n, int((kinds == 1).sum())))
+    x[:, kinds == 2] = 0.5
+    t = rng.normal(size=n)
+    if seed % 2:
+        t += x[:, kinds == 1].sum(axis=1)
+    return x, t, int(rng.integers(1, 5)), int(rng.integers(1, 6))
+
+
 def exhaustive_stump(x, targets, min_leaf):
     """Brute-force best depth-1 split: try every (feature, midpoint).
 
@@ -218,18 +235,19 @@ class TestFitRegressionTree:
             np.testing.assert_array_equal(tree.fitted, tree.predict(x))
 
     def test_presort_orders_each_feature_stably(self):
-        x = np.array([[2.0, 0.0], [1.0, 0.0], [2.0, -1.0]])
-        rows, values = presort(x)
-        np.testing.assert_array_equal(rows, [[1, 0, 2], [2, 0, 1]])
-        np.testing.assert_array_equal(values, [[1.0, 2.0, 2.0], [-1.0, 0.0, 0.0]])
+        x = np.array([[2.0, 0.0, 5.0], [1.0, 0.0, 3.0], [2.0, -1.0, 4.0]])
+        shared = presort(x)
+        np.testing.assert_array_equal(shared.rows, [[1, 0, 2], [2, 0, 1], [1, 2, 0]])
+        assert shared.x is x  # read in place
+        np.testing.assert_array_equal(shared.tied, [0, 1])  # feature 2 repeats no value
 
     @pytest.mark.parametrize(
         "bad",
         [
             lambda x: presort(x[:-1]),  # too few rows
             lambda x: presort(x[:, :-1]),  # too few features
-            lambda x: tuple(p.T for p in presort(x)),  # (rows, features) layout
-            lambda x: presort(x)[:1],  # one array only
+            lambda x: presort(x.T),  # (rows, features) layout
+            lambda x: (presort(x).rows, x),  # bare arrays, not a presort
         ],
     )
     def test_bad_presorted_rejected(self, bad):
@@ -237,6 +255,32 @@ class TestFitRegressionTree:
         x = rng.normal(size=(12, 3))
         with pytest.raises(ValueError, match="presorted"):
             fit_regression_tree(x, rng.normal(size=12), max_depth=2, presorted=bad(x))
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_mixed_tied_and_untied_columns_match_the_reference(self, block):
+        for seed in range(5000 + block * 25, 5000 + block * 25 + 25):
+            x, t, depth, min_leaf = mixed_fit_case(seed)
+            expected = reference_tree(x, t, depth, min_leaf)
+            assert to_plain(fit_regression_tree(x, t, depth, min_leaf)) == expected, seed
+            shared = presort(x)
+            for targets in (-t, t):  # the second fit reuses what the first overwrote
+                given = fit_regression_tree(x, targets, depth, min_leaf, presorted=shared)
+            assert to_plain(given) == expected, seed
+
+    def test_one_presort_serves_twenty_fits_and_stays_intact(self):
+        rng = np.random.default_rng(8)
+        x, _, _, _ = mixed_fit_case(9)
+        shared = presort(x)
+        kept = [shared.rows.copy(), x.copy(), shared.tied.copy()]
+        for k in range(20):
+            t = rng.normal(size=x.shape[0]) if k % 3 else rng.integers(0, 3, x.shape[0]) * 1.0
+            depth, min_leaf = k % 5, 1 + k % 4
+            given = fit_regression_tree(x, t, depth, min_leaf, presorted=shared)
+            fresh = fit_regression_tree(x, t, depth, min_leaf, presorted=presort(x))
+            assert to_plain(given) == to_plain(fresh), k
+            assert given.fitted.tobytes() == fresh.fitted.tobytes(), k
+        for now, before in zip((shared.rows, x, shared.tied), kept):
+            assert now.tobytes() == before.tobytes()
 
     def test_dict_round_trip(self):
         rng = np.random.default_rng(4)
