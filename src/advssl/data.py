@@ -78,13 +78,11 @@ class DatasetSchema:
         return {"features": list(self.feature_names), "labels": list(self.label_names)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSchema":
-        names = [d.get("features"), d.get("labels")]
-        if d.keys() != {"features", "labels"} or not all(
-            isinstance(v, list) and all(isinstance(n, str) for n in v) for v in names
-        ):
+    def from_dict(cls, d: dict, decode) -> "DatasetSchema":
+        """The schema whose to_dict is d; decode(type, value, where) is the codec's from_plain."""
+        if d.keys() != {"features", "labels"}:
             raise DataError('a schema is {"features": [str, ...], "labels": [str, ...]}')
-        return cls(*map(tuple, names))
+        return cls(*(decode(tuple[str, ...], d[key], key) for key in ("features", "labels")))
 
 
 def default_schema() -> DatasetSchema:
@@ -147,30 +145,21 @@ class Normalizer:
     """Per-feature z-score parameters fitted on the labeled training split.
 
     Population (1/n) standard deviation. Features with std < 1e-12 are
-    marked constant and map to 0. Fitting anywhere else leaks statistics,
-    so the pipeline fits exactly once, on labeled-train.
+    constant and map to 0; a negative std is a DataError. Fitting anywhere
+    else leaks statistics, so the pipeline fits exactly once, on labeled-train.
     """
 
     mean: np.ndarray
     std: np.ndarray
-    constant: np.ndarray  # bool mask
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "constant": self.constant.astype(int).tolist(),
-        }
+    def __post_init__(self):
+        if (self.std < 0).any():
+            raise DataError("std must be >= 0")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Normalizer":
-        if d.keys() != {"mean", "std", "constant"}:
-            raise DataError(f"a normalizer has keys mean, std and constant, not {sorted(d)}")
-        return cls(
-            mean=np.asarray(d["mean"], dtype=np.float64),
-            std=np.asarray(d["std"], dtype=np.float64),
-            constant=np.asarray(d["constant"], dtype=bool),
-        )
+    @property
+    def constant(self) -> np.ndarray:
+        """The bool mask of the features that map to 0."""
+        return self.std < 1e-12
 
 
 def fit_normalizer(train_labeled: Dataset) -> Normalizer:
@@ -178,8 +167,7 @@ def fit_normalizer(train_labeled: Dataset) -> Normalizer:
         raise DataError("cannot fit a normalizer on an empty dataset")
     mean = train_labeled.rows.mean(axis=0)
     std = train_labeled.rows.std(axis=0)  # population convention (ddof=0)
-    constant = std < 1e-12
-    return Normalizer(mean=mean, std=std, constant=constant)
+    return Normalizer(mean=mean, std=std)
 
 
 def standardize(norm: Normalizer, rows: np.ndarray) -> np.ndarray:
@@ -188,9 +176,10 @@ def standardize(norm: Normalizer, rows: np.ndarray) -> np.ndarray:
 
     Not idempotent: applying twice standardizes twice.
     """
+    constant = norm.constant
     rows -= norm.mean
-    rows /= np.where(norm.constant, 1.0, norm.std)
-    rows[:, norm.constant] = 0.0
+    rows /= np.where(constant, 1.0, norm.std)
+    rows[:, constant] = 0.0
     return rows
 
 
@@ -214,8 +203,7 @@ def largest_remainder(total: int, fractions: np.ndarray) -> np.ndarray:
         remainders = ideal - base
         # argsort on (-remainder, index) keeps ties deterministic
         order = np.lexsort((np.arange(fractions.size), -remainders))
-        for k in order[:leftover]:
-            base[k] += 1
+        base[order[:leftover]] += 1  # distinct indices: each gets one
     return base
 
 
@@ -366,6 +354,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise DataError("file has no header row") from None
+        except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+            raise DataError(f"header row: {exc}") from None
         header = [h.strip() for h in header]
         if "" in header:
             raise DataError(f"header column {header.index('') + 1} has no name")
@@ -386,17 +376,20 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         labels = None if label_col is None else np.empty(capacity, dtype=np.int64)
         cells = [col_of[name] for name in schema.feature_names]
         row_num = 0
-        for row_num, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise DataError(
-                    f"row {row_num} has {len(record)} cells, header has {len(header)}"
-                )
-            try:
-                columns[:, row_num - 1] = [float(record[c]) for c in cells]
-            except ValueError:  # float('nan'/'inf') parses too: both fail below
-                columns[:, row_num - 1] = [_float_or_nan(record[c]) for c in cells]
-            if labels is not None:
-                labels[row_num - 1] = schema.label_index(record[label_col])
+        try:
+            for row_num, record in enumerate(reader, start=1):
+                if len(record) != len(header):
+                    raise DataError(
+                        f"row {row_num} has {len(record)} cells, header has {len(header)}"
+                    )
+                try:
+                    columns[:, row_num - 1] = [float(record[c]) for c in cells]
+                except ValueError:  # float('nan'/'inf') parses too: both fail below
+                    columns[:, row_num - 1] = [_float_or_nan(record[c]) for c in cells]
+                if labels is not None:
+                    labels[row_num - 1] = schema.label_index(record[label_col])
+        except csv.Error as exc:  # raised while reading the record after row_num
+            raise DataError(f"row {row_num + 1}: {exc}") from None
     if row_num < capacity:  # a quoted cell held a line break
         columns = columns[:, :row_num].copy()
         labels = None if labels is None else labels[:row_num].copy()

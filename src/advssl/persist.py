@@ -6,16 +6,17 @@ by their fields and type hints. from_plain rejects an unknown or missing key
 or a wrong JSON type with a ConfigError naming the path, as in
 `config.prm.gbdt.rounds must be int, got str`; an int given for a float
 stays an int, so a config hashes as written. to_plain leaves out a None
-field whose default is None, and nothing else. Three classes' JSON is not
-their list of fields, so the codec calls their to_dict/from_dict:
-DatasetSchema (keys "features", "labels"), Normalizer ("constant" as 0/1)
-and TreeNode (a leaf {"value"} or a split {"feature", "threshold", "left",
-"right"}).
+field whose default is None, and nothing else. Two classes' JSON is not
+their list of fields, so the codec calls their to_dict and their
+from_dict(d, from_plain), which decodes each value by the codec's rules:
+DatasetSchema (keys "features", "labels") and TreeNode (a leaf {"value"} or
+a split {"feature", "threshold", "left", "right"}).
 
 Floats are serialized with Python's shortest round-trip repr, so every
-64-bit value survives save -> load -> save byte-for-byte. Each model file
-embeds the schema (plus its hash) and, when given, the fitted normalizer,
-making a saved model self-contained for prediction on raw CSV rows.
+64-bit value survives save -> load -> save byte-for-byte. A model file is
+an envelope (format, schema, schema hash and the fitted normalizer or null,
+which make it self-contained for prediction on raw CSV rows) plus the model
+record as to_plain writes it; model.json adds the Phase-II "config".
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ import typing
 import numpy as np
 
 from .data import DatasetSchema, Normalizer, atomic_write
-from .nnet import DenseLayer, MlpParams
 from .prm import PlainModel
 from .trainer import AsslConfig, AsslModel
 
-FORMAT_PLAIN = "advssl/plain-model/3"
-FORMAT_ASSL = "advssl/assl-model/1"
+FORMAT_PLAIN = "advssl/plain-model/4"
+FORMAT_ASSL = "advssl/assl-model/2"
 
 
 def write_json(path, payload) -> None:
@@ -95,11 +95,12 @@ def _wrong(where: str, expected: str, raw) -> ConfigError:
 
 @contextlib.contextmanager
 def _named(where: str, error=ConfigError):
-    """Re-raise a KeyError (missing key), IndexError, TypeError, AttributeError
-    or ValueError from the block as one error(f"{where}: ...")."""
+    """Re-raise a KeyError (missing key), IndexError, TypeError, AttributeError,
+    ValueError or RecursionError (input nested deeper than Python recurses)
+    from the block as one error(f"{where}: ...")."""
     try:
         yield
-    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+    except (LookupError, TypeError, AttributeError, ValueError, RecursionError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise error(f"{where}: {detail}") from None
 
@@ -125,7 +126,7 @@ def from_plain(tp, raw, where: str):
             raise _wrong(where, "dict", raw)
         if hasattr(tp, "from_dict"):
             with _named(where):
-                return tp.from_dict(raw)
+                return tp.from_dict(raw, from_plain)
         known = _fields(tp)
         if unknown := raw.keys() - known.keys():
             raise ConfigError(f"{where} has unknown key {min(unknown)!r}")
@@ -151,7 +152,7 @@ def from_plain(tp, raw, where: str):
 def _envelope(fmt: str, schema: DatasetSchema, normalizer: Normalizer | None) -> dict:
     return {
         "format": fmt,
-        "schema": schema.to_dict(),
+        "schema": to_plain(schema),
         "schema_hash": schema.schema_hash(),
         "normalizer": to_plain(normalizer),
     }
@@ -190,7 +191,7 @@ def _check_widths(model, schema: DatasetSchema, normalizer: Normalizer | None) -
                     raise ValueError(f"a split reads feature {node.feature}; the schema has {f}")
                 nodes += [node.left, node.right]
     if normalizer is not None:
-        for name in ("mean", "std", "constant"):
+        for name in ("mean", "std"):
             widths[f"normalizer.{name}.shape"] = (getattr(normalizer, name).shape, (f,))
     for name, (got, want) in widths.items():
         if got != want:
@@ -201,8 +202,9 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
     """(format, what load_plain/assl_model returns) of the file, parsed once.
     A format other than expect (when given), a number that is not finite
     (NaN, Infinity, 1e999), a schema_hash that is not the hash of the
-    file's schema, a missing or unknown key, or a model whose widths do not
-    fit the schema (_check_widths) is a ValueError."""
+    file's schema, a missing or unknown key, a value the codec refuses,
+    nesting deeper than Python recurses, or a model whose widths do not fit
+    the schema (_check_widths) is a ValueError."""
     with _named(os.path.basename(str(path)), ValueError):
         with open(path, encoding="utf-8") as handle:
             d = json.load(handle, parse_float=finite_number, parse_constant=finite_number)
@@ -216,18 +218,13 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
         normalizer = from_plain(Normalizer | None, d.pop("normalizer"), "normalizer")
         if fmt == FORMAT_PLAIN:
             model = from_plain(PlainModel, d, "model")
-            _check_widths(model, schema, normalizer)
-            return fmt, (model, schema, normalizer)
-        cfg = from_plain(AsslConfig, d.pop("config"), "config")
-        nets = {
-            name: MlpParams(from_plain(list[DenseLayer], layers, f"networks.{name}"))
-            for name, layers in d.pop("networks").items()
-        }
-        if d:
-            raise ValueError(f"unknown key {next(iter(d))!r}")
-        model = AsslModel(**nets)
+            loaded = (model, schema, normalizer)
+        else:
+            cfg = from_plain(AsslConfig, d.pop("config"), "config")
+            model = from_plain(AsslModel, d, "model")
+            loaded = (model, cfg, schema, normalizer)
         _check_widths(model, schema, normalizer)
-        return fmt, (model, cfg, schema, normalizer)
+        return fmt, loaded
 
 
 def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:
@@ -237,9 +234,8 @@ def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None
 def save_assl_model(
     path, model: AsslModel, cfg: AsslConfig, schema: DatasetSchema, normalizer=None
 ) -> None:
-    networks = {f.name: to_plain(getattr(model, f.name).layers) for f in dataclasses.fields(model)}
     payload = {**_envelope(FORMAT_ASSL, schema, normalizer), "config": to_plain(cfg)}
-    write_json(path, {**payload, "networks": networks})
+    write_json(path, {**payload, **to_plain(model)})
 
 
 def load_assl_model(path) -> tuple[AsslModel, AsslConfig, DatasetSchema, Normalizer | None]:

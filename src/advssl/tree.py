@@ -65,16 +65,18 @@ class TreeNode:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
+    def from_dict(cls, d: dict, decode) -> "TreeNode":
+        """The node whose to_dict is d; decode(type, value, where) is the codec's
+        from_plain, which reads feature, threshold and value by its type rules."""
         if len(d) == 1:
-            return cls(value=float(d["value"]))
+            return cls(value=decode(float, d["value"], "value"))
         if len(d) != 4:  # with the four lookups below: exactly a split's keys
             raise ValueError(f"a tree node has 1 key (a leaf) or 4 (a split), not {len(d)}")
         return cls(
-            feature=int(d["feature"]),
-            threshold=float(d["threshold"]),
-            left=cls.from_dict(d["left"]),
-            right=cls.from_dict(d["right"]),
+            feature=decode(int, d["feature"], "feature"),
+            threshold=decode(float, d["threshold"], "threshold"),
+            left=cls.from_dict(d["left"], decode),
+            right=cls.from_dict(d["right"], decode),
         )
 
 

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -330,6 +331,14 @@ class TestPredict:
         assert (code, out) == (3, "")
         assert err == f"error: code=3 reason=columns named more than once: {name}\n"
 
+    def test_cell_over_the_csv_field_limit_exits_3(self, trained_run, tmp_path, capsys):
+        rows = (trained_run / "test_split.csv").read_text().splitlines()
+        long = tmp_path / "long.csv"
+        long.write_text("\n".join(rows[:2] + ["1" * 131_073 + rows[2][rows[2].index(","):]]))
+        code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(long))
+        assert (code, out) == (3, "")
+        assert err == "error: code=3 reason=row 2: field larger than field limit (131072)\n"
+
     def test_schema_mismatch_exits_3(self, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("wrong_col\n1.0\n")
@@ -347,8 +356,8 @@ def _tampered(src, dst, edit):
 
 def _first_parameter(payload):
     """The container and key of one trained parameter of either model format."""
-    if "networks" in payload:
-        return payload["networks"]["encoder"][0]["weights"][0], 0
+    if "encoder" in payload:
+        return payload["encoder"]["layers"][0]["weights"][0], 0
     if "gbdt" in payload:
         return payload["gbdt"]["base_score"], 0
     return payload["logreg"]["weights"][0], 0
@@ -423,7 +432,7 @@ class TestPredictRejectsBadModelFiles:
 
     def test_network_without_layers(self, trained_run, tmp_path, capsys):
         def edit(payload):
-            payload["networks"]["encoder"] = []
+            payload["encoder"]["layers"] = []
 
         model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
         assert "index out of range" in self._predict_fails(capsys, model, trained_run)
@@ -437,6 +446,66 @@ class TestPredictRejectsBadModelFiles:
         err = self._predict_fails(capsys, model, trained_run)
         assert "normalizer.mean.shape is (1,); the schema needs (5,)" in err
 
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_normalizer_with_a_zero_std_maps_that_feature_to_zero(
+        self, trained_run, tmp_path, capsys, name
+    ):
+        def edit(payload):
+            payload["normalizer"]["std"][0] = 0.0
+
+        model = _tampered(trained_run / name, tmp_path / name, edit)
+        rows = (trained_run / "test_split.csv").read_text().splitlines()
+        moved = tmp_path / "moved.csv"  # feature 0 is 1e9 in every row: constant, no effect
+        moved.write_text("\n".join(rows[:1] + ["1e9" + r[r.index(","):] for r in rows[1:]]))
+        outputs = []
+        for data in (trained_run / "test_split.csv", moved):
+            code, out, err = run_cli(capsys, "predict", str(model), str(data))
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        probs = [float(cell) for line in outputs[0].splitlines() for cell in line.split(",")[1:]]
+        assert len(probs) == 3 * (len(rows) - 1) and all(map(math.isfinite, probs))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda n: n["std"].__setitem__(0, -1.0), "normalizer: std must be >= 0"),
+            (lambda n: n["mean"].__setitem__(0, "0.1"), "normalizer.mean must be a list of numbers"),
+            (lambda n: n.update(constant=[0] * 5), "normalizer has unknown key 'constant'"),
+        ],
+        ids=["negative_std", "string_mean", "constant_key"],
+    )
+    def test_normalizer_the_codec_refuses(self, trained_run, tmp_path, capsys, name, edit, reason):
+        model = _tampered(trained_run / name, tmp_path / name, lambda p: edit(p["normalizer"]))
+        assert reason in self._predict_fails(capsys, model, trained_run)
+
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            (1.5, "feature must be int, got float"),
+            (True, "feature must be int, got bool"),
+            ("1e3", "value must be float, got str"),
+        ],
+        ids=["float_feature", "bool_feature", "string_value"],
+    )
+    def test_tree_node_of_the_wrong_type(self, trained_run, tmp_path, capsys, value, reason):
+        def edit(payload):
+            node = payload["gbdt"]["trees"][0][0]["root"]
+            key = "value" if isinstance(value, str) else "feature"
+            while key not in node:
+                node = node["left"]
+            node[key] = value
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        assert reason in self._predict_fails(capsys, model, trained_run)
+
+    def test_nested_deeper_than_python_recurses(self, trained_run, tmp_path, capsys):
+        model = tmp_path / "prm_model.json"
+        model.write_text("[" * 100_000 + "]" * 100_000)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert "prm_model.json: maximum recursion depth exceeded" in err
+
     def test_plain_model_format_1_is_refused(self, trained_run, tmp_path, capsys):
         def edit(payload):  # the old record: class count and shrinkage stored beside the trees
             payload.update(format="advssl/plain-model/1", num_classes=3)
@@ -444,7 +513,7 @@ class TestPredictRejectsBadModelFiles:
 
         model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
         err = self._predict_fails(capsys, model, trained_run)
-        assert "format 'advssl/plain-model/1' is not advssl/plain-model/3" in err
+        assert "format 'advssl/plain-model/1' is not advssl/plain-model/4" in err
 
     def test_logreg_with_more_classes_than_labels(self, trained_run, tmp_path, capsys):
         def edit(payload):  # 4 classes for 3 labels; class 3 wins every row
@@ -502,7 +571,7 @@ class TestPredictRejectsBadModelFiles:
     def test_heads_with_more_classes_than_labels(self, trained_run, tmp_path, capsys):
         def edit(payload):  # both heads emit a fourth class that wins every row
             for head in ("supervised_head", "semi_head"):
-                layer = payload["networks"][head][-1]
+                layer = payload[head]["layers"][-1]
                 layer["weights"].append([0.0] * len(layer["weights"][0]))
                 layer["bias"].append(100.0)
 

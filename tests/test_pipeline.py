@@ -14,7 +14,7 @@ import pytest
 
 import advssl
 from advssl import pipeline
-from advssl.data import Dataset, DatasetSchema, SynthConfig
+from advssl.data import Dataset, DatasetSchema, Normalizer, SynthConfig
 from advssl.persist import to_plain
 from advssl.pipeline import (
     VARIANTS,
@@ -30,9 +30,9 @@ from advssl.pipeline import (
     run_variant,
     write_predictions_csv,
 )
-from advssl.nnet import AdamState, DenseLayer
+from advssl.nnet import AdamState, DenseLayer, MlpParams
 from advssl.prm import GbdtConfig, GbdtModel, LogregConfig, PlainModel, PrmConfig
-from advssl.trainer import AsslConfig, DivergenceError, train
+from advssl.trainer import AsslConfig, AsslModel, DivergenceError, train
 from advssl.tree import RegressionTree
 from advssl.worker import WorkerTraceback
 
@@ -234,6 +234,9 @@ OPTION_SURFACE = {
     GbdtModel: ["base_score", "trees", "train_loss"],
     RegressionTree: ["root"],
     DenseLayer: ["weights", "bias", "activation"],
+    Normalizer: ["mean", "std"],
+    AsslModel: ["encoder", "supervised_head", "semi_head", "discriminator"],
+    MlpParams: ["layers"],
     AdamState: ["learning_rate", "step_count", "first_moment", "second_moment", "workspace"],
 }
 
