@@ -43,6 +43,8 @@ class DatasetSchema:
     label_names: tuple[str, ...]
 
     def __post_init__(self):
+        if not self.feature_names:
+            raise DataError("need at least 1 feature")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise DataError("feature names must be unique")
         if len(self.label_names) < 2:
@@ -335,9 +337,10 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     byte-order mark is skipped.
 
     Columns are mapped to schema order by header name, and an empty name or
-    a name given twice is an error; a `rating` column is optional and may
-    hold label names or integer indices. Unparsable, missing or non-finite
-    feature cells are an error that lists the 1-based data row numbers.
+    a name given twice is an error; a `rating` column is optional, may hold
+    label names or integer indices, and counts as absent when all blank. A
+    blank or unknown rating, or an unparsable, missing or non-finite feature
+    cell, is an error that names the 1-based data row(s).
     A first pass counts the lines; the second parses the records into one
     feature-major array of that many columns, and rows is its (n, F)
     transpose, as for the pool of generate_synthetic.
@@ -373,7 +376,7 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
         label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
 
         columns = np.empty((schema.num_features, capacity))
-        labels = None if label_col is None else np.empty(capacity, dtype=np.int64)
+        ratings = []  # the rating cells, when there is a rating column
         cells = [col_of[name] for name in schema.feature_names]
         row_num = 0
         try:
@@ -386,13 +389,20 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
                     columns[:, row_num - 1] = [float(record[c]) for c in cells]
                 except ValueError:  # float('nan'/'inf') parses too: both fail below
                     columns[:, row_num - 1] = [_float_or_nan(record[c]) for c in cells]
-                if labels is not None:
-                    labels[row_num - 1] = schema.label_index(record[label_col])
+                if label_col is not None:
+                    ratings.append(record[label_col])
         except csv.Error as exc:  # raised while reading the record after row_num
             raise DataError(f"row {row_num + 1}: {exc}") from None
     if row_num < capacity:  # a quoted cell held a line break
         columns = columns[:, :row_num].copy()
-        labels = None if labels is None else labels[:row_num].copy()
+    labels = None
+    if any(cell.strip() for cell in ratings):  # an all-blank column is no rating column
+        labels = np.empty(len(ratings), dtype=np.int64)
+        for row_num, cell in enumerate(ratings, start=1):
+            try:
+                labels[row_num - 1] = schema.label_index(cell)
+            except DataError as exc:
+                raise DataError(f"row {row_num}: {exc}") from None
 
     bad_rows = np.flatnonzero(~np.isfinite(columns).all(axis=0)) + 1
     if bad_rows.size:

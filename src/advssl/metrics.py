@@ -51,7 +51,6 @@ class MetricsReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    micro_f1: float  # == accuracy for single-label multiclass
     weighted_f1: float
     accuracy: float
 
@@ -67,7 +66,7 @@ class MetricsReport:
             "macro_precision": self.macro_precision,
             "macro_recall": self.macro_recall,
             "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
+            "micro_f1": self.accuracy,  # single-label multiclass: micro-F1 is accuracy
             "weighted_f1": self.weighted_f1,
             "accuracy": self.accuracy,
         }
@@ -125,7 +124,6 @@ def classification_report(cm: ConfusionMatrix) -> MetricsReport:
         macro_precision=float(precision[present].mean()),
         macro_recall=float(recall[present].mean()),
         macro_f1=float(f1[present].mean()),
-        micro_f1=accuracy,
         weighted_f1=float((f1[present] * support_frac).sum()),
         accuracy=accuracy,
     )

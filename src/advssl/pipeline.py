@@ -88,6 +88,8 @@ class DataSource:
 
 @dataclass
 class RunConfig:
+    """A run's settings; run and ablate set data.synth.seed and assl.seed to each seed."""
+
     data: DataSource
     schema: DatasetSchema | None = None  # for CSV sources; synth builds its own
     prm: PrmConfig = field(default_factory=PrmConfig)
@@ -133,10 +135,8 @@ def load_config(path) -> RunConfig:
 
 @dataclass
 class PreparedSeed:
-    """Everything one seed's variants share: splits, normalizer, PRM, pseudo pool."""
+    """What one seed's variants share; the seed is assl_cfg.seed, the schema train.schema."""
 
-    seed: int
-    schema: DatasetSchema
     normalizer: Normalizer
     train: Dataset  # normalized
     val: Dataset
@@ -184,8 +184,6 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     pseudo = pseudo_label(prm_model, unlabeled)
     t3 = time.monotonic()
     return PreparedSeed(
-        seed=seed,
-        schema=labeled.schema,
         normalizer=normalizer,
         train=train,
         val=val,
@@ -212,13 +210,11 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
         probs = prep.prm_model.predict_proba_matrix(prep.test.rows)
     else:
         cfg = replace(prep.assl_cfg, **overrides)
-        pseudo = None if cfg.suppress_pseudo else prep.pseudo
-        model, history = train(prep.train, pseudo, prep.val, cfg)
+        model, history = train(prep.train, prep.pseudo, prep.val, cfg)
         probs = predict_proba_matrix(model, prep.test.rows, cfg.inference_head)
     preds = probs.argmax(axis=1)
-    report = classification_report(
-        confusion_matrix(prep.test.labels, preds, prep.schema.num_classes)
-    )
+    schema, normalizer = prep.train.schema, prep.normalizer
+    report = classification_report(confusion_matrix(prep.test.labels, preds, schema.num_classes))
 
     os.makedirs(seed_dir, exist_ok=True)
     paths = {}
@@ -227,7 +223,6 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
         paths[name] = os.path.join(seed_dir, file)
         return paths[name]
 
-    schema, normalizer = prep.schema, prep.normalizer
     save_plain_model(path("prm_model", "prm_model.json"), prep.prm_model, schema, normalizer)
     if overrides is not None:
         if not overrides.get("suppress_pseudo"):
@@ -235,7 +230,7 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
         history.to_csv(path("history", "history.csv"))
     conf = prep.pseudo.confidences
     payload = {
-        "seed": prep.seed,
+        "seed": prep.assl_cfg.seed,
         "variant": variant,
         "metrics": report.to_dict(),
         "test_rows": int(preds.shape[0]),

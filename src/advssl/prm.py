@@ -27,6 +27,7 @@ from .nnet import (
     init_mlp,
     mlp_backward,
     mlp_forward,
+    one_hot,
     softmax,
     softmax_backward,
 )
@@ -197,8 +198,7 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig) -> PlainModel:
         base = np.log((counts + 1.0) / (n + m))  # smooth absent classes away from -inf
 
     scores = np.tile(base, (n, 1))
-    y = np.zeros((n, m))
-    y[np.arange(n), labels] = 1.0
+    y = one_hot(labels, m)
     probs = softmax(scores)
     losses = [categorical_ce(probs, labels)]
     trees: list[list[RegressionTree]] = []
@@ -212,7 +212,7 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig) -> PlainModel:
             hessians *= m / (m - 1)  # leaf = (K-1)/K * sum(r) / sum(|r|(1-|r|))
             round_trees.append(
                 fit_regression_tree(
-                    x, residuals, cfg.max_depth, cfg.min_leaf_count, presorted, hessians
+                    presorted, residuals, cfg.max_depth, cfg.min_leaf_count, hessians
                 )
             )
         update = np.column_stack([tree.fitted for tree in round_trees])

@@ -159,7 +159,7 @@ def presort(x: np.ndarray) -> Presorted:
     """The workspace of every fit_regression_tree call on x: per-feature row
     order (stable sort by value), the features with a repeated value and the
     search's scratch. Build it once per training matrix."""
-    x = np.asarray(x, dtype=np.float64)
+    x = as_matrix(x)
     rows = np.argsort(x.T, axis=1, kind="stable")
     values = np.take_along_axis(x.T, rows, axis=1)
     tied = np.flatnonzero((values[:, 1:] == values[:, :-1]).any(axis=1))
@@ -273,39 +273,31 @@ def _grow(presorted: Presorted, targets, denominators, max_depth, min_leaf_count
 
 
 def fit_regression_tree(
-    x: np.ndarray,
+    x: np.ndarray | Presorted,
     targets: np.ndarray,
     max_depth: int,
     min_leaf_count: int = 1,
-    presorted: Presorted | None = None,
     denominators: np.ndarray | None = None,
 ) -> RegressionTree:
-    """Greedy exact least-squares tree on the (rows, features) matrix x.
+    """Greedy exact least-squares tree on x: an (n, F) matrix or its presort.
 
     Stops on depth, on leaves that cannot keep min_leaf_count rows per
-    side, on constant targets, and on zero SSE gain. presorted, when given,
-    is presort(x): the workspace every fit on x shares, whose row order and
-    repeated-value list a fit only reads and whose scratch it overwrites;
-    otherwise x is sorted here. Each leaf is sum(targets) / sum(denominators)
-    over its rows, 0.0 where that sum is 0; without denominators each row
-    counts 1, which is the mean (the split search fits targets by least
-    squares either way). The tree's `fitted` holds each row's leaf value.
+    side, on constant targets, and on zero SSE gain. A presort is the
+    workspace every fit on its matrix shares, of which a fit overwrites only
+    the scratch; a plain matrix is presorted here. Each leaf is sum(targets) /
+    sum(denominators) over its rows, 0.0 where that sum is 0; without
+    denominators each row counts 1, which is the mean (the split search fits
+    targets by least squares either way). `fitted` holds each row's leaf value.
     """
-    x = as_matrix(x)
+    presorted = x if isinstance(x, Presorted) else presort(x)
     targets = np.asarray(targets, dtype=np.float64)
-    if x.shape[0] == 0:
+    n = presorted.x.shape[0]
+    if n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
-    if x.shape[0] != targets.shape[0]:
-        raise ValueError(
-            f"row count {x.shape[0]} does not match target count {targets.shape[0]}"
-        )
+    if n != targets.shape[0]:
+        raise ValueError(f"row count {n} does not match target count {targets.shape[0]}")
     if min_leaf_count < 1:
         raise ValueError("min_leaf_count must be >= 1")
-    if presorted is None:
-        presorted = presort(x)
-    expected = (x.shape[1], x.shape[0])
-    if not isinstance(presorted, Presorted) or presorted.rows.shape != expected:
-        raise ValueError(f"presorted must be presort(x) of a {expected[1]} x {expected[0]} x")
     root, fitted = _grow(presorted, targets, denominators, max_depth, min_leaf_count)
     tree = RegressionTree(root)
     tree.fitted = fitted

@@ -68,6 +68,24 @@ def repeat_first_column(path) -> str:
     return records[0][0]
 
 
+def set_ratings(path, cell):
+    """Rewrite a CSV whose last column is `rating` with every rating cell set to
+    cell; None drops the column."""
+    with open(path, newline="") as handle:
+        records = [r[:-1] for r in csv.reader(handle)]
+    if cell is not None:
+        records = [records[0] + ["rating"]] + [r + [cell] for r in records[1:]]
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(records)
+
+
+def run_artifacts(out):
+    """Relative path -> bytes of every file of the one run under out but its manifest."""
+    run_dir = next(out.glob("run-*"))
+    files = [p for p in run_dir.rglob("*") if p.is_file() and p.name != "manifest.json"]
+    return {str(p.relative_to(run_dir)): p.read_bytes() for p in files}
+
+
 class TestRun:
     def test_smoke_run_writes_artifacts(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "run", "--config", SMOKE, "--out", str(tmp_path))
@@ -303,6 +321,14 @@ class TestPredict:
         assert (code, err) == (0, "")
         assert out.splitlines() == (trained_run / "predictions.csv").read_text().splitlines()[1:]
 
+    def test_blank_ratings_read_as_no_rating_column(self, trained_run, tmp_path, capsys):
+        unrated = tmp_path / "unrated.csv"
+        unrated.write_bytes((trained_run / "test_split.csv").read_bytes())
+        set_ratings(unrated, "")
+        code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(unrated))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == (trained_run / "predictions.csv").read_text().splitlines()[1:]
+
     def test_header_with_a_trailing_comma_exits_3(self, trained_run, tmp_path, capsys):
         lines = (trained_run / "test_split.csv").read_text().splitlines()
         trailing = tmp_path / "trailing.csv"
@@ -415,6 +441,14 @@ class TestPredictRejectsBadModelFiles:
     def test_extra_top_level_key(self, trained_run, tmp_path, capsys, name):
         model = _tampered(trained_run / name, tmp_path / name, lambda p: p.update(extra=1))
         assert "unknown key 'extra'" in self._predict_fails(capsys, model, trained_run)
+
+    def test_schema_with_no_features(self, trained_run, tmp_path, capsys):
+        def edit(payload):
+            payload["schema"]["features"] = []
+
+        model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert err == "error: code=3 reason=prm_model.json: schema: need at least 1 feature\n"
 
     def test_removed_setting_in_the_config(self, trained_run, tmp_path, capsys):
         def edit(payload):
@@ -670,6 +704,35 @@ class TestSynth:
         from_csv = artifacts("out")
         assert len(from_csv) == 7 and from_csv == artifacts("synth")
 
+    def test_a_rating_column_in_the_pool_never_reaches_training(self, tmp_path, capsys):
+        """The pool with its ratings (unlabeled_truth.csv), without them and with
+        every rating blank: one run, byte for byte."""
+        code, _, err = run_cli(capsys, "synth", "--config", SMOKE, "--out", str(tmp_path))
+        assert code == 0, err
+        synth_dir = next(tmp_path.glob("synth-*"))
+        blank = synth_dir / "unlabeled_blank.csv"
+        blank.write_bytes((synth_dir / "unlabeled_truth.csv").read_bytes())
+        set_ratings(blank, "")
+        raw = load_smoke()
+        schema = {"features": [f"f{i + 1}" for i in range(5)], "labels": ["L0", "L1", "L2"]}
+        runs = []
+        for pool in ("unlabeled.csv", "unlabeled_truth.csv", blank.name):
+            cfg = {
+                "data": {
+                    "labeled_csv": str(synth_dir / "labeled.csv"),
+                    "unlabeled_csv": str(synth_dir / pool),
+                },
+                "schema": schema,
+                "prm": raw["prm"],
+                "assl": {**raw["assl"], "epochs": 4},
+            }
+            cfg_path = write_config(tmp_path / f"{pool}.json", cfg)
+            out = tmp_path / pool
+            code, _, err = run_cli(capsys, "run", "--config", cfg_path, "--out", str(out))
+            assert code == 0, err
+            runs.append(run_artifacts(out))
+        assert len(runs[0]) == 7 and runs[0] == runs[1] == runs[2]
+
 
 class TestAblate:
     def test_variants_present_and_cells_match_reports(self, tmp_path, capsys):
@@ -835,6 +898,74 @@ REJECTED_CONFIGS = {
     **REMOVED_SETTINGS,
     **OUT_OF_RANGE,
 }
+
+
+def csv_run(command="run", edit=None):
+    """argv builder: command on csv_source_config (no pool) after edit(raw)."""
+
+    def argv(tmp_path):
+        raw = csv_source_config(tmp_path, with_pool=False)
+        if edit is not None:
+            edit(raw)
+        return [command, "--config", write_config(tmp_path / "cfg.json", raw)]
+
+    return argv
+
+
+# Error exits: id -> (argv builder, exit code, reason).
+ERROR_EXITS = {
+    "seeds_not_integers": (
+        lambda tmp_path: ["run", "--config", SMOKE, "--seeds", "abc"],
+        2,
+        "--seeds must be comma-separated integers, got 'abc'",
+    ),
+    "config_unreadable": (
+        lambda tmp_path: ["run", "--config", str(tmp_path / "absent.json")],
+        2,
+        "cannot read config absent.json: No such file or directory",
+    ),
+    "seeds_empty": (
+        lambda tmp_path: [
+            "run",
+            "--config",
+            write_config(tmp_path / "cfg.json", {**load_smoke(), "seeds": []}),
+        ],
+        2,
+        "config: need at least one seed",
+    ),
+    "schema_without_features": (
+        csv_run(edit=lambda raw: raw["schema"].update(features=[])),
+        2,
+        "config.schema: need at least 1 feature",
+    ),
+    "synth_on_a_csv_config": (
+        csv_run("synth"),
+        2,
+        "synth command needs a config with a data.synth section",
+    ),
+    "labeled_csv_without_ratings": (
+        csv_run(edit=lambda raw: set_ratings(raw["data"]["labeled_csv"], None)),
+        3,
+        "labeled.csv has no rating column",
+    ),
+    "labeled_csv_with_blank_ratings": (
+        csv_run(edit=lambda raw: set_ratings(raw["data"]["labeled_csv"], "")),
+        3,
+        "labeled.csv has no rating column",
+    ),
+    "labeled_csv_of_0_bytes": (
+        csv_run(edit=lambda raw: open(raw["data"]["labeled_csv"], "w").close()),
+        3,
+        "file has no header row",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, reason", ERROR_EXITS.values(), ids=ERROR_EXITS.keys())
+def test_error_exit_with_one_error_line(tmp_path, capsys, argv, code, reason):
+    got = run_cli(capsys, *argv(tmp_path), "--out", str(tmp_path / "out"))
+    assert got == (code, "", f"error: code={code} reason={reason}\n")
+    assert not list((tmp_path / "out").glob("*/*/*.json"))
 
 
 class TestConfigFailsClosed:

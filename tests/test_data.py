@@ -1,6 +1,7 @@
 """Data pipeline tests: schema, normalization, splits, synthesis, CSV I/O."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -367,6 +368,28 @@ class TestCsv:
         path.write_text("a,b,rating\n1,2,L9\n")
         with pytest.raises(DataError, match="L9"):
             load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
+
+    @pytest.mark.parametrize(
+        "ratings, reason",
+        [
+            (("L1", ""), "row 2: unknown label ''"),
+            ((" ", "L0"), "row 1: unknown label ''"),
+            (("L0", "L1", "L7"), "row 3: unknown label 'L7'"),
+        ],
+        ids=["blank", "spaces", "unknown"],
+    )
+    def test_blank_or_unknown_rating_names_its_row(self, tmp_path, ratings, reason):
+        path = tmp_path / "ratings.csv"
+        path.write_text("a,b,rating\n" + "".join(f"1,2,{r}\n" for r in ratings))
+        with pytest.raises(DataError, match=f"^{re.escape(reason)}$"):
+            load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
+
+    def test_all_blank_rating_column_reads_as_absent(self, tmp_path):
+        path = tmp_path / "unrated.csv"
+        path.write_text("a,b,rating\n1,2,\n3,4, \n")
+        ds = load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
+        assert ds.labels is None
+        np.testing.assert_array_equal(ds.rows, [[1.0, 2.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize(
         "text, column",

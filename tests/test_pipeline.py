@@ -15,12 +15,14 @@ import pytest
 import advssl
 from advssl import pipeline
 from advssl.data import Dataset, DatasetSchema, Normalizer, SynthConfig
+from advssl.metrics import MetricsReport
 from advssl.persist import to_plain
 from advssl.pipeline import (
     VARIANTS,
     WORKER_VARIANTS,
     ConfigError,
     DataSource,
+    PreparedSeed,
     RunConfig,
     execute_ablation,
     execute_run,
@@ -238,6 +240,30 @@ OPTION_SURFACE = {
     AsslModel: ["encoder", "supervised_head", "semi_head", "discriminator"],
     MlpParams: ["layers"],
     AdamState: ["learning_rate", "step_count", "first_moment", "second_moment", "workspace"],
+    # Values stated once: the seed is assl_cfg.seed, the schema train.schema, micro-F1 accuracy.
+    PreparedSeed: [
+        "normalizer",
+        "train",
+        "val",
+        "test",
+        "test_raw",
+        "pseudo",
+        "prm_model",
+        "assl_cfg",
+        "seconds",
+    ],
+    MetricsReport: [
+        "precision",
+        "recall",
+        "f1",
+        "support",
+        "zero_division",
+        "macro_precision",
+        "macro_recall",
+        "macro_f1",
+        "weighted_f1",
+        "accuracy",
+    ],
 }
 
 

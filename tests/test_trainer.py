@@ -408,6 +408,33 @@ class TestTrain:
             ):
                 np.testing.assert_array_equal(a, b)
 
+    def test_a_pool_smaller_than_a_batch_cycles_through_fresh_permutations(self, monkeypatch):
+        train_ds, val_ds, _, task_pool = tiny_task(seed=4)
+        # Pool row i has label i, so the labels a step trains on name its rows.
+        pseudo = PseudoLabeledDataset(task_pool.rows[:3], np.arange(3), np.ones(3))
+        seen = []
+        real = trainer_module.generator_step
+
+        def recording(model, enc, y_l, y_u, cfg, states):
+            seen.append(y_u.copy())
+            return real(model, enc, y_l, y_u, cfg, states)
+
+        monkeypatch.setattr(trainer_module, "generator_step", recording)
+        cfg = tiny_cfg(epochs=2, batch_size=8, seed=29)
+        _, history = train(train_ds, pseudo, val_ds, cfg)
+        assert len(history.records) == cfg.epochs
+        assert all(np.isfinite(r.loss_u) for r in history.records)
+        shuffle_u, steps = named_rng(cfg.seed, "pseudo_shuffle"), iter(seen)
+        for _ in range(cfg.epochs):  # each epoch starts a fresh permutation
+            draws = np.empty(0, dtype=np.int64)
+            for start in range(0, len(train_ds), cfg.batch_size):
+                size = min(cfg.batch_size, len(train_ds) - start)
+                while draws.size < size:
+                    draws = np.concatenate([draws, shuffle_u.permutation(3)])
+                np.testing.assert_array_equal(next(steps), draws[:size])
+                draws = draws[size:]
+        assert next(steps, None) is None
+
     @pytest.mark.parametrize("suppress", [False, True])
     def test_one_discriminator_update_per_step_none_when_suppressed(self, monkeypatch, suppress):
         train_ds, val_ds, _, pseudo = tiny_task(seed=3)

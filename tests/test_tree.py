@@ -222,9 +222,7 @@ class TestFitRegressionTree:
     def test_presorted_fit_equals_plain_fit(self, seed):
         x, t, depth, min_leaf = random_fit_case(1000 + seed)
         plain = fit_regression_tree(x, t, max_depth=depth, min_leaf_count=min_leaf)
-        given = fit_regression_tree(
-            x, t, max_depth=depth, min_leaf_count=min_leaf, presorted=presort(x)
-        )
+        given = fit_regression_tree(presort(x), t, max_depth=depth, min_leaf_count=min_leaf)
         assert to_plain(given) == to_plain(plain)
 
     @pytest.mark.parametrize("block", range(2))
@@ -245,16 +243,14 @@ class TestFitRegressionTree:
         "bad",
         [
             lambda x: presort(x[:-1]),  # too few rows
-            lambda x: presort(x[:, :-1]),  # too few features
-            lambda x: presort(x.T),  # (rows, features) layout
             lambda x: (presort(x).rows, x),  # bare arrays, not a presort
         ],
     )
     def test_bad_presorted_rejected(self, bad):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(12, 3))
-        with pytest.raises(ValueError, match="presorted"):
-            fit_regression_tree(x, rng.normal(size=12), max_depth=2, presorted=bad(x))
+        with pytest.raises(ValueError):
+            fit_regression_tree(bad(x), rng.normal(size=12), max_depth=2)
 
     @pytest.mark.parametrize("block", range(4))
     def test_mixed_tied_and_untied_columns_match_the_reference(self, block):
@@ -264,7 +260,7 @@ class TestFitRegressionTree:
             assert to_plain(fit_regression_tree(x, t, depth, min_leaf)) == expected, seed
             shared = presort(x)
             for targets in (-t, t):  # the second fit reuses what the first overwrote
-                given = fit_regression_tree(x, targets, depth, min_leaf, presorted=shared)
+                given = fit_regression_tree(shared, targets, depth, min_leaf)
             assert to_plain(given) == expected, seed
 
     def test_one_presort_serves_twenty_fits_and_stays_intact(self):
@@ -275,8 +271,8 @@ class TestFitRegressionTree:
         for k in range(20):
             t = rng.normal(size=x.shape[0]) if k % 3 else rng.integers(0, 3, x.shape[0]) * 1.0
             depth, min_leaf = k % 5, 1 + k % 4
-            given = fit_regression_tree(x, t, depth, min_leaf, presorted=shared)
-            fresh = fit_regression_tree(x, t, depth, min_leaf, presorted=presort(x))
+            given = fit_regression_tree(shared, t, depth, min_leaf)
+            fresh = fit_regression_tree(presort(x), t, depth, min_leaf)
             assert to_plain(given) == to_plain(fresh), k
             assert given.fitted.tobytes() == fresh.fitted.tobytes(), k
         for now, before in zip((shared.rows, x, shared.tied), kept):
