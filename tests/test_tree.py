@@ -243,6 +243,8 @@ class TestFitRegressionTree:
         "bad",
         [
             lambda x: presort(x[:-1]),  # too few rows
+            lambda x: x[:, 0],  # a column, not a matrix
+            lambda x: presort(x.T),  # (features, rows) layout
             lambda x: (presort(x).rows, x),  # bare arrays, not a presort
         ],
     )
