@@ -47,6 +47,8 @@ class DatasetSchema:
             raise DataError("need at least 1 feature")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise DataError("feature names must be unique")
+        if len(set(self.label_names)) != len(self.label_names):
+            raise DataError("label names must be unique")
         if len(self.label_names) < 2:
             raise DataError("need at least 2 rating labels")
         if LABEL_COLUMN in self.feature_names:
@@ -340,7 +342,8 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     a name given twice is an error; a `rating` column is optional, may hold
     label names or integer indices, and counts as absent when all blank. A
     blank or unknown rating, or an unparsable, missing or non-finite feature
-    cell, is an error that names the 1-based data row(s).
+    cell, is an error that names the 1-based data row(s). Every error but
+    the one for a file that cannot be opened starts with the file's name.
     A first pass counts the lines; the second parses the records into one
     feature-major array of that many columns, and rows is its (n, F)
     transpose, as for the pool of generate_synthetic.
@@ -350,49 +353,56 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}") from exc
     with handle:
-        capacity = sum(1 for _ in handle) - 1  # the record count, unless a cell spans lines
-        handle.seek(0)
-        reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("file has no header row") from None
-        except csv.Error as exc:  # a cell over csv.field_size_limit(), say
-            raise DataError(f"header row: {exc}") from None
-        header = [h.strip() for h in header]
-        if "" in header:
-            raise DataError(f"header column {header.index('') + 1} has no name")
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise DataError(f"columns named more than once: {', '.join(repeated)}")
-        known = set(schema.feature_names) | {LABEL_COLUMN}
-        unknown = [h for h in header if h not in known]
-        if unknown:
-            raise DataError(f"unknown columns: {', '.join(unknown)}")
-        missing_cols = [f for f in schema.feature_names if f not in header]
-        if missing_cols:
-            raise DataError(f"missing feature columns: {', '.join(missing_cols)}")
-        col_of = {name: header.index(name) for name in schema.feature_names}
-        label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+            return _parse_csv(handle, schema)
+        except DataError as exc:
+            raise DataError(f"{os.path.basename(path)}: {exc}") from None
 
-        columns = np.empty((schema.num_features, capacity))
-        ratings = []  # the rating cells, when there is a rating column
-        cells = [col_of[name] for name in schema.feature_names]
-        row_num = 0
-        try:
-            for row_num, record in enumerate(reader, start=1):
-                if len(record) != len(header):
-                    raise DataError(
-                        f"row {row_num} has {len(record)} cells, header has {len(header)}"
-                    )
-                try:
-                    columns[:, row_num - 1] = [float(record[c]) for c in cells]
-                except ValueError:  # float('nan'/'inf') parses too: both fail below
-                    columns[:, row_num - 1] = [_float_or_nan(record[c]) for c in cells]
-                if label_col is not None:
-                    ratings.append(record[label_col])
-        except csv.Error as exc:  # raised while reading the record after row_num
-            raise DataError(f"row {row_num + 1}: {exc}") from None
+
+def _parse_csv(handle, schema: DatasetSchema) -> Dataset:
+    capacity = sum(1 for _ in handle) - 1  # the record count, unless a cell spans lines
+    handle.seek(0)
+    reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("file has no header row") from None
+    except csv.Error as exc:  # a cell over csv.field_size_limit(), say
+        raise DataError(f"header row: {exc}") from None
+    header = [h.strip() for h in header]
+    if "" in header:
+        raise DataError(f"header column {header.index('') + 1} has no name")
+    repeated = sorted({h for h in header if header.count(h) > 1})
+    if repeated:
+        raise DataError(f"columns named more than once: {', '.join(repeated)}")
+    known = set(schema.feature_names) | {LABEL_COLUMN}
+    unknown = [h for h in header if h not in known]
+    if unknown:
+        raise DataError(f"unknown columns: {', '.join(unknown)}")
+    missing_cols = [f for f in schema.feature_names if f not in header]
+    if missing_cols:
+        raise DataError(f"missing feature columns: {', '.join(missing_cols)}")
+    col_of = {name: header.index(name) for name in schema.feature_names}
+    label_col = header.index(LABEL_COLUMN) if LABEL_COLUMN in header else None
+
+    columns = np.empty((schema.num_features, capacity))
+    ratings = []  # the rating cells, when there is a rating column
+    cells = [col_of[name] for name in schema.feature_names]
+    row_num = 0
+    try:
+        for row_num, record in enumerate(reader, start=1):
+            if len(record) != len(header):
+                raise DataError(
+                    f"row {row_num} has {len(record)} cells, header has {len(header)}"
+                )
+            try:
+                columns[:, row_num - 1] = [float(record[c]) for c in cells]
+            except ValueError:  # float('nan'/'inf') parses too: both fail below
+                columns[:, row_num - 1] = [_float_or_nan(record[c]) for c in cells]
+            if label_col is not None:
+                ratings.append(record[label_col])
+    except csv.Error as exc:  # raised while reading the record after row_num
+        raise DataError(f"row {row_num + 1}: {exc}") from None
     if row_num < capacity:  # a quoted cell held a line break
         columns = columns[:, :row_num].copy()
     labels = None

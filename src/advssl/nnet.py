@@ -325,9 +325,7 @@ class AdamState:
         return state
 
 
-def adam_step(
-    params: np.ndarray, grads: np.ndarray, state: AdamState
-) -> tuple[np.ndarray, AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """One in-place, element-wise Adam update with bias correction.
 
     theta -= lr * m_hat / (sqrt(v_hat) + eps), with ADAM_BETA1, ADAM_BETA2
@@ -353,7 +351,6 @@ def adam_step(
     root += ADAM_EPSILON
     step /= root
     params -= step
-    return params, state
 
 
 def l2_penalty(params, lam: float) -> float:

@@ -1,16 +1,16 @@
 """End-to-end orchestration: config file -> data -> Phase I -> Phase II -> report.
 
 A run is fully described by one JSON config (data source, PRM and Phase-II
-hyperparameters, split fractions, seeds, variant), decoded strictly by
-persist.from_plain. There are no ablation flags: VARIANTS is the one table
-of variants, and `ablate` runs them all. Per seed the pipeline generates or
-loads data, splits it, fits the normalizer on the labeled training split
-only, trains the plain model and pseudo-labels the unlabeled pool
-(prepare_seed). Then run_variant trains, evaluates on the held-out test
-split and writes each variant: every Phase-II variant, the supervised
-baseline included, is trainer.train under its table entry's overrides.
-Every artifact lands under <output root>/run-<config hash>/, the root
-being the command line's --out.
+hyperparameters, seeds, variant), decoded strictly by persist.from_plain.
+There are no ablation flags: VARIANTS is the one table of variants, and
+`ablate` runs them all. Per seed the pipeline generates or loads data,
+splits it by the fixed SPLIT fractions, fits the normalizer on the labeled
+training split only, trains the plain model and pseudo-labels the
+unlabeled pool (prepare_seed). Then run_variant trains, evaluates on the
+held-out test split and writes each variant: every Phase-II variant, the
+supervised baseline included, is trainer.train under its table entry's
+overrides. Every artifact lands under <output root>/run-<config hash>/,
+the root being the command line's --out.
 
 `ablate` uses both CPUs. A seed's variants share only the PreparedSeed and
 draw from their own named RNG streams, so one forked worker trains and
@@ -48,7 +48,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     save_csv,
-    split_fractions,
     standardize,
     stratified_split,
 )
@@ -68,6 +67,8 @@ VARIANTS = {
 }
 # The variants `ablate` trains in its forked worker (see the module docstring).
 WORKER_VARIANTS = ("supervised_mlp", "no_adversarial")
+# Every run's train/val/test fractions of the labeled rows.
+SPLIT = (0.7, 0.15, 0.15)
 
 
 @dataclass
@@ -88,13 +89,13 @@ class DataSource:
 
 @dataclass
 class RunConfig:
-    """A run's settings; run and ablate set data.synth.seed and assl.seed to each seed."""
+    """A run's settings; run and ablate set data.synth.seed and assl.seed to
+    each seed. No config sets the split: every run splits by SPLIT."""
 
     data: DataSource
     schema: DatasetSchema | None = None  # for CSV sources; synth builds its own
     prm: PrmConfig = field(default_factory=PrmConfig)
     assl: AsslConfig = field(default_factory=AsslConfig)
-    split: tuple[float, float, float] = (0.7, 0.15, 0.15)
     seeds: tuple[int, ...] = (0,)
     variant: str = "full"
 
@@ -110,7 +111,6 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.schema is not None and self.data.synth is not None:
             raise ConfigError("schema applies to CSV sources only; data.synth builds its own")
-        split_fractions(self.split)
 
     def config_hash(self) -> str:
         payload = json.dumps(to_plain(self), sort_keys=True)
@@ -157,20 +157,16 @@ def _load_source(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset | None]:
     labeled = load_csv(src.labeled_csv, schema)
     if not labeled.is_labeled:
         raise DataError(f"{os.path.basename(src.labeled_csv)} has no rating column")
-    unlabeled = None
-    if src.unlabeled_csv:
-        unlabeled = load_csv(src.unlabeled_csv, schema)
-        if unlabeled.is_labeled:
-            unlabeled = Dataset(schema, unlabeled.rows, None)
+    unlabeled = load_csv(src.unlabeled_csv, schema) if src.unlabeled_csv else None
     return labeled, unlabeled
 
 
 def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     t0 = time.monotonic()
     labeled, unlabeled = _load_source(cfg, seed)
-    train_raw, val_raw, test_raw = stratified_split(labeled, cfg.split, seed)
+    train_raw, val_raw, test_raw = stratified_split(labeled, SPLIT, seed)
     if len(train_raw) == 0 or len(val_raw) == 0 or len(test_raw) == 0:
-        raise DataError("a split came out empty; adjust fractions or dataset size")
+        raise DataError("a split came out empty; the dataset is too small")
     normalizer = fit_normalizer(train_raw)
     train = apply_normalizer(normalizer, train_raw)
     val = apply_normalizer(normalizer, val_raw)
@@ -200,11 +196,11 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     )
 
 
-def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, MetricsReport]:
-    """Train one variant on a prepared seed, evaluate it on the test split and
-    write its models, history, report and round-trip CSVs into seed_dir;
-    return (artifact paths, report). A variant whose table entry suppresses
-    the pseudo pool (the supervised baseline) writes no model.json."""
+def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsReport:
+    """Train one variant on a prepared seed, evaluate it on the test split,
+    write its models, history, report and round-trip CSVs into seed_dir and
+    return its report. A variant whose table entry suppresses the pseudo
+    pool (the supervised baseline) writes no model.json."""
     overrides = VARIANTS[variant]
     if overrides is None:
         probs = prep.prm_model.predict_proba_matrix(prep.test.rows)
@@ -217,17 +213,15 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
     report = classification_report(confusion_matrix(prep.test.labels, preds, schema.num_classes))
 
     os.makedirs(seed_dir, exist_ok=True)
-    paths = {}
 
-    def path(name, file):
-        paths[name] = os.path.join(seed_dir, file)
-        return paths[name]
+    def path(file):
+        return os.path.join(seed_dir, file)
 
-    save_plain_model(path("prm_model", "prm_model.json"), prep.prm_model, schema, normalizer)
+    save_plain_model(path("prm_model.json"), prep.prm_model, schema, normalizer)
     if overrides is not None:
         if not overrides.get("suppress_pseudo"):
-            save_assl_model(path("model", "model.json"), model, cfg, schema, normalizer)
-        history.to_csv(path("history", "history.csv"))
+            save_assl_model(path("model.json"), model, cfg, schema, normalizer)
+        history.to_csv(path("history.csv"))
     conf = prep.pseudo.confidences
     payload = {
         "seed": prep.assl_cfg.seed,
@@ -237,12 +231,12 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> tuple[dict, 
         "pseudo_count": len(prep.pseudo),
         "pseudo_mean_confidence": float(conf.mean()) if conf.size else 0.0,
     }
-    write_json(path("report_json", "report.json"), payload)
-    with atomic_write(path("report_txt", "report.txt")) as handle:
+    write_json(path("report.json"), payload)
+    with atomic_write(path("report.txt")) as handle:
         handle.write(report.to_text(schema.label_names) + "\n")
-    save_csv(prep.test_raw, path("test_split", "test_split.csv"))
-    write_predictions_csv(path("predictions", "predictions.csv"), schema, probs)
-    return paths, report
+    save_csv(prep.test_raw, path("test_split.csv"))
+    write_predictions_csv(path("predictions.csv"), schema, probs)
+    return report
 
 
 def prediction_rows(schema: DatasetSchema, probs: np.ndarray):
@@ -270,7 +264,6 @@ def _run_manifest(cfg: RunConfig, run_dir: str):
         "config_hash": cfg.config_hash(),
         "version": __version__,
         "status": "running",
-        "artifacts": {},
         "timings_sec": {},
     }
     write_json(path, manifest)
@@ -302,30 +295,27 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
             t_seed = time.monotonic()
             prep = prepare_seed(cfg, seed)
             t_variant = time.monotonic()
-            paths, report = run_variant(prep, cfg.variant, os.path.join(run_dir, f"seed_{seed}"))
+            report = run_variant(prep, cfg.variant, os.path.join(run_dir, f"seed_{seed}"))
             t_end = time.monotonic()
-            manifest["artifacts"][f"seed_{seed}"] = paths
             timings.update({f"seed_{seed}/{k}": t for k, t in prep.seconds.items()})
             timings[f"seed_{seed}/variant"] = round(t_end - t_variant, 3)
             timings[f"seed_{seed}"] = round(t_end - t_seed, 3)
             reports.append(report)
         if len(reports) >= 2:
-            agg_path = os.path.join(run_dir, "aggregate.json")
-            write_json(agg_path, aggregate_runs(reports))
-            manifest["artifacts"]["aggregate"] = agg_path
+            write_json(os.path.join(run_dir, "aggregate.json"), aggregate_runs(reports))
     return {"run_dir": run_dir, "reports": reports}
 
 
 def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
     """Train, evaluate and write every variant of one prepared seed, with
     WORKER_VARIANTS in a forked worker (worker.forked); return variant ->
-    (artifact paths, report, seconds in the process that ran it). Before
-    each variant here, a worker that has already failed raises its error."""
+    (report, seconds in the process that ran it). Before each variant here,
+    a worker that has already failed raises its error."""
 
     def train_and_write(variant):
         t0 = time.monotonic()
-        paths, report = run_variant(prep, variant, os.path.join(seed_dir, variant))
-        return paths, report, round(time.monotonic() - t0, 3)
+        report = run_variant(prep, variant, os.path.join(seed_dir, variant))
+        return report, round(time.monotonic() - t0, 3)
 
     def train_in_worker():
         return {v: train_and_write(v) for v in WORKER_VARIANTS}
@@ -357,8 +347,7 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
             timings.update({f"seed_{seed}/{k}": t for k, t in prep.seconds.items()})
             done = _train_seed_variants(prep, os.path.join(run_dir, f"seed_{seed}"))
             for variant in VARIANTS:
-                paths, report, seconds = done[variant]
-                manifest["artifacts"][f"seed_{seed}/{variant}"] = paths
+                report, seconds = done[variant]
                 timings[f"seed_{seed}/{variant}"] = seconds
                 by_variant[variant].append(report)
                 rows.append(
@@ -372,13 +361,9 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
                     }
                 )
         summary = {v: aggregate_runs(reps) for v, reps in by_variant.items()}
-        table_path = os.path.join(run_dir, "ablation.json")
-        write_json(table_path, {"rows": rows, "summary": summary})
-        text_path = os.path.join(run_dir, "ablation.txt")
-        with atomic_write(text_path) as handle:
+        write_json(os.path.join(run_dir, "ablation.json"), {"rows": rows, "summary": summary})
+        with atomic_write(os.path.join(run_dir, "ablation.txt")) as handle:
             handle.write(format_ablation_table(rows, summary) + "\n")
-        manifest["artifacts"]["ablation_json"] = table_path
-        manifest["artifacts"]["ablation_txt"] = text_path
     return {"run_dir": run_dir, "rows": rows, "summary": summary}
 
 

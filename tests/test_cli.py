@@ -20,7 +20,6 @@ from advssl.persist import to_plain
 from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
 from advssl.prm import GbdtConfig, LogregConfig, PrmConfig, train_gbdt
 from advssl.trainer import INFERENCE_HEADS, AsslConfig
-from test_persist import splits
 from test_pipeline import assert_no_child_left
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
@@ -66,6 +65,14 @@ def repeat_first_column(path) -> str:
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerows(r + r[:1] for r in records)
     return records[0][0]
+
+
+def prepend_header_cell(path, cell):
+    """Put cell in front of the CSV's header row, and nothing else."""
+    with open(path) as handle:
+        text = handle.read()
+    with open(path, "w") as handle:
+        handle.write(f"{cell},{text}")
 
 
 def set_ratings(path, cell):
@@ -156,7 +163,8 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", raw)
         code, out, err = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path))
         assert (code, out) == (3, "")
-        assert err == f"error: code=3 reason=columns named more than once: {name}\n"
+        file = os.path.basename(raw["data"][source])
+        assert err == f"error: code=3 reason={file}: columns named more than once: {name}\n"
         assert not list(tmp_path.glob("run-*/seed_0/*.json"))
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
@@ -336,7 +344,7 @@ class TestPredict:
         code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(trailing))
         assert (code, out) == (3, "")
         column = len(lines[0].split(",")) + 1
-        assert err == f"error: code=3 reason=header column {column} has no name\n"
+        assert err == f"error: code=3 reason=trailing.csv: header column {column} has no name\n"
 
     @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
     def test_model_file_parsed_once(self, trained_run, capsys, monkeypatch, name):
@@ -355,7 +363,7 @@ class TestPredict:
         name = repeat_first_column(twice)
         code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(twice))
         assert (code, out) == (3, "")
-        assert err == f"error: code=3 reason=columns named more than once: {name}\n"
+        assert err == f"error: code=3 reason=twice.csv: columns named more than once: {name}\n"
 
     def test_cell_over_the_csv_field_limit_exits_3(self, trained_run, tmp_path, capsys):
         rows = (trained_run / "test_split.csv").read_text().splitlines()
@@ -363,7 +371,8 @@ class TestPredict:
         long.write_text("\n".join(rows[:2] + ["1" * 131_073 + rows[2][rows[2].index(","):]]))
         code, out, err = run_cli(capsys, "predict", str(trained_run / "model.json"), str(long))
         assert (code, out) == (3, "")
-        assert err == "error: code=3 reason=row 2: field larger than field limit (131072)\n"
+        reason = "long.csv: row 2: field larger than field limit (131072)"
+        assert err == f"error: code=3 reason={reason}\n"
 
     def test_schema_mismatch_exits_3(self, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -387,6 +396,44 @@ def _first_parameter(payload):
     if "gbdt" in payload:
         return payload["gbdt"]["base_score"], 0
     return payload["logreg"]["weights"][0], 0
+
+
+def _narrowed(layer):
+    """Drop a layer's last output unit."""
+    layer.update(weights=layer["weights"][:-1], bias=layer["bias"][:-1])
+
+
+# Edits of a smoke model.json that a record's own checks refuse, and the reason each gives.
+BAD_ASSL_RECORDS = {
+    "weights_1d": (
+        lambda p: p["encoder"]["layers"][0].update(weights=p["encoder"]["layers"][0]["weights"][0]),
+        "model.encoder.layers[0]: weights must be 2-D, got shape (5,)",
+    ),
+    "activation_tanh": (
+        lambda p: p["encoder"]["layers"][0].update(activation="tanh"),
+        "model.encoder.layers[0]: unknown activation 'tanh'",
+    ),
+    "encoder_layers_do_not_chain": (
+        lambda p: _narrowed(p["encoder"]["layers"][0]),
+        "model.encoder: layer output dim 15 does not feed layer input dim 16",
+    ),
+    "heads_disagree_on_classes": (
+        lambda p: _narrowed(p["semi_head"]["layers"][-1]),
+        "model: classifier heads disagree on the number of classes",
+    ),
+    "discriminator_two_outputs": (
+        lambda p: p["discriminator"]["layers"][-1].update(weights=[[0.0] * 16] * 2, bias=[0, 0]),
+        "model: discriminator must emit a single probability",
+    ),
+    "discriminator_not_sigmoid": (
+        lambda p: p["discriminator"]["layers"][-1].update(activation="identity"),
+        "model: discriminator output layer must be sigmoid",
+    ),
+    "labels_repeated": (
+        lambda p: p["schema"].update(labels=["L0", "L0", "L1"]),
+        "schema: label names must be unique",
+    ),
+}
 
 
 class TestPredictRejectsBadModelFiles:
@@ -449,6 +496,12 @@ class TestPredictRejectsBadModelFiles:
         model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
         err = self._predict_fails(capsys, model, trained_run)
         assert err == "error: code=3 reason=prm_model.json: schema: need at least 1 feature\n"
+
+    @pytest.mark.parametrize("edit, reason", BAD_ASSL_RECORDS.values(), ids=BAD_ASSL_RECORDS.keys())
+    def test_refused_by_the_records_own_checks(self, trained_run, tmp_path, capsys, edit, reason):
+        model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        assert err == f"error: code=3 reason=model.json: {reason}\n"
 
     def test_removed_setting_in_the_config(self, trained_run, tmp_path, capsys):
         def edit(payload):
@@ -640,7 +693,7 @@ class TestModuleEntryPoint:
         done = run_python("-m", "advssl", "run", "--config", cfg, "--out", str(tmp_path))
         assert done.returncode == 3
         assert done.stderr == (
-            "error: code=3 reason=a split came out empty; adjust fractions or dataset size\n"
+            "error: code=3 reason=a split came out empty; the dataset is too small\n"
         )
 
     def test_package_root_imports_no_submodule(self):
@@ -863,6 +916,7 @@ REMOVED_SETTINGS = {
     "train_discriminator": lambda raw: raw["assl"].update(train_discriminator=True),
     "encoder_weight_decay": lambda raw: raw["assl"].update(encoder_weight_decay=0.0),
     "output_dir": lambda raw: raw.update(output_dir=None),
+    "split": lambda raw: raw.update(split=[0.7, 0.15, 0.15]),
 }
 # Values out of range, which the configs' own checks reject while decoding.
 OUT_OF_RANGE = {
@@ -875,7 +929,9 @@ OUT_OF_RANGE = {
     "learning_rate_negative": lambda raw: raw["assl"].update(learning_rate=-0.5),
     "encoder_hidden_negative": lambda raw: raw["assl"].update(encoder_hidden=-3),
     "disc_hidden_negative": lambda raw: raw["assl"].update(disc_hidden=-2),
-    "split_negative": lambda raw: raw.update(split=[1.2, -0.1, -0.1]),
+    "epochs_zero": lambda raw: raw["assl"].update(epochs=0),
+    "num_classes_one": lambda raw: raw["data"]["synth"].update(num_classes=1),
+    "noise_std_negative": lambda raw: raw["data"]["synth"].update(noise_std=-1),
 }
 # Edits of the smoke config that the codec must reject (None: a JSON list as the root).
 REJECTED_CONFIGS = {
@@ -887,7 +943,6 @@ REJECTED_CONFIGS = {
     "seeds_float": lambda raw: raw.update(seeds=[1.7]),
     "seeds_bool": lambda raw: raw.update(seeds=[True]),
     "seeds_repeated": lambda raw: raw.update(seeds=[1, 2, 1]),
-    "split_two": lambda raw: raw.update(split=[0.5, 0.5]),
     "rounds_string": lambda raw: raw["prm"]["gbdt"].update(rounds="3"),
     "data_list": lambda raw: raw.update(data=[1]),
     "variant_no_semi": lambda raw: raw.update(variant="no_semi"),
@@ -956,7 +1011,27 @@ ERROR_EXITS = {
     "labeled_csv_of_0_bytes": (
         csv_run(edit=lambda raw: open(raw["data"]["labeled_csv"], "w").close()),
         3,
-        "file has no header row",
+        "labeled.csv: file has no header row",
+    ),
+    "labeled_csv_header_over_the_field_limit": (
+        csv_run(edit=lambda raw: prepend_header_cell(raw["data"]["labeled_csv"], "f" * 131_073)),
+        3,
+        "labeled.csv: header row: field larger than field limit (131072)",
+    ),
+    "schema_with_one_label": (
+        csv_run(edit=lambda raw: raw["schema"].update(labels=["A,1"])),
+        2,
+        "config.schema: need at least 2 rating labels",
+    ),
+    "schema_with_a_feature_named_rating": (
+        csv_run(edit=lambda raw: raw["schema"]["features"].__setitem__(0, "rating")),
+        2,
+        "config.schema: feature name 'rating' collides with the label column",
+    ),
+    "schema_with_repeated_labels": (
+        csv_run(edit=lambda raw: raw["schema"].update(labels=["A,1", "A,1", "B", 'C"q'])),
+        2,
+        "config.schema: label names must be unique",
     ),
 }
 
@@ -1079,7 +1154,6 @@ tiny_configs = st.builds(
         inference_head=st.sampled_from(INFERENCE_HEADS),
         suppress_pseudo=st.booleans(),
     ),
-    split=splits,
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2, unique=True).map(tuple),
     variant=st.sampled_from(list(VARIANTS)),
 )

@@ -381,7 +381,7 @@ class TestCsv:
     def test_blank_or_unknown_rating_names_its_row(self, tmp_path, ratings, reason):
         path = tmp_path / "ratings.csv"
         path.write_text("a,b,rating\n" + "".join(f"1,2,{r}\n" for r in ratings))
-        with pytest.raises(DataError, match=f"^{re.escape(reason)}$"):
+        with pytest.raises(DataError, match=f"^ratings.csv: {re.escape(reason)}$"):
             load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
 
     def test_all_blank_rating_column_reads_as_absent(self, tmp_path):
@@ -403,7 +403,7 @@ class TestCsv:
     def test_column_named_twice_rejected(self, tmp_path, text, column):
         path = tmp_path / "twice.csv"
         path.write_text(text)
-        with pytest.raises(DataError, match=f"^columns named more than once: {column}$"):
+        with pytest.raises(DataError, match=f"^twice.csv: columns named more than once: {column}$"):
             load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
 
     def test_columns_reordered_by_name(self, tmp_path):

@@ -291,12 +291,10 @@ synth_configs = st.builds(
     noise_std=weight,
     seed=st.integers(0, 2**32 - 1),
 )
-# Three fractions >= 0 that sum to 1 (within rounding), zeros included.
-splits = st.tuples(*[st.integers(0, 9)] * 3).filter(any).map(lambda w: tuple(v / sum(w) for v in w))
 schemas = st.builds(
     DatasetSchema,
     st.lists(name.filter(lambda n: n != "rating"), min_size=1, max_size=5, unique=True).map(tuple),
-    st.lists(name, min_size=2, max_size=5).map(tuple),
+    st.lists(name, min_size=2, max_size=5, unique=True).map(tuple),
 )
 # (data, schema): a schema only for CSV sources, since data.synth builds its own.
 sources = st.tuples(st.builds(DataSource, synth=synth_configs), st.none()) | st.tuples(
@@ -327,7 +325,6 @@ run_configs = st.builds(
     sources,
     prm=prm_configs,
     assl=assl_configs,
-    split=splits,
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True).map(tuple),
     variant=st.sampled_from(list(VARIANTS)),
 )

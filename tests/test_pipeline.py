@@ -119,8 +119,8 @@ class TestRunVariant:
     def test_all_variants_produce_reports(self, smoke_cfg, tmp_path):
         prep = prepare_seed(smoke_cfg, 0)
         for variant in VARIANTS:
-            paths, report = run_variant(prep, variant, str(tmp_path / variant))
-            with open(paths["predictions"]) as handle:
+            report = run_variant(prep, variant, str(tmp_path / variant))
+            with open(tmp_path / variant / "predictions.csv") as handle:
                 assert len(handle.readlines()) == 1 + len(prep.test)
             assert 0.0 <= report.accuracy <= 1.0
 
@@ -130,14 +130,14 @@ class TestRunVariant:
         for suppress in (False, True):  # a config may suppress the pseudo pool itself
             prep = prepare_seed(replace(cfg, assl=replace(cfg.assl, suppress_pseudo=suppress)), 0)
             for variant in VARIANTS:
-                paths, _ = run_variant(prep, variant, str(tmp_path / f"{variant}_{suppress}"))
-                written[variant, suppress] = set(paths)
-        every = {"prm_model", "report_json", "report_txt", "test_split", "predictions"}
+                run_variant(prep, variant, str(tmp_path / f"{variant}_{suppress}"))
+                written[variant, suppress] = set(os.listdir(tmp_path / f"{variant}_{suppress}"))
+        every = {"prm_model.json", "report.json", "report.txt", "test_split.csv", "predictions.csv"}
         for suppress in (False, True):
             assert written["prm_only", suppress] == every
-            assert written["supervised_mlp", suppress] == every | {"history"}
-            assert written["no_adversarial", suppress] == every | {"history", "model"}
-            assert written["full", suppress] == every | {"history", "model"}
+            assert written["supervised_mlp", suppress] == every | {"history.csv"}
+            assert written["no_adversarial", suppress] == every | {"history.csv", "model.json"}
+            assert written["full", suppress] == every | {"history.csv", "model.json"}
 
 
 class TestRunConfig:
@@ -151,9 +151,9 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "edit, expected",
         [
-            (None, "55886cd2b81f"),
+            (None, "22ae6f8d3164"),
             # A CSV source leaves its null unlabeled_csv out, like any None-default field.
-            (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "947150623bcf"),
+            (lambda raw: {"data": {"labeled_csv": "l.csv"}, "seeds": [3]}, "7a96c72bedec"),
             # An int given for a float field is hashed as written, not as a float.
             (
                 lambda raw: {
@@ -161,7 +161,7 @@ class TestRunConfig:
                     "data": {"synth": {**raw["data"]["synth"], "noise_std": 1}},
                     "assl": {**raw["assl"], "alpha": 0},
                 },
-                "854fcb9ac16a",
+                "3419ebe94301",
             ),
         ],
         ids=["smoke", "csv_source", "ints_for_floats"],
@@ -201,7 +201,7 @@ class TestRunConfig:
 # must change this table (and the option count in ROADMAP aim 2).
 OPTION_SURFACE = {
     DataSource: ["synth", "labeled_csv", "unlabeled_csv"],
-    RunConfig: ["data", "schema", "prm", "assl", "split", "seeds", "variant"],
+    RunConfig: ["data", "schema", "prm", "assl", "seeds", "variant"],
     SynthConfig: [
         "num_features",
         "num_classes",
@@ -375,12 +375,19 @@ class TestArtifactWriters:
         assert os.listdir(tmp_path) == ["predictions.csv"]
 
 
+# A complete run's manifest.json holds these keys, a failed one also "error". The writers
+# alone name the artifacts: an index of them in the manifest would only restate the layout.
+MANIFEST_KEYS = {"config", "config_hash", "status", "timings_sec", "version"}
+
+
 class TestRunTimings:
     def test_manifest_times_each_phase_of_each_seed(self, smoke_cfg, tmp_path):
         cfg = replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=2), seeds=(3, 4))
         run_dir = execute_run(cfg, str(tmp_path))["run_dir"]
         with open(os.path.join(run_dir, "manifest.json")) as handle:
-            timings = json.load(handle)["timings_sec"]
+            manifest = json.load(handle)
+        assert set(manifest) == MANIFEST_KEYS
+        timings = manifest["timings_sec"]
         phases = ("prepare", "phase1_fit", "pseudo_label", "variant")
         assert set(timings) == {"total"} | {
             key for s in cfg.seeds for key in [f"seed_{s}"] + [f"seed_{s}/{p}" for p in phases]
@@ -429,7 +436,7 @@ class TestAblationWorker:
         for seed in cfg.seeds:
             prep = prepare_seed(cfg, seed)
             for variant in VARIANTS:
-                _, rep = run_variant(prep, variant, str(inline_dir / f"seed_{seed}" / variant))
+                rep = run_variant(prep, variant, str(inline_dir / f"seed_{seed}" / variant))
                 rows.append(
                     {
                         "variant": variant,
@@ -457,7 +464,9 @@ class TestAblationWorker:
     def test_manifest_times_each_variant(self, cfg, tmp_path):
         run_dir = execute_ablation(replace(cfg, seeds=(3,)), str(tmp_path))["run_dir"]
         with open(os.path.join(run_dir, "manifest.json")) as handle:
-            timings = json.load(handle)["timings_sec"]
+            manifest = json.load(handle)
+        assert set(manifest) == MANIFEST_KEYS
+        timings = manifest["timings_sec"]
         phases = ("prepare", "phase1_fit", "pseudo_label")
         assert set(timings) == {"total"} | {f"seed_3/{k}" for k in (*phases, *VARIANTS)}
         assert all(0.0 <= t <= timings["total"] for t in timings.values())
@@ -474,6 +483,7 @@ class TestAblationWorker:
         assert_no_child_left()
         (manifest,) = tmp_path.glob("ablate-*/manifest.json")
         payload = json.loads(manifest.read_text())
+        assert set(payload) == MANIFEST_KEYS | {"error"}
         assert payload["status"] == "failed"
         assert payload["error"] == "DivergenceError: non-finite L_L in the worker"
 
