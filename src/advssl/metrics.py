@@ -71,26 +71,6 @@ class MetricsReport:
             "accuracy": self.accuracy,
         }
 
-    def to_text(self, label_names=None) -> str:
-        m = self.precision.shape[0]
-        names = list(label_names) if label_names else [f"class {k}" for k in range(m)]
-        width = max(len(n) for n in names + ["macro"])
-        lines = [f"{'':<{width}}  precision  recall      f1  support"]
-        for k in range(m):
-            flag = " *" if self.zero_division[k] else ""
-            lines.append(
-                f"{names[k]:<{width}}  {self.precision[k]:9.4f}  {self.recall[k]:6.4f}"
-                f"  {self.f1[k]:6.4f}  {int(self.support[k]):7d}{flag}"
-            )
-        lines.append(
-            f"{'macro':<{width}}  {self.macro_precision:9.4f}  {self.macro_recall:6.4f}"
-            f"  {self.macro_f1:6.4f}  {int(self.support.sum()):7d}"
-        )
-        lines.append(f"accuracy: {self.accuracy:.4f}   weighted f1: {self.weighted_f1:.4f}")
-        if self.zero_division.any():
-            lines.append("* zero-denominator metric reported as 0")
-        return "\n".join(lines)
-
 
 def classification_report(cm: ConfusionMatrix) -> MetricsReport:
     """Per-class precision/recall/F1 plus macro/micro/weighted summaries.

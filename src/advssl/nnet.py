@@ -182,8 +182,6 @@ def activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
         return z > 0
     if kind == "sigmoid":
         return a * (1.0 - a)
-    if kind == "identity":
-        return np.ones_like(z)
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -197,10 +197,10 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
 
 
 def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsReport:
-    """Train one variant on a prepared seed, evaluate it on the test split,
-    write its models, history, report and round-trip CSVs into seed_dir and
-    return its report. A variant whose table entry suppresses the pseudo
-    pool (the supervised baseline) writes no model.json."""
+    """Train one variant on a prepared seed, evaluate it on the test split and
+    return its report. Writes prm_model.json, report.json, test_split.csv and
+    predictions.csv into seed_dir; every variant but prm_only adds history.csv,
+    and model.json unless its table entry suppresses the pseudo pool."""
     overrides = VARIANTS[variant]
     if overrides is None:
         probs = prep.prm_model.predict_proba_matrix(prep.test.rows)
@@ -232,8 +232,6 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsRepor
         "pseudo_mean_confidence": float(conf.mean()) if conf.size else 0.0,
     }
     write_json(path("report.json"), payload)
-    with atomic_write(path("report.txt")) as handle:
-        handle.write(report.to_text(schema.label_names) + "\n")
     save_csv(prep.test_raw, path("test_split.csv"))
     write_predictions_csv(path("predictions.csv"), schema, probs)
     return report

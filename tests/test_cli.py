@@ -100,16 +100,14 @@ class TestRun:
         run_dirs = list(tmp_path.glob("run-*"))
         assert len(run_dirs) == 1
         seed_dir = run_dirs[0] / "seed_0"
-        for name in (
+        assert {p.name for p in seed_dir.iterdir()} == {
             "prm_model.json",
             "model.json",
             "history.csv",
             "report.json",
-            "report.txt",
             "test_split.csv",
             "predictions.csv",
-        ):
-            assert (seed_dir / name).exists(), name
+        }
         report = json.loads((seed_dir / "report.json").read_text())
         assert report["metrics"]["accuracy"] > 1 / 3
         manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
@@ -755,7 +753,7 @@ class TestSynth:
             return {str(p.relative_to(run_dir)): p.read_bytes() for p in files}
 
         from_csv = artifacts("out")
-        assert len(from_csv) == 7 and from_csv == artifacts("synth")
+        assert len(from_csv) == 6 and from_csv == artifacts("synth")
 
     def test_a_rating_column_in_the_pool_never_reaches_training(self, tmp_path, capsys):
         """The pool with its ratings (unlabeled_truth.csv), without them and with
@@ -784,7 +782,7 @@ class TestSynth:
             code, _, err = run_cli(capsys, "run", "--config", cfg_path, "--out", str(out))
             assert code == 0, err
             runs.append(run_artifacts(out))
-        assert len(runs[0]) == 7 and runs[0] == runs[1] == runs[2]
+        assert len(runs[0]) == 6 and runs[0] == runs[1] == runs[2]
 
 
 class TestAblate:

@@ -200,6 +200,8 @@ class TestStratifiedSplit:
         ds = _toy_labeled(10)
         with pytest.raises(DataError):
             stratified_split(ds, (0.5, 0.2, 0.2), seed=0)
+        with pytest.raises(DataError, match="^split fractions must be three values >= 0$"):
+            stratified_split(ds, (0.5, 0.5), seed=0)
 
 
 class TestGenerateSynthetic:

@@ -168,8 +168,3 @@ class TestHelpers:
         y_true = [0, 0, 1, 1, 2]
         y_pred = [0, 1, 1, 1, 2]
         assert abs(macro_f1_score(y_true, y_pred, 3) - 0.8222) < 1e-4
-
-    def test_report_text_render(self):
-        rep = classification_report(confusion_matrix([0, 1, 1], [0, 1, 0], 2))
-        text = rep.to_text(["low", "high"])
-        assert "low" in text and "accuracy" in text

@@ -132,7 +132,7 @@ class TestRunVariant:
             for variant in VARIANTS:
                 run_variant(prep, variant, str(tmp_path / f"{variant}_{suppress}"))
                 written[variant, suppress] = set(os.listdir(tmp_path / f"{variant}_{suppress}"))
-        every = {"prm_model.json", "report.json", "report.txt", "test_split.csv", "predictions.csv"}
+        every = {"prm_model.json", "report.json", "test_split.csv", "predictions.csv"}
         for suppress in (False, True):
             assert written["prm_only", suppress] == every
             assert written["supervised_mlp", suppress] == every | {"history.csv"}
@@ -403,6 +403,14 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def wait_until_the_worker_has_ended():
+    """The worker is this process's only child; WNOWAIT leaves it to forked to reap."""
+    deadline = time.monotonic() + 20
+    while not os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG):
+        assert time.monotonic() < deadline, "the worker did not end"
+        time.sleep(0.01)
+
+
 def files_under(root):
     return {
         os.path.relpath(os.path.join(d, f), root): os.path.join(d, f)
@@ -450,7 +458,7 @@ class TestAblationWorker:
         forked, inline = files_under(run_dir), files_under(inline_dir)
         tables = {"manifest.json", "ablation.json", "ablation.txt"}
         assert set(forked) == set(inline) | tables
-        assert len(inline) == 2 * (5 + 6 + 7 + 7)  # per seed: prm_only has no model or history
+        assert len(inline) == 2 * (4 + 5 + 6 + 6)  # per seed: prm_only has no model or history
         for rel, path in inline.items():
             with open(path, "rb") as a, open(forked[rel], "rb") as b:
                 assert a.read() == b.read(), rel
@@ -509,11 +517,7 @@ class TestAblationWorker:
             if variant == "full":
                 raise AssertionError("full trained after the worker had failed")
             if variant == "prm_only":
-                # The worker is this process's only child; WNOWAIT leaves it to forked to reap.
-                deadline = time.monotonic() + 20
-                while not os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT | os.WNOHANG):
-                    assert time.monotonic() < deadline, "the worker did not end"
-                    time.sleep(0.01)
+                wait_until_the_worker_has_ended()
             return real(prep, variant, seed_dir)
 
         monkeypatch.setattr(pipeline, "run_variant", run_variant)
@@ -526,6 +530,28 @@ class TestAblationWorker:
         assert payload["error"] == "DivergenceError: the worker failed first"
         assert (run_dir / "seed_0" / "prm_only" / "report.json").exists()
         assert not (run_dir / "seed_0" / "full").exists()
+
+    def test_result_read_before_full_is_kept_for_the_end(self, cfg, tmp_path, monkeypatch):
+        cfg = replace(cfg, seeds=(0,))
+        unheld_dir = execute_ablation(cfg, str(tmp_path / "unheld"))["run_dir"]
+        real = pipeline.run_variant
+
+        def run_variant(prep, variant, seed_dir):
+            if variant == "prm_only":
+                wait_until_the_worker_has_ended()
+            if variant == "full":
+                assert_no_child_left()  # the poll before full read the result and reaped
+            return real(prep, variant, seed_dir)
+
+        monkeypatch.setattr(pipeline, "run_variant", run_variant)
+        held_dir = execute_ablation(cfg, str(tmp_path / "held"))["run_dir"]
+        assert_no_child_left()
+        held, unheld = files_under(held_dir), files_under(unheld_dir)
+        assert set(held) == set(unheld)
+        assert len(held) == 4 + 5 + 6 + 6 + 3  # the variants, the tables and the manifest
+        for rel in sorted(set(held) - {"manifest.json"}):
+            with open(held[rel], "rb") as a, open(unheld[rel], "rb") as b:
+                assert a.read() == b.read(), rel
 
     def test_worker_ending_without_a_result_raises_child_process_error(
         self, cfg, tmp_path, monkeypatch

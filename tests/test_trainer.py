@@ -350,6 +350,17 @@ class TestTrain:
             train(empty, pseudo, val_ds, cfg)
         with pytest.raises(ValueError, match="pseudo"):
             train(train_ds, None, val_ds, cfg)
+        no_rows = Dataset(val_ds.schema, val_ds.rows[:0], val_ds.labels[:0])
+        with pytest.raises(ValueError, match="^validation set must be labeled and nonempty$"):
+            train(train_ds, pseudo, no_rows, cfg)
+
+    def test_unlabeled_inputs_rejected(self):
+        train_ds, val_ds, _, pseudo = tiny_task(seed=3)
+        cfg = tiny_cfg()
+        with pytest.raises(ValueError, match="^labeled training set has no labels$"):
+            train(Dataset(train_ds.schema, train_ds.rows), pseudo, val_ds, cfg)
+        with pytest.raises(ValueError, match="^validation set must be labeled and nonempty$"):
+            train(train_ds, pseudo, Dataset(val_ds.schema, val_ds.rows), cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf input is the point
     def test_nonfinite_loss_names_term(self):
@@ -475,7 +486,9 @@ def ref_backward(mlp, cache, upstream):
     for i in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[i]
         x_in, z, out = cache[i]
-        dz = grad * activation_grad(layer.activation, z, out)
+        dz = grad  # an identity layer's derivative is 1
+        if layer.activation != "identity":
+            dz = grad * activation_grad(layer.activation, z, out)
         grads[2 * i] = dz.T @ x_in
         grads[2 * i + 1] = dz.sum(axis=0)
         grad = dz @ layer.weights
@@ -803,6 +816,17 @@ class TestPredictRating:
         )
         cls, _ = predict_rating(model, np.zeros(d), inference_head="semi")
         assert cls == 2
+
+    def test_unknown_head_rejected(self):
+        d = 2
+        model = AsslModel(
+            encoder=identity_encoder(d),
+            supervised_head=head_with_probs(d, [0.5, 0.5]),
+            semi_head=head_with_probs(d, [0.5, 0.5]),
+            discriminator=sigmoid_disc(d),
+        )
+        with pytest.raises(ValueError, match="^inference_head must be one of "):
+            predict_proba_matrix(model, np.zeros((1, d)), "mean")
 
 
 class TestModelBuffer:

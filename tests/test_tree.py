@@ -155,6 +155,11 @@ class TestFitRegressionTree:
         with pytest.raises(ValueError, match="must be 2-D"):  # neither a row nor a column
             fit_regression_tree(np.zeros(4), np.zeros(4), max_depth=1)
 
+    def test_min_leaf_count_below_one_rejected(self):
+        x = np.array([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="^min_leaf_count must be >= 1$"):
+            fit_regression_tree(x, np.array([-1.0, 1.0]), max_depth=1, min_leaf_count=0)
+
     def test_min_leaf_count_respected(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(20, 2))
