@@ -4,22 +4,27 @@ A run is fully described by one JSON config (data source, PRM and Phase-II
 hyperparameters, seeds, variant), decoded strictly by persist.from_plain.
 There are no ablation flags: VARIANTS is the one table of variants, and
 `ablate` runs them all. Per seed the pipeline generates or loads data,
-splits it by the fixed SPLIT fractions, fits the normalizer on the labeled
-training split only, trains the plain model and pseudo-labels the
-unlabeled pool (prepare_seed). Then run_variant trains, evaluates on the
-held-out test split and writes each variant: every Phase-II variant, the
-supervised baseline included, is trainer.train under its table entry's
-overrides. Every artifact lands under <output root>/run-<config hash>/,
-the root being the command line's --out.
+splits it by the fixed SPLIT fractions and fits the normalizer on the
+labeled training split only (prepare_data), then trains the plain model
+and pseudo-labels the unlabeled pool (run_phase1); prepare_seed is the two
+in order. Then each variant is trained (train_variant), evaluated on the
+held-out test split and written (write_variant); run_variant is the two
+in order. Every Phase-II variant, the supervised baseline included, is
+trainer.train under its table entry's overrides. Every artifact lands
+under <output root>/run-<config hash>/, the root being the command line's
+--out.
 
 `ablate` uses both CPUs. A seed's variants share only the PreparedSeed and
-draw from their own named RNG streams, so one forked worker trains and
-writes WORKER_VARIANTS while this process does prm_only and full, then
-writes the tables in VARIANTS order: every artifact has the bytes of a
-one-process run. `full` stays here: it is the longest variant (about the
-other two together), the paper's model, and the one a profile of this
-process should see. worker.forked owns the fork, the pipe and the
-failure protocol.
+draw from their own named RNG streams, so one worker, forked as soon as the
+seed's data is prepared, trains and writes WORKER_VARIANTS while this
+process does Phase I, prm_only and full, then writes the tables in
+VARIANTS order: every artifact has the bytes of a one-process run. The
+worker trains supervised_mlp, which reads no Phase-I output, while Phase I
+fits here; it then receives the fitted plain model, pseudo-labels its own
+copy of the pool and writes supervised_mlp before it trains
+no_adversarial. `full` stays here: it is the longest variant, the paper's
+model, and the one a profile of this process should see. `run` forks
+nothing. worker.forked owns the fork, the pipes and the failure protocol.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ VARIANTS = {
     "no_adversarial": {"alpha": 0.0},
     "full": {},
 }
-# The variants `ablate` trains in its forked worker (see the module docstring).
+# The variants `ablate` trains in its forked worker, in this order (see the
+# module docstring); the first reads neither the pseudo pool nor the plain model.
 WORKER_VARIANTS = ("supervised_mlp", "no_adversarial")
 # Every run's train/val/test fractions of the labeled rows.
 SPLIT = (0.7, 0.15, 0.15)
@@ -161,7 +167,10 @@ def _load_source(cfg: RunConfig, seed: int) -> tuple[Dataset, Dataset | None]:
     return labeled, unlabeled
 
 
-def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
+def prepare_data(cfg: RunConfig, seed: int) -> tuple[PreparedSeed, Dataset]:
+    """Load, split and normalize one seed's rows: a PreparedSeed whose Phase-I
+    fields (pseudo, prm_model) are None and whose seconds hold prepare only,
+    and the normalized unlabeled pool."""
     t0 = time.monotonic()
     labeled, unlabeled = _load_source(cfg, seed)
     train_raw, val_raw, test_raw = stratified_split(labeled, SPLIT, seed)
@@ -174,30 +183,46 @@ def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
     if unlabeled is None:
         unlabeled = Dataset(labeled.schema, np.empty((0, labeled.schema.num_features)))
     standardize(normalizer, unlabeled.rows)  # the pool is this seed's own: no copy
-    t1 = time.monotonic()
-    prm_model = train_prm(train, cfg.prm, seed=seed)
-    t2 = time.monotonic()
-    pseudo = pseudo_label(prm_model, unlabeled)
-    t3 = time.monotonic()
     return PreparedSeed(
         normalizer=normalizer,
         train=train,
         val=val,
         test=test,
         test_raw=test_raw,
-        pseudo=pseudo,
-        prm_model=prm_model,
+        pseudo=None,
+        prm_model=None,
         assl_cfg=replace(cfg.assl, seed=seed),
-        seconds={
-            "prepare": round(t1 - t0, 3),
-            "phase1_fit": round(t2 - t1, 3),
-            "pseudo_label": round(t3 - t2, 3),
-        },
-    )
+        seconds={"prepare": round(time.monotonic() - t0, 3)},
+    ), unlabeled
 
 
-def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsReport:
-    """Train one variant on a prepared seed, evaluate it on the test split and
+def run_phase1(cfg: RunConfig, prep: PreparedSeed, pool: Dataset) -> PreparedSeed:
+    """prepare_data's result with Phase I: the plain model fitted on the
+    training split and its pseudo labels of pool, with their seconds."""
+    t0 = time.monotonic()
+    prm_model = train_prm(prep.train, cfg.prm, seed=prep.assl_cfg.seed)
+    t1 = time.monotonic()
+    pseudo = pseudo_label(prm_model, pool)
+    seconds = {"phase1_fit": round(t1 - t0, 3), "pseudo_label": round(time.monotonic() - t1, 3)}
+    return replace(prep, pseudo=pseudo, prm_model=prm_model, seconds={**prep.seconds, **seconds})
+
+
+def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
+    """Everything one seed's variants share: prepare_data, then run_phase1."""
+    return run_phase1(cfg, *prepare_data(cfg, seed))
+
+
+def train_variant(prep: PreparedSeed, variant: str):
+    """trainer.train's (model, history) of one variant, None for prm_only. A
+    variant that suppresses the pseudo pool reads no Phase-I field of prep."""
+    overrides = VARIANTS[variant]
+    if overrides is None:
+        return None
+    return train(prep.train, prep.pseudo, prep.val, replace(prep.assl_cfg, **overrides))
+
+
+def write_variant(prep: PreparedSeed, variant: str, trained, seed_dir: str) -> MetricsReport:
+    """Evaluate a variant that train_variant trained on the test split and
     return its report. Writes prm_model.json, report.json, test_split.csv and
     predictions.csv into seed_dir; every variant but prm_only adds history.csv,
     and model.json unless its table entry suppresses the pseudo pool."""
@@ -205,8 +230,8 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsRepor
     if overrides is None:
         probs = prep.prm_model.predict_proba_matrix(prep.test.rows)
     else:
+        model, history = trained
         cfg = replace(prep.assl_cfg, **overrides)
-        model, history = train(prep.train, prep.pseudo, prep.val, cfg)
         probs = predict_proba_matrix(model, prep.test.rows, cfg.inference_head)
     preds = probs.argmax(axis=1)
     schema, normalizer = prep.train.schema, prep.normalizer
@@ -235,6 +260,11 @@ def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsRepor
     save_csv(prep.test_raw, path("test_split.csv"))
     write_predictions_csv(path("predictions.csv"), schema, probs)
     return report
+
+
+def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsReport:
+    """Train, evaluate and write one variant: train_variant, then write_variant."""
+    return write_variant(prep, variant, train_variant(prep, variant), seed_dir)
 
 
 def prediction_rows(schema: DatasetSchema, probs: np.ndarray):
@@ -304,27 +334,40 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
     return {"run_dir": run_dir, "reports": reports}
 
 
-def _train_seed_variants(prep: PreparedSeed, seed_dir: str) -> dict:
-    """Train, evaluate and write every variant of one prepared seed, with
-    WORKER_VARIANTS in a forked worker (worker.forked); return variant ->
-    (report, seconds in the process that ran it). Before each variant here,
-    a worker that has already failed raises its error."""
+def _ablate_seed(cfg: RunConfig, seed: int, seed_dir: str) -> tuple[PreparedSeed, dict]:
+    """Prepare one seed, then train, evaluate and write every variant, with
+    WORKER_VARIANTS in a worker (worker.forked) forked before Phase I; return
+    the PreparedSeed and variant -> (report, seconds in the process that ran
+    it). Before each variant here, a worker that has already failed raises
+    its error."""
+    data, pool = prepare_data(cfg, seed)
 
-    def train_and_write(variant):
+    def train_and_write(prep, variant):
         t0 = time.monotonic()
         report = run_variant(prep, variant, os.path.join(seed_dir, variant))
         return report, round(time.monotonic() - t0, 3)
 
-    def train_in_worker():
-        return {v: train_and_write(v) for v in WORKER_VARIANTS}
+    def train_in_worker(receive):
+        first, second = WORKER_VARIANTS  # first reads no Phase-I output
+        t0 = time.monotonic()
+        trained = train_variant(data, first)
+        train_s = time.monotonic() - t0
+        prm_model = receive()
+        prep = replace(data, pseudo=pseudo_label(prm_model, pool), prm_model=prm_model)
+        t1 = time.monotonic()
+        report = write_variant(prep, first, trained, os.path.join(seed_dir, first))
+        first_s = round(train_s + time.monotonic() - t1, 3)
+        return {first: (report, first_s), second: train_and_write(prep, second)}
 
-    with forked(train_in_worker, "ablation worker") as worker_result:
+    with forked(train_in_worker, "ablation worker") as (send, worker_result):
+        prep = run_phase1(cfg, data, pool)
+        send(prep.prm_model)
         done = {}
         for variant in VARIANTS:
             if variant not in WORKER_VARIANTS:
                 worker_result(wait=False)
-                done[variant] = train_and_write(variant)
-        return {**done, **worker_result()}
+                done[variant] = train_and_write(prep, variant)
+        return prep, {**done, **worker_result()}
 
 
 def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
@@ -333,7 +376,9 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
     The manifest's timings_sec gains, per seed, seed_<s>/<phase> for the
     phases prepare, phase1_fit and pseudo_label (as in execute_run), and
     seed_<s>/<variant>: the seconds that variant took to train, evaluate and
-    write in its own process.
+    write in its own process. seed_<s>/supervised_mlp is the worker's
+    seconds of training plus evaluating and writing, without its wait for
+    the Phase-I model; its training overlaps Phase I.
     """
     run_dir = os.path.join(output_root, f"ablate-{cfg.config_hash()}")
     rows = []
@@ -341,9 +386,8 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
     with _run_manifest(cfg, run_dir) as manifest:
         timings = manifest["timings_sec"]
         for seed in cfg.seeds:
-            prep = prepare_seed(cfg, seed)
+            prep, done = _ablate_seed(cfg, seed, os.path.join(run_dir, f"seed_{seed}"))
             timings.update({f"seed_{seed}/{k}": t for k, t in prep.seconds.items()})
-            done = _train_seed_variants(prep, os.path.join(run_dir, f"seed_{seed}"))
             for variant in VARIANTS:
                 report, seconds = done[variant]
                 timings[f"seed_{seed}/{variant}"] = seconds

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from advssl.persist import to_plain
 from advssl.pipeline import VARIANTS, DataSource, RunConfig, load_config
 from advssl.prm import GbdtConfig, LogregConfig, PrmConfig, train_gbdt
 from advssl.trainer import INFERENCE_HEADS, AsslConfig
-from test_pipeline import assert_no_child_left
+from test_pipeline import assert_no_child_left, deadline
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "configs", "smoke.json")
 
@@ -841,12 +842,12 @@ class TestAblateWorker:
     def fail_in_worker(monkeypatch, variant, action):
         from advssl import pipeline
 
-        real = pipeline.run_variant
+        real = pipeline.train_variant
 
-        def run_variant(prep, v, seed_dir):
-            return action() if v == variant else real(prep, v, seed_dir)
+        def train_variant(prep, v):
+            return action() if v == variant else real(prep, v)
 
-        monkeypatch.setattr(pipeline, "run_variant", run_variant)
+        monkeypatch.setattr(pipeline, "train_variant", train_variant)
 
     assert_no_child_left = staticmethod(assert_no_child_left)
 
@@ -862,6 +863,30 @@ class TestAblateWorker:
         assert err == "error: code=4 reason=non-finite L_U at epoch 2, step 9\n"
         (manifest,) = tmp_path.glob("ablate-*/manifest.json")
         assert json.loads(manifest.read_text())["status"] == "failed"
+        self.assert_no_child_left()
+
+    def test_phase1_failure_kills_the_training_worker_and_exits_4(
+        self, cfg_path, tmp_path, capsys, monkeypatch
+    ):
+        from itertools import count
+
+        from advssl import prm
+
+        def stall():
+            time.sleep(30)
+            raise AssertionError("the worker was not killed")
+
+        self.fail_in_worker(monkeypatch, "supervised_mlp", stall)
+        losses = count()
+        monkeypatch.setattr(prm, "categorical_ce", lambda probs, labels: next(losses))
+        with deadline(20):  # the stalled worker would outlive it unless killed
+            code, _, err = run_cli(capsys, "ablate", "--config", cfg_path, "--out", str(tmp_path))
+        assert code == 4
+        assert len(err.splitlines()) == 1 and err.startswith("error: code=4 reason=")
+        (manifest,) = tmp_path.glob("ablate-*/manifest.json")
+        payload = json.loads(manifest.read_text())
+        assert payload["status"] == "failed"
+        assert payload["error"].startswith("DivergenceError: ")
         self.assert_no_child_left()
 
     def test_worker_ending_without_a_result_exits_3(self, cfg_path, tmp_path, capsys, monkeypatch):

@@ -1,10 +1,14 @@
 """Pipeline-level integration tests, including the data-flow leakage audit."""
 
 import ast
+import contextlib
+import fcntl
 import glob
 import json
 import os
+import pickle
 import re
+import signal
 import time
 from collections import Counter
 from dataclasses import fields, replace
@@ -28,6 +32,7 @@ from advssl.pipeline import (
     execute_run,
     load_config,
     parse_config,
+    prepare_data,
     prepare_seed,
     run_variant,
     write_predictions_csv,
@@ -36,7 +41,7 @@ from advssl.nnet import AdamState, DenseLayer, MlpParams
 from advssl.prm import GbdtConfig, GbdtModel, LogregConfig, PlainModel, PrmConfig
 from advssl.trainer import AsslConfig, AsslModel, DivergenceError, train
 from advssl.tree import RegressionTree
-from advssl.worker import WorkerTraceback
+from advssl.worker import WorkerTraceback, forked
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SMOKE = os.path.join(ROOT, "configs", "smoke.json")
@@ -419,14 +424,59 @@ def files_under(root):
     }
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds, even from
+    a blocking read, write or wait, so that a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def patch_variants(monkeypatch, **actions):
-    """Make run_variant call actions[variant]() instead of training those variants."""
-    real = pipeline.run_variant
+    """Make train_variant call actions[variant]() instead of training those variants."""
+    real = pipeline.train_variant
 
-    def run_variant(prep, variant, seed_dir):
-        return actions[variant]() if variant in actions else real(prep, variant, seed_dir)
+    def train_variant(prep, variant):
+        return actions[variant]() if variant in actions else real(prep, variant)
 
-    monkeypatch.setattr(pipeline, "run_variant", run_variant)
+    monkeypatch.setattr(pipeline, "train_variant", train_variant)
+
+
+class TestForked:
+    def test_a_message_larger_than_a_pipe_buffer_arrives_whole(self, smoke_cfg):
+        prep, pool = prepare_data(smoke_cfg, 0)
+        gbdt = replace(smoke_cfg.prm.gbdt, rounds=300)  # 3 classes: 900 trees
+        model = pipeline.train_prm(prep.train, replace(smoke_cfg.prm, gbdt=gbdt), seed=0)
+        read_fd, write_fd = os.pipe()
+        pipe_size = fcntl.fcntl(write_fd, fcntl.F_GETPIPE_SZ)
+        os.close(read_fd)
+        os.close(write_fd)
+        assert len(pickle.dumps(model, pickle.HIGHEST_PROTOCOL)) > 4 * pipe_size
+
+        def body(receive):
+            time.sleep(0.2)  # the parent's send fills the pipe and waits for this read
+            return receive().predict_proba_matrix(pool.rows)
+
+        with deadline(30), forked(body, "test worker") as (send, result):
+            send(model)
+            probs = result()
+        assert_no_child_left()
+        assert np.array_equal(probs, model.predict_proba_matrix(pool.rows))
+
+    def test_a_child_waiting_for_a_message_never_sent_reads_eof(self):
+        with deadline(30), forked(lambda receive: receive(), "test worker") as (_, result):
+            with pytest.raises(EOFError):
+                result()
+        assert_no_child_left()
 
 
 class TestAblationWorker:
@@ -509,18 +559,18 @@ class TestAblationWorker:
         assert "in add_to_none" in str(cause)
 
     def test_worker_failure_is_raised_before_full_trains(self, cfg, tmp_path, monkeypatch):
-        real = pipeline.run_variant
+        real = pipeline.train_variant
 
-        def run_variant(prep, variant, seed_dir):
-            if variant == "supervised_mlp":
+        def train_variant(prep, variant):
+            if variant == "no_adversarial":  # trains after the model reached the worker
                 raise DivergenceError("the worker failed first")
             if variant == "full":
                 raise AssertionError("full trained after the worker had failed")
             if variant == "prm_only":
                 wait_until_the_worker_has_ended()
-            return real(prep, variant, seed_dir)
+            return real(prep, variant)
 
-        monkeypatch.setattr(pipeline, "run_variant", run_variant)
+        monkeypatch.setattr(pipeline, "train_variant", train_variant)
         with pytest.raises(DivergenceError, match="^the worker failed first$"):
             execute_ablation(cfg, str(tmp_path))
         assert_no_child_left()
@@ -534,16 +584,16 @@ class TestAblationWorker:
     def test_result_read_before_full_is_kept_for_the_end(self, cfg, tmp_path, monkeypatch):
         cfg = replace(cfg, seeds=(0,))
         unheld_dir = execute_ablation(cfg, str(tmp_path / "unheld"))["run_dir"]
-        real = pipeline.run_variant
+        real = pipeline.train_variant
 
-        def run_variant(prep, variant, seed_dir):
+        def train_variant(prep, variant):
             if variant == "prm_only":
                 wait_until_the_worker_has_ended()
             if variant == "full":
                 assert_no_child_left()  # the poll before full read the result and reaped
-            return real(prep, variant, seed_dir)
+            return real(prep, variant)
 
-        monkeypatch.setattr(pipeline, "run_variant", run_variant)
+        monkeypatch.setattr(pipeline, "train_variant", train_variant)
         held_dir = execute_ablation(cfg, str(tmp_path / "held"))["run_dir"]
         assert_no_child_left()
         held, unheld = files_under(held_dir), files_under(unheld_dir)
@@ -575,3 +625,52 @@ class TestAblationWorker:
             execute_ablation(cfg, str(tmp_path))
         assert time.monotonic() - t0 < 20
         assert_no_child_left()
+
+    def test_supervised_mlp_trains_while_phase1_fits(self, cfg, tmp_path, monkeypatch):
+        marker = tmp_path / "supervised_mlp started"
+        real_train, real_train_prm = pipeline.train, pipeline.train_prm
+
+        def train(labeled, pseudo, validation, assl_cfg):
+            if assl_cfg.suppress_pseudo:
+                marker.touch()
+            return real_train(labeled, pseudo, validation, assl_cfg)
+
+        def train_prm(*args, **kwargs):
+            give_up = time.monotonic() + 20
+            while not marker.exists():
+                assert time.monotonic() < give_up, "supervised_mlp did not start before Phase I"
+                time.sleep(0.01)
+            return real_train_prm(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", train)
+        monkeypatch.setattr(pipeline, "train_prm", train_prm)
+        with deadline(60):
+            execute_ablation(replace(cfg, seeds=(0,)), str(tmp_path / "out"))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("ending", ["raise", "exit"])
+    def test_worker_ending_before_the_model_reaches_it(self, cfg, tmp_path, monkeypatch, ending):
+        def end():
+            if ending == "exit":
+                os._exit(1)
+            raise DivergenceError("the worker ended first")
+
+        real_train_prm = pipeline.train_prm
+
+        def train_prm(*args, **kwargs):  # Phase I starts once the worker has ended
+            wait_until_the_worker_has_ended()
+            return real_train_prm(*args, **kwargs)
+
+        patch_variants(monkeypatch, supervised_mlp=end)
+        monkeypatch.setattr(pipeline, "train_prm", train_prm)
+        expected = {"raise": "^the worker ended first$", "exit": "without a result .exit code 1"}
+        with deadline(30), pytest.raises(
+            DivergenceError if ending == "raise" else ChildProcessError, match=expected[ending]
+        ) as info:
+            execute_ablation(cfg, str(tmp_path))
+        assert_no_child_left()
+        assert not isinstance(info.value.__context__, BrokenPipeError)
+        if ending == "raise":
+            assert isinstance(info.value.__cause__, WorkerTraceback)
+        (run_dir,) = tmp_path.glob("ablate-*")
+        assert not (run_dir / "seed_0" / "prm_only").exists()  # raised by the send
