@@ -8,12 +8,12 @@ training divergence. Failures print one machine-parsable line to stderr:
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
 
-from .data import DataError, Dataset, apply_normalizer, generate_synthetic, load_csv, save_csv
+from .data import DataError, Dataset, apply_normalizer, csv_writer, generate_synthetic
+from .data import load_csv, save_csv
 from .pipeline import (
     ConfigError,
     RunConfig,
@@ -78,7 +78,7 @@ def cmd_predict(args) -> int:
     ds = load_csv(args.csv, schema)
     if normalizer is not None:
         ds = apply_normalizer(normalizer, ds)
-    csv.writer(sys.stdout, lineterminator="\n").writerows(prediction_rows(schema, proba(ds.rows)))
+    csv_writer(sys.stdout).writerows(prediction_rows(schema, proba(ds.rows)))
     return 0
 
 

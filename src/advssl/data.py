@@ -442,10 +442,15 @@ def atomic_write(path, newline: str | None = None):
         raise
 
 
+def csv_writer(handle):
+    """The one CSV format every file and stream is written in: lines end in LF."""
+    return csv.writer(handle, lineterminator="\n")
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV, atomically; floats use repr so values round-trip."""
     with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv_writer(handle)
         header = list(ds.schema.feature_names) + ([LABEL_COLUMN] if ds.is_labeled else [])
         writer.writerow(header)
         for i in range(len(ds)):

@@ -6,10 +6,9 @@ There are no ablation flags: VARIANTS is the one table of variants, and
 `ablate` runs them all. Per seed the pipeline generates or loads data,
 splits it by the fixed SPLIT fractions and fits the normalizer on the
 labeled training split only (prepare_data), then trains the plain model
-and pseudo-labels the unlabeled pool (run_phase1); prepare_seed is the two
-in order. Then each variant is trained (train_variant), evaluated on the
-held-out test split and written (write_variant); run_variant is the two
-in order. Every Phase-II variant, the supervised baseline included, is
+and pseudo-labels the unlabeled pool (run_phase1). Then each variant is
+trained (train_variant), evaluated on the held-out test split and written
+(write_variant). Every Phase-II variant, the supervised baseline included, is
 trainer.train under its table entry's overrides. Every artifact lands
 under <output root>/run-<config hash>/, the root being the command line's
 --out.
@@ -17,7 +16,7 @@ under <output root>/run-<config hash>/, the root being the command line's
 `ablate` uses both CPUs. A seed's variants share only the PreparedSeed and
 draw from their own named RNG streams, so one worker, forked as soon as the
 seed's data is prepared, trains and writes WORKER_VARIANTS while this
-process does Phase I, prm_only and full, then writes the tables in
+process does Phase I, prm_only and full, then writes ablation.json in
 VARIANTS order: every artifact has the bytes of a one-process run. The
 worker trains supervised_mlp, which reads no Phase-I output, while Phase I
 fits here; it then receives the fitted plain model, pseudo-labels its own
@@ -30,7 +29,6 @@ nothing. worker.forked owns the fork, the pipes and the failure protocol.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import json
 import os
@@ -48,6 +46,7 @@ from .data import (
     SynthConfig,
     apply_normalizer,
     atomic_write,
+    csv_writer,
     default_schema,
     fit_normalizer,
     generate_synthetic,
@@ -59,7 +58,7 @@ from .data import (
 from .metrics import MetricsReport, aggregate_runs, classification_report, confusion_matrix
 from .persist import ConfigError, finite_number, from_plain, to_plain, write_json
 from .persist import save_assl_model, save_plain_model
-from .prm import PlainModel, PrmConfig, pseudo_label, train_prm
+from .prm import PlainModel, PrmConfig, PseudoLabeledDataset, pseudo_label, train_prm
 from .trainer import AsslConfig, predict_proba_matrix, train
 from .worker import forked
 
@@ -148,8 +147,8 @@ class PreparedSeed:
     val: Dataset
     test: Dataset
     test_raw: Dataset  # pre-normalization rows for the round-trip CSV
-    pseudo: object  # PseudoLabeledDataset
-    prm_model: PlainModel
+    pseudo: PseudoLabeledDataset | None  # None until run_phase1
+    prm_model: PlainModel | None
     assl_cfg: AsslConfig
     seconds: dict  # phase -> seconds: prepare, phase1_fit, pseudo_label
 
@@ -207,11 +206,6 @@ def run_phase1(cfg: RunConfig, prep: PreparedSeed, pool: Dataset) -> PreparedSee
     return replace(prep, pseudo=pseudo, prm_model=prm_model, seconds={**prep.seconds, **seconds})
 
 
-def prepare_seed(cfg: RunConfig, seed: int) -> PreparedSeed:
-    """Everything one seed's variants share: prepare_data, then run_phase1."""
-    return run_phase1(cfg, *prepare_data(cfg, seed))
-
-
 def train_variant(prep: PreparedSeed, variant: str):
     """trainer.train's (model, history) of one variant, None for prm_only. A
     variant that suppresses the pseudo pool reads no Phase-I field of prep."""
@@ -262,11 +256,6 @@ def write_variant(prep: PreparedSeed, variant: str, trained, seed_dir: str) -> M
     return report
 
 
-def run_variant(prep: PreparedSeed, variant: str, seed_dir: str) -> MetricsReport:
-    """Train, evaluate and write one variant: train_variant, then write_variant."""
-    return write_variant(prep, variant, train_variant(prep, variant), seed_dir)
-
-
 def prediction_rows(schema: DatasetSchema, probs: np.ndarray):
     """Per row of probs: the label of its argmax, then repr(float(p)) per class."""
     for row, pred in zip(probs, probs.argmax(axis=1)):
@@ -275,7 +264,7 @@ def prediction_rows(schema: DatasetSchema, probs: np.ndarray):
 
 def write_predictions_csv(path, schema: DatasetSchema, probs: np.ndarray):
     with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv_writer(handle)
         writer.writerow(["predicted_rating"] + [f"p_{name}" for name in schema.label_names])
         writer.writerows(prediction_rows(schema, probs))
 
@@ -321,9 +310,10 @@ def execute_run(cfg: RunConfig, output_root: str) -> dict:
         timings = manifest["timings_sec"]
         for seed in cfg.seeds:
             t_seed = time.monotonic()
-            prep = prepare_seed(cfg, seed)
+            prep = run_phase1(cfg, *prepare_data(cfg, seed))
             t_variant = time.monotonic()
-            report = run_variant(prep, cfg.variant, os.path.join(run_dir, f"seed_{seed}"))
+            seed_dir = os.path.join(run_dir, f"seed_{seed}")
+            report = write_variant(prep, cfg.variant, train_variant(prep, cfg.variant), seed_dir)
             t_end = time.monotonic()
             timings.update({f"seed_{seed}/{k}": t for k, t in prep.seconds.items()})
             timings[f"seed_{seed}/variant"] = round(t_end - t_variant, 3)
@@ -344,7 +334,8 @@ def _ablate_seed(cfg: RunConfig, seed: int, seed_dir: str) -> tuple[PreparedSeed
 
     def train_and_write(prep, variant):
         t0 = time.monotonic()
-        report = run_variant(prep, variant, os.path.join(seed_dir, variant))
+        trained = train_variant(prep, variant)
+        report = write_variant(prep, variant, trained, os.path.join(seed_dir, variant))
         return report, round(time.monotonic() - t0, 3)
 
     def train_in_worker(receive):
@@ -404,8 +395,6 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
                 )
         summary = {v: aggregate_runs(reps) for v, reps in by_variant.items()}
         write_json(os.path.join(run_dir, "ablation.json"), {"rows": rows, "summary": summary})
-        with atomic_write(os.path.join(run_dir, "ablation.txt")) as handle:
-            handle.write(format_ablation_table(rows, summary) + "\n")
     return {"run_dir": run_dir, "rows": rows, "summary": summary}
 
 

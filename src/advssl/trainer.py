@@ -21,12 +21,11 @@ discriminator, one on the generator's slice of the model buffer (AsslModel).
 from __future__ import annotations
 
 import copy
-import csv
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, atomic_write, minibatch_indices
+from .data import Dataset, atomic_write, csv_writer, minibatch_indices
 from .metrics import macro_f1_score
 from .nnet import (
     PROB_EPS,
@@ -358,7 +357,7 @@ class TrainHistory:
 
     def to_csv(self, path) -> None:
         with atomic_write(path, newline="") as handle:
-            writer = csv.writer(handle)
+            writer = csv_writer(handle)
             writer.writerow(["epoch", "L_L", "L_U", "L_adv", "disc_acc", "val_macro_f1"])
             for r in self.records:
                 writer.writerow([r.epoch] + [repr(v) for v in astuple(r)[1:]])

@@ -23,7 +23,7 @@ Failures reach the parent as its own exceptions:
   BrokenPipeError;
 - an exception in the parent's with-block kills the child (SIGKILL).
 
-The child is reaped on every path.
+The child is reaped on every path, and a failed fork closes its pipes.
 """
 
 from __future__ import annotations
@@ -55,7 +55,12 @@ def forked(body, name: str):
     worker") starts the ChildProcessError of a child that ends without one."""
     read_fd, write_fd = os.pipe()  # child -> parent: body's result
     inbox_fd, outbox_fd = os.pipe()  # parent -> child: the message
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:  # EAGAIN or ENOMEM, say: no child holds the pipes
+        for fd in (read_fd, write_fd, inbox_fd, outbox_fd):
+            os.close(fd)
+        raise
     if pid == 0:
         try:
             os.close(read_fd)

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -280,11 +281,9 @@ class TestPredict:
             str(trained_run / "test_split.csv"),
         )
         assert code == 0, err
-        lines = [l for l in out.splitlines() if l]
-        stored = (trained_run / "predictions.csv").read_text().splitlines()[1:]
-        assert len(lines) == len(stored)
-        for got, want in zip(lines, stored):
-            assert got == want  # identical ratings and identical float reprs
+        header, stored = (trained_run / "predictions.csv").read_bytes().split(b"\n", 1)
+        assert header.startswith(b"predicted_rating,")
+        assert out.encode("utf-8") == stored  # the same ratings, float reprs and line ends
 
     def test_prm_model_also_predicts(self, trained_run, capsys):
         code, out, err = run_cli(
@@ -807,7 +806,8 @@ class TestAblate:
             stored = json.loads(report_path.read_text())
             assert row["macro_f1"] == stored["metrics"]["macro_f1"]
             assert row["accuracy"] == stored["metrics"]["accuracy"]
-        assert (run_dir / "ablation.txt").exists()
+        top = {p.name for p in run_dir.iterdir()}
+        assert top == {"manifest.json", "ablation.json", "seed_0", "seed_1"}
 
     def test_single_seed_summary_has_every_metric(self, tmp_path, capsys):
         raw = load_smoke()
@@ -894,6 +894,20 @@ class TestAblateWorker:
         code, _, err = run_cli(capsys, "ablate", "--config", cfg_path, "--out", str(tmp_path))
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: code=3 reason=ablation worker")
+        self.assert_no_child_left()
+
+    def test_a_failed_fork_closes_its_pipes_and_exits_3(
+        self, cfg_path, tmp_path, capsys, monkeypatch
+    ):
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        code, _, err = run_cli(capsys, "ablate", "--config", cfg_path, "--out", str(tmp_path))
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        assert code == 3
+        assert err == f"error: code=3 reason={os.strerror(errno.EAGAIN)}\n"
         self.assert_no_child_left()
 
     def test_worker_skips_exit_handlers_and_buffered_output(self, cfg_path, tmp_path):

@@ -33,9 +33,10 @@ from advssl.pipeline import (
     load_config,
     parse_config,
     prepare_data,
-    prepare_seed,
-    run_variant,
+    run_phase1,
+    train_variant,
     write_predictions_csv,
+    write_variant,
 )
 from advssl.nnet import AdamState, DenseLayer, MlpParams
 from advssl.prm import GbdtConfig, GbdtModel, LogregConfig, PlainModel, PrmConfig
@@ -54,18 +55,18 @@ def smoke_cfg():
 
 class TestPrepareSeed:
     def test_normalizer_fitted_on_train_only(self, smoke_cfg):
-        prep = prepare_seed(smoke_cfg, 0)
+        prep, _ = prepare_data(smoke_cfg, 0)
         # normalized train split must be centered; val/test generally not
         assert np.all(np.abs(prep.train.rows.mean(axis=0)) < 1e-10)
         assert len(prep.train) + len(prep.val) + len(prep.test) == 200
 
     def test_pseudo_pool_covers_unlabeled(self, smoke_cfg):
-        prep = prepare_seed(smoke_cfg, 0)
+        prep = run_phase1(smoke_cfg, *prepare_data(smoke_cfg, 0))
         assert len(prep.pseudo) == 799  # 999 rows - 200 labeled
         assert np.all(prep.pseudo.confidences >= 1 / 3 - 1e-12)
 
     def test_variant_config_adjustments(self, smoke_cfg):
-        base = prepare_seed(smoke_cfg, 0).assl_cfg
+        base = prepare_data(smoke_cfg, 0)[0].assl_cfg
         assert list(VARIANTS) == ["prm_only", "supervised_mlp", "no_adversarial", "full"]
         assert VARIANTS["prm_only"] is None
         assert replace(base, **VARIANTS["no_adversarial"]).alpha == 0.0
@@ -80,7 +81,7 @@ class TestLeakageAudit:
     parameter trajectory."""
 
     def test_poisoned_val_test_labels_leave_training_untouched(self, smoke_cfg):
-        prep = prepare_seed(smoke_cfg, 0)
+        prep = run_phase1(smoke_cfg, *prepare_data(smoke_cfg, 0))
         rng = np.random.default_rng(123)
         poisoned_val = Dataset(
             prep.val.schema, prep.val.rows, rng.permutation(prep.val.labels)
@@ -110,8 +111,8 @@ class TestLeakageAudit:
     def test_normalizer_and_prm_ignore_eval_labels(self, smoke_cfg):
         # identical inputs -> identical prep regardless of what happens to
         # val/test labels afterwards (they are produced by the same split)
-        a = prepare_seed(smoke_cfg, 1)
-        b = prepare_seed(smoke_cfg, 1)
+        a = run_phase1(smoke_cfg, *prepare_data(smoke_cfg, 1))
+        b = run_phase1(smoke_cfg, *prepare_data(smoke_cfg, 1))
         np.testing.assert_array_equal(a.normalizer.mean, b.normalizer.mean)
         np.testing.assert_array_equal(a.pseudo.labels, b.pseudo.labels)
         grid = np.random.default_rng(5).normal(size=(10, 5))
@@ -122,9 +123,10 @@ class TestLeakageAudit:
 
 class TestRunVariant:
     def test_all_variants_produce_reports(self, smoke_cfg, tmp_path):
-        prep = prepare_seed(smoke_cfg, 0)
+        prep = run_phase1(smoke_cfg, *prepare_data(smoke_cfg, 0))
         for variant in VARIANTS:
-            report = run_variant(prep, variant, str(tmp_path / variant))
+            trained = train_variant(prep, variant)
+            report = write_variant(prep, variant, trained, str(tmp_path / variant))
             with open(tmp_path / variant / "predictions.csv") as handle:
                 assert len(handle.readlines()) == 1 + len(prep.test)
             assert 0.0 <= report.accuracy <= 1.0
@@ -133,9 +135,11 @@ class TestRunVariant:
         cfg = replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=2))
         written = {}
         for suppress in (False, True):  # a config may suppress the pseudo pool itself
-            prep = prepare_seed(replace(cfg, assl=replace(cfg.assl, suppress_pseudo=suppress)), 0)
+            suppressing = replace(cfg, assl=replace(cfg.assl, suppress_pseudo=suppress))
+            prep = run_phase1(suppressing, *prepare_data(suppressing, 0))
             for variant in VARIANTS:
-                run_variant(prep, variant, str(tmp_path / f"{variant}_{suppress}"))
+                trained = train_variant(prep, variant)
+                write_variant(prep, variant, trained, str(tmp_path / f"{variant}_{suppress}"))
                 written[variant, suppress] = set(os.listdir(tmp_path / f"{variant}_{suppress}"))
         every = {"prm_model.json", "report.json", "test_split.csv", "predictions.csv"}
         for suppress in (False, True):
@@ -478,6 +482,15 @@ class TestForked:
                 result()
         assert_no_child_left()
 
+    def test_poll_reads_none_while_the_body_waits_then_the_kept_result(self):
+        with deadline(30), forked(lambda receive: [receive()], "test worker") as (send, result):
+            assert result(wait=False) is None  # the body is blocked in receive()
+            send("the model")
+            value = result()
+            assert value == ["the model"]
+            assert result(wait=False) is value
+        assert_no_child_left()
+
 
 class TestAblationWorker:
     """execute_ablation trains WORKER_VARIANTS in a forked worker."""
@@ -492,9 +505,10 @@ class TestAblationWorker:
         assert_no_child_left()
         inline_dir, rows = tmp_path / "inline", []
         for seed in cfg.seeds:
-            prep = prepare_seed(cfg, seed)
+            prep = run_phase1(cfg, *prepare_data(cfg, seed))
             for variant in VARIANTS:
-                rep = run_variant(prep, variant, str(inline_dir / f"seed_{seed}" / variant))
+                variant_dir = str(inline_dir / f"seed_{seed}" / variant)
+                rep = write_variant(prep, variant, train_variant(prep, variant), variant_dir)
                 rows.append(
                     {
                         "variant": variant,
@@ -506,7 +520,7 @@ class TestAblationWorker:
                     }
                 )
         forked, inline = files_under(run_dir), files_under(inline_dir)
-        tables = {"manifest.json", "ablation.json", "ablation.txt"}
+        tables = {"manifest.json", "ablation.json"}
         assert set(forked) == set(inline) | tables
         assert len(inline) == 2 * (4 + 5 + 6 + 6)  # per seed: prm_only has no model or history
         for rel, path in inline.items():
@@ -598,7 +612,7 @@ class TestAblationWorker:
         assert_no_child_left()
         held, unheld = files_under(held_dir), files_under(unheld_dir)
         assert set(held) == set(unheld)
-        assert len(held) == 4 + 5 + 6 + 6 + 3  # the variants, the tables and the manifest
+        assert len(held) == 4 + 5 + 6 + 6 + 2  # the variants, ablation.json and the manifest
         for rel in sorted(set(held) - {"manifest.json"}):
             with open(held[rel], "rb") as a, open(unheld[rel], "rb") as b:
                 assert a.read() == b.read(), rel
