@@ -12,7 +12,7 @@ import dataclasses
 import os
 import sys
 
-from .data import DataError, Dataset, apply_normalizer, csv_writer, generate_synthetic
+from .data import Dataset, apply_normalizer, csv_writer, generate_synthetic
 from .data import load_csv, save_csv
 from .pipeline import (
     ConfigError,
@@ -133,15 +133,13 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (DataError, OSError) as exc:
+    except DivergenceError as exc:
+        return _fail(EXIT_DIVERGED, str(exc))
+    except (OSError, ValueError) as exc:  # a DataError is a ValueError
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
         if isinstance(exc, OSError) and exc.filename:
             reason = f"{reason}: {os.path.basename(str(exc.filename))}"
         return _fail(EXIT_DATA, reason)
-    except DivergenceError as exc:
-        return _fail(EXIT_DIVERGED, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_DATA, str(exc))
 
 
 if __name__ == "__main__":

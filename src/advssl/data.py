@@ -68,15 +68,9 @@ class DatasetSchema:
 
     def label_index(self, token: str) -> int:
         token = token.strip()
-        if token in self.label_names:
-            return self.label_names.index(token)
-        try:
-            idx = int(token)
-        except ValueError:
-            raise DataError(f"unknown label {token!r}") from None
-        if not 0 <= idx < self.num_classes:
-            raise DataError(f"label index {idx} out of range [0, {self.num_classes})")
-        return idx
+        if token not in self.label_names:
+            raise DataError(f"unknown label {token!r}")
+        return self.label_names.index(token)
 
     def to_dict(self) -> dict:
         return {"features": list(self.feature_names), "labels": list(self.label_names)}
@@ -339,14 +333,14 @@ def load_csv(path, schema: DatasetSchema) -> Dataset:
     byte-order mark is skipped.
 
     Columns are mapped to schema order by header name, and an empty name or
-    a name given twice is an error; a `rating` column is optional, may hold
-    label names or integer indices, and counts as absent when all blank. A
-    blank or unknown rating, or an unparsable, missing or non-finite feature
-    cell, is an error that names the 1-based data row(s). Every error but
-    the one for a file that cannot be opened starts with the file's name.
-    A first pass counts the lines; the second parses the records into one
-    feature-major array of that many columns, and rows is its (n, F)
-    transpose, as for the pool of generate_synthetic.
+    a name given twice is an error; a `rating` column is optional, holds
+    label names (an integer is a name, never an index), and counts as
+    absent when all blank. A blank or unknown rating, or an unparsable,
+    missing or non-finite feature cell, is an error that names the 1-based
+    data row(s). Every error but the one for a file that cannot be opened
+    starts with the file's name. A first pass counts the lines; the second
+    parses the records into one feature-major array of that many columns,
+    and rows is its (n, F) transpose, as for the pool of generate_synthetic.
     """
     try:
         handle = open(path, newline="", encoding="utf-8-sig")
@@ -428,12 +422,13 @@ def _float_or_nan(cell: str) -> float:
 
 
 @contextlib.contextmanager
-def atomic_write(path, newline: str | None = None):
+def atomic_write(path):
     """Text handle on a temp file that replaces path when the block succeeds;
-    if the block raises, the temp file goes and path is left as it was."""
+    if the block raises, the temp file goes and path is left as it was. Lines
+    end in LF on every platform: the handle translates no newline."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as handle:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:
@@ -449,7 +444,7 @@ def csv_writer(handle):
 
 def save_csv(ds: Dataset, path) -> None:
     """Write a Dataset back to CSV, atomically; floats use repr so values round-trip."""
-    with atomic_write(path, newline="") as handle:
+    with atomic_write(path) as handle:
         writer = csv_writer(handle)
         header = list(ds.schema.feature_names) + ([LABEL_COLUMN] if ds.is_labeled else [])
         writer.writerow(header)

@@ -59,7 +59,7 @@ class DenseLayer:
 
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str = "identity"
+    activation: str
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -90,7 +90,7 @@ class MlpParams:
     `flat`, in param_arrays() order: one Adam step updates all.
     """
 
-    layers: list[DenseLayer] = field(default_factory=list)
+    layers: list[DenseLayer]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

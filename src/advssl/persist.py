@@ -1,9 +1,9 @@
 """JSON persistence: one dataclass codec, the model files and the JSON writer.
 
 `to_plain(obj)` and `from_plain(tp, raw, where)` map dataclasses (nested,
-`X | None`, tuples, lists, float64 arrays) to JSON values and back, driven
-by their fields and type hints. from_plain rejects an unknown or missing key
-or a wrong JSON type with a ConfigError naming the path, as in
+`X | None`, lists, `tuple[X, ...]`, float64 arrays) to JSON values and back,
+driven by their fields and type hints. from_plain rejects an unknown or
+missing key or a wrong JSON type with a ConfigError naming the path, as in
 `config.prm.gbdt.rounds must be int, got str`; an int given for a float
 stays an int, so a config hashes as written. to_plain leaves out a None
 field whose default is None, and nothing else. Two classes' JSON is not
@@ -16,7 +16,8 @@ Floats are serialized with Python's shortest round-trip repr, so every
 64-bit value survives save -> load -> save byte-for-byte. A model file is
 an envelope (format, schema, schema hash and the fitted normalizer or null,
 which make it self-contained for prediction on raw CSV rows) plus the model
-record as to_plain writes it; model.json adds the Phase-II "config".
+record as to_plain writes it; model.json adds the Phase-II "config". It
+is read in that one form: every key that to_plain writes is required.
 """
 
 from __future__ import annotations
@@ -112,14 +113,10 @@ def from_plain(tp, raw, where: str):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None, so args[0] is X
         return None if raw is None else from_plain(args[0], raw, where)
-    if origin in (list, tuple):
+    if origin in (list, tuple):  # list[X] or tuple[X, ...]
         if not isinstance(raw, list):
             raise _wrong(where, "list", raw)
-        if origin is list or args[-1] is Ellipsis:
-            args = args[:1] * len(raw)
-        elif len(raw) != len(args):
-            raise ConfigError(f"{where} must have {len(args)} items, got {len(raw)}")
-        items = [from_plain(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, raw))]
+        items = [from_plain(args[0], v, f"{where}[{i}]") for i, v in enumerate(raw)]
         return items if origin is list else tuple(items)
     if dataclasses.is_dataclass(tp):
         if not isinstance(raw, dict):

@@ -263,7 +263,7 @@ def prediction_rows(schema: DatasetSchema, probs: np.ndarray):
 
 
 def write_predictions_csv(path, schema: DatasetSchema, probs: np.ndarray):
-    with atomic_write(path, newline="") as handle:
+    with atomic_write(path) as handle:
         writer = csv_writer(handle)
         writer.writerow(["predicted_rating"] + [f"p_{name}" for name in schema.label_names])
         writer.writerows(prediction_rows(schema, probs))

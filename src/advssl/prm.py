@@ -82,7 +82,7 @@ class GbdtModel:
 
     base_score: np.ndarray  # (m,) log class priors
     trees: list[list[RegressionTree]]  # trees[round][class]
-    train_loss: list[float] = field(default_factory=list)
+    train_loss: list[float]
 
     def raw_scores(self, x: np.ndarray) -> np.ndarray:
         """base + tree, summed per class in round order; (n, m) for a float64 (n, F) x."""
@@ -91,7 +91,7 @@ class GbdtModel:
         out = np.empty(x.shape[0])
         for round_trees in self.trees:
             for k, tree in enumerate(round_trees):
-                scores[k] += tree.predict_transposed(xt, out)
+                scores[k] += tree.predict(xt, out)
         return np.ascontiguousarray(scores.T)
 
 

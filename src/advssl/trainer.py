@@ -356,7 +356,7 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with atomic_write(path, newline="") as handle:
+        with atomic_write(path) as handle:
             writer = csv_writer(handle)
             writer.writerow(["epoch", "L_L", "L_U", "L_adv", "disc_acc", "val_macro_f1"])
             for r in self.records:

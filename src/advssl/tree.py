@@ -83,16 +83,12 @@ class TreeNode:
 @dataclass
 class RegressionTree:
     root: TreeNode
-    # Set by the fit: each training row's leaf value, predict(x) bit for bit.
+    # Set by the fit: each training row's leaf value, predict's bit for bit.
     fitted: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value per row; rows go left when value <= threshold (NaN goes right)."""
-        x = as_matrix(x)
-        return self.predict_transposed(x.T, np.empty(x.shape[0]))
-
-    def predict_transposed(self, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """predict(x) into out, from xt = x.T; fastest when xt is C-contiguous."""
+    def predict(self, xt: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Leaf value per row of x into out, from xt = x.T (fastest C-contiguous);
+        rows go left when value <= threshold (NaN goes right)."""
         _evaluate(self.root, xt, None, out)
         return out
 

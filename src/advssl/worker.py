@@ -23,7 +23,8 @@ Failures reach the parent as its own exceptions:
   BrokenPipeError;
 - an exception in the parent's with-block kills the child (SIGKILL).
 
-The child is reaped on every path, and a failed fork closes its pipes.
+The child is reaped on every path. A failed fork closes the pipes and
+raises an OSError whose strerror names the worker.
 """
 
 from __future__ import annotations
@@ -52,14 +53,17 @@ def forked(body, name: str):
     (send, result). receive() returns the one message of send(message).
     result(wait=True) waits for the child and returns body's result; with
     wait=False it returns None while body still runs. name ("ablation
-    worker") starts the ChildProcessError of a child that ends without one."""
+    worker") names the worker in the OSError of a failed fork and starts the
+    ChildProcessError of a child that ends without a result."""
     read_fd, write_fd = os.pipe()  # child -> parent: body's result
     inbox_fd, outbox_fd = os.pipe()  # parent -> child: the message
     try:
         pid = os.fork()
-    except BaseException:  # EAGAIN or ENOMEM, say: no child holds the pipes
+    except BaseException as exc:  # EAGAIN or ENOMEM, say: no child holds the pipes
         for fd in (read_fd, write_fd, inbox_fd, outbox_fd):
             os.close(fd)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, f"cannot fork the {name}: {exc.strerror}") from exc
         raise
     if pid == 0:
         try:

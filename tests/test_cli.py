@@ -43,12 +43,12 @@ def write_config(path, raw: dict) -> str:
     return str(path)
 
 
-def csv_source_config(tmp_path, with_pool: bool) -> dict:
+def csv_source_config(tmp_path, with_pool: bool, labels=("A,1", "B", 'C"q')) -> dict:
     """Write a smoke-sized CSV source (with or without an unlabeled pool)
-    whose schema labels need CSV quoting; return its config."""
+    whose schema labels, by default, need CSV quoting; return its config."""
     synth = SynthConfig(num_features=5, num_classes=3, samples_per_class=60, labeled_fraction=0.5)
     labeled, unlabeled, _ = generate_synthetic(synth)
-    schema = DatasetSchema(labeled.schema.feature_names, ("A,1", "B", 'C"q'))
+    schema = DatasetSchema(labeled.schema.feature_names, labels)
     data = {"labeled_csv": str(tmp_path / "labeled.csv")}
     save_csv(Dataset(schema, labeled.rows, labeled.labels), data["labeled_csv"])
     if with_pool:
@@ -166,6 +166,18 @@ class TestRun:
         file = os.path.basename(raw["data"][source])
         assert err == f"error: code=3 reason={file}: columns named more than once: {name}\n"
         assert not list(tmp_path.glob("run-*/seed_0/*.json"))
+
+    def test_a_numeric_rating_outside_the_label_names_exits_3(self, tmp_path, capsys):
+        raw = csv_source_config(tmp_path, with_pool=True, labels=("1", "2", "3"))
+        with open(raw["data"]["labeled_csv"], newline="") as handle:
+            records = list(csv.reader(handle))
+        records[4][-1] = "0"  # not a label name, so not the label "1" at index 0
+        with open(raw["data"]["labeled_csv"], "w", newline="") as handle:
+            csv.writer(handle).writerows(records)
+        cfg = write_config(tmp_path / "cfg.json", raw)
+        code, out, err = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err == "error: code=3 reason=labeled.csv: row 4: unknown label '0'\n"
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -508,6 +520,21 @@ class TestPredictRejectsBadModelFiles:
         model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
         assert "unknown key 'disc_steps'" in self._predict_fails(capsys, model, trained_run)
 
+    @pytest.mark.parametrize(
+        "name, where, record, key",
+        [  # the smoke encoder's first layer is relu, so no default could stand in for it
+            ("model.json", "encoder.layers[0]", lambda p: p["encoder"]["layers"][0], "activation"),
+            ("prm_model.json", "gbdt", lambda p: p["gbdt"], "train_loss"),
+        ],
+        ids=["relu_layer_activation", "gbdt_train_loss"],
+    )
+    def test_a_written_key_is_required(
+        self, trained_run, tmp_path, capsys, name, where, record, key
+    ):
+        model = _tampered(trained_run / name, tmp_path / name, lambda p: record(p).pop(key))
+        err = self._predict_fails(capsys, model, trained_run)
+        assert err == f"error: code=3 reason={name}: model.{where}: missing key {key!r}\n"
+
     def test_tree_node_missing_key(self, trained_run, tmp_path, capsys):
         def edit(payload):
             del payload["gbdt"]["trees"][0][0]["root"]["threshold"]
@@ -603,7 +630,8 @@ class TestPredictRejectsBadModelFiles:
     def test_logreg_with_more_classes_than_labels(self, trained_run, tmp_path, capsys):
         def edit(payload):  # 4 classes for 3 labels; class 3 wins every row
             del payload["gbdt"]
-            payload["logreg"] = {"weights": [[0.0] * 5 for _ in range(4)], "bias": [0, 0, 0, 1]}
+            weights = [[0.0] * 5 for _ in range(4)]
+            payload["logreg"] = {"weights": weights, "bias": [0, 0, 0, 1], "activation": "identity"}
 
         model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
         err = self._predict_fails(capsys, model, trained_run)
@@ -613,7 +641,8 @@ class TestPredictRejectsBadModelFiles:
     def test_not_exactly_one_payload(self, trained_run, tmp_path, capsys, payloads):
         def edit(payload):
             if payloads == "both":  # a logistic regression beside the GBDT
-                payload["logreg"] = {"weights": [[0.0] * 5] * 3, "bias": [0, 0, 0]}
+                layer = {"weights": [[0.0] * 5] * 3, "bias": [0, 0, 0], "activation": "identity"}
+                payload["logreg"] = layer
             else:
                 del payload["gbdt"]
 
@@ -625,7 +654,10 @@ class TestPredictRejectsBadModelFiles:
         "layer, reason",
         [
             ({"bias": [0, 0, 0], "activation": "relu"}, "logreg.activation is relu"),
-            ({"bias": [0, 0]}, "logreg: bias shape (2,) does not match out_dim 3"),
+            (
+                {"bias": [0, 0], "activation": "identity"},
+                "logreg: bias shape (2,) does not match out_dim 3",
+            ),
         ],
         ids=["relu", "short_bias"],
     )
@@ -907,7 +939,8 @@ class TestAblateWorker:
         code, _, err = run_cli(capsys, "ablate", "--config", cfg_path, "--out", str(tmp_path))
         assert len(os.listdir("/proc/self/fd")) == descriptors
         assert code == 3
-        assert err == f"error: code=3 reason={os.strerror(errno.EAGAIN)}\n"
+        reason = f"cannot fork the ablation worker: {os.strerror(errno.EAGAIN)}"
+        assert err == f"error: code=3 reason={reason}\n"
         self.assert_no_child_left()
 
     def test_worker_skips_exit_handlers_and_buffered_output(self, cfg_path, tmp_path):

@@ -43,11 +43,10 @@ class TestSchema:
     def test_label_index_accepts_names_and_integers(self):
         schema = default_schema()
         assert schema.label_index("AA+") == 1
-        assert schema.label_index("3") == 3
-        with pytest.raises(DataError):
-            schema.label_index("BBB")
-        with pytest.raises(DataError):
-            schema.label_index("97")
+        assert schema.label_index(" AA+ ") == 1
+        for token in ("BBB", "3", "97"):  # an integer is a name, never an index
+            with pytest.raises(DataError, match=f"unknown label '{token}'"):
+                schema.label_index(token)
 
     def test_schema_hash_stable_and_distinct(self):
         a, b = default_schema(), default_schema()
@@ -386,6 +385,15 @@ class TestCsv:
         with pytest.raises(DataError, match=f"^ratings.csv: {re.escape(reason)}$"):
             load_csv(path, DatasetSchema(("a", "b"), ("L0", "L1")))
 
+    def test_numeric_label_names_are_names_not_indices(self, tmp_path):
+        path = tmp_path / "numeric.csv"
+        path.write_text("a,b,rating\n1,2,3\n3,4,0\n5,6,1\n")
+        schema = DatasetSchema(("a", "b"), ("1", "2", "3"))
+        with pytest.raises(DataError, match="^numeric.csv: row 2: unknown label '0'$"):
+            load_csv(path, schema)
+        path.write_text("a,b,rating\n1,2,3\n5,6,1\n")
+        np.testing.assert_array_equal(load_csv(path, schema).labels, [2, 0])
+
     def test_all_blank_rating_column_reads_as_absent(self, tmp_path):
         path = tmp_path / "unrated.csv"
         path.write_text("a,b,rating\n1,2,\n3,4, \n")
@@ -505,7 +513,7 @@ class TestAtomicWrite:
     def test_success_replaces_file(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_text("previous\n")
-        with atomic_write(path, newline="") as handle:
+        with atomic_write(path) as handle:
             handle.write("a,b\r\n")
         assert path.read_bytes() == b"a,b\r\n"
         assert os.listdir(tmp_path) == ["out.csv"]

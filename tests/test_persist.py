@@ -1,8 +1,10 @@
 """Persistence round-trips must be bit-exact for 64-bit floats, and the
 codec must map exactly the JSON its dataclasses describe, nothing else."""
 
+import dataclasses
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from advssl.prm import (
     train_gbdt,
     train_logreg,
 )
-from advssl.trainer import INFERENCE_HEADS, AsslConfig, init_assl_model
+from advssl.trainer import INFERENCE_HEADS, AsslConfig, AsslModel, init_assl_model
 from advssl.tree import RegressionTree, TreeNode, fit_regression_tree
 from test_data import edge_floats
 
@@ -147,7 +149,8 @@ def tree_nodes(num_features):
 
 def plain_models(kind, f, m):
     if kind == "logistic_regression":
-        layer = st.builds(DenseLayer, vectors(m * f).map(lambda w: w.reshape(m, f)), vectors(m))
+        weights = vectors(m * f).map(lambda w: w.reshape(m, f))
+        layer = st.builds(DenseLayer, weights, vectors(m), st.just("identity"))
         return st.builds(PlainModel, st.just(f), logreg=layer)
     tree = st.builds(RegressionTree, tree_nodes(f))
     gbdt = st.builds(
@@ -263,6 +266,24 @@ class TestCodec:
     def test_array_must_be_a_list_of_numbers(self, bad):
         with pytest.raises(ConfigError, match="x must be a list of numbers"):
             from_plain(np.ndarray, bad, "x")
+
+    def test_every_tuple_hint_the_codec_reaches_is_variadic(self):
+        # from_plain reads a tuple as tuple[X, ...]: a fixed-length hint such as
+        # tuple[int, str] would be decoded with its first item type at any length.
+        todo, seen, tuples = [RunConfig, PlainModel, AsslModel], set(), set()
+        while todo:
+            tp = todo.pop()
+            if tp in seen:
+                continue
+            seen.add(tp)
+            if typing.get_origin(tp) is tuple:
+                tuples.add(tp)
+            todo += typing.get_args(tp)
+            if dataclasses.is_dataclass(tp):
+                todo += typing.get_type_hints(tp).values()
+        assert {DatasetSchema, TreeNode, AsslConfig} <= seen
+        assert tuples == {tp for tp in tuples if typing.get_args(tp)[1:] == (Ellipsis,)}
+        assert tuple[int, ...] in tuples and tuple[str, ...] in tuples
 
     def test_missing_required_key_is_named(self):
         with pytest.raises(ConfigError, match="config: missing key 'data'"):

@@ -171,7 +171,8 @@ class TestLogreg:
         assert grad_check(loss, params, epsilon=1e-6) < 1e-5
 
     def test_zero_weights_predict_uniform(self):
-        model = PlainModel(input_dim=2, logreg=DenseLayer(np.zeros((4, 2)), np.zeros(4)))
+        layer = DenseLayer(np.zeros((4, 2)), np.zeros(4), "identity")
+        model = PlainModel(input_dim=2, logreg=layer)
         np.testing.assert_allclose(
             model.predict_proba_matrix(np.array([[1.0, -1.0]]))[0], np.full(4, 0.25), atol=1e-15
         )
@@ -238,6 +239,7 @@ class TestGbdt:
         gbdt = GbdtModel(
             base_score=np.array([0.1, -0.2]),
             trees=[[stump(0.5, -0.5), stump(-1.0, 1.0)]],
+            train_loss=[],
         )
         model = PlainModel(input_dim=1, gbdt=gbdt)
         probs = model.predict_proba_matrix(np.array([[-1.0]]))[0]
@@ -461,7 +463,7 @@ class TestPredictProba:
 def constant_model(probs, input_dim=2) -> PlainModel:
     """A logistic regression with zero weights: softmax(log(probs)) for every row."""
     bias = np.log(np.asarray(probs, dtype=np.float64))
-    layer = DenseLayer(np.zeros((bias.size, input_dim)), bias)
+    layer = DenseLayer(np.zeros((bias.size, input_dim)), bias, "identity")
     return PlainModel(input_dim=input_dim, logreg=layer)
 
 
@@ -540,8 +542,8 @@ class TestTrainPrm:
         assert isinstance(logreg.logreg, DenseLayer) and logreg.gbdt is None
 
     def test_a_plain_model_holds_exactly_one_payload(self):
-        layer = DenseLayer(np.zeros((2, 1)), np.zeros(2))
-        gbdt = GbdtModel(base_score=np.zeros(2), trees=[])
+        layer = DenseLayer(np.zeros((2, 1)), np.zeros(2), "identity")
+        gbdt = GbdtModel(base_score=np.zeros(2), trees=[], train_loss=[])
         for payloads in ({}, {"logreg": layer, "gbdt": gbdt}):
             with pytest.raises(ValueError, match="exactly one of logreg and gbdt"):
                 PlainModel(input_dim=1, **payloads)

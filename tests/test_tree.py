@@ -12,6 +12,11 @@ from advssl.prm import GbdtConfig, train_gbdt
 from advssl.tree import RegressionTree, TreeNode, fit_regression_tree, presort
 
 
+def predict_rows(tree, x):
+    """tree.predict for an (n, F) matrix x: the leaf value of each row."""
+    return tree.predict(x.T, np.empty(x.shape[0]))
+
+
 def reference_best_split(x, targets, min_leaf_count):
     """Per-node, per-feature argsort split search: the presort-free definition."""
     n = targets.shape[0]
@@ -213,7 +218,7 @@ class TestFitRegressionTree:
         tree = fit_regression_tree(
             np.array([[0.0], [1.0]]), np.array([-1.0, 1.0]), max_depth=1
         )
-        out = tree.predict(np.array([[-5.0], [0.49], [0.51], [9.0]]))
+        out = predict_rows(tree, np.array([[-5.0], [0.49], [0.51], [9.0]]))
         np.testing.assert_array_equal(out, [-1.0, -1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("block", range(8))
@@ -235,7 +240,7 @@ class TestFitRegressionTree:
         for seed in range(2000 + block * 30, 2000 + block * 30 + 30):
             x, t, depth, min_leaf = random_fit_case(seed)
             tree = fit_regression_tree(x, t, depth, min_leaf)
-            np.testing.assert_array_equal(tree.fitted, tree.predict(x))
+            np.testing.assert_array_equal(tree.fitted, predict_rows(tree, x))
 
     def test_presort_orders_each_feature_stably(self):
         x = np.array([[2.0, 0.0, 5.0], [1.0, 0.0, 3.0], [2.0, -1.0, 4.0]])
@@ -292,7 +297,7 @@ class TestFitRegressionTree:
         tree = fit_regression_tree(x, t, max_depth=3, min_leaf_count=2)
         clone = from_plain(RegressionTree, to_plain(tree), "tree")
         grid = rng.normal(size=(25, 3))
-        np.testing.assert_array_equal(tree.predict(grid), clone.predict(grid))
+        np.testing.assert_array_equal(predict_rows(tree, grid), predict_rows(clone, grid))
 
 
 def _leaves(node, idx, x):
@@ -451,28 +456,26 @@ class TestPredictMatchesRecursiveReference:
         tree = fit_regression_tree(x, t, max_depth=depth, min_leaf_count=1)
         assert _depth(tree.root) == depth
         for rows in (x, probe_rows(tree, 5, rng)):
-            assert tree.predict(rows).tobytes() == reference_predict(tree, rows).tobytes()
+            assert predict_rows(tree, rows).tobytes() == reference_predict(tree, rows).tobytes()
 
     @pytest.mark.parametrize("name", sorted(hand_built_trees()))
     def test_hand_built_trees(self, name):
         tree = hand_built_trees()[name]
         x = probe_rows(tree, 3, np.random.default_rng(7))
-        assert tree.predict(x).tobytes() == reference_predict(tree, x).tobytes()
+        assert predict_rows(tree, x).tobytes() == reference_predict(tree, x).tobytes()
 
     @pytest.mark.parametrize("name", sorted(hand_built_trees()))
     def test_one_row_and_no_rows(self, name):
         tree = hand_built_trees()[name]
         row = np.array([[0.05, -0.0, np.nan]])
-        assert tree.predict(row).tobytes() == reference_predict(tree, row).tobytes()
-        assert tree.predict(np.empty((0, 3))).shape == (0,)
-        with pytest.raises(ValueError, match="must be 2-D"):
-            tree.predict(row[0])
+        assert predict_rows(tree, row).tobytes() == reference_predict(tree, row).tobytes()
+        assert predict_rows(tree, np.empty((0, 3))).shape == (0,)
 
     def test_predict_transposed_writes_into_out(self):
         tree = hand_built_trees()["mixed"]
         x = probe_rows(tree, 3, np.random.default_rng(8))
         out = np.full(x.shape[0], np.nan)
-        assert tree.predict_transposed(np.ascontiguousarray(x.T), out) is out
+        assert tree.predict(np.ascontiguousarray(x.T), out) is out
         assert out.tobytes() == reference_predict(tree, x).tobytes()
 
     def test_gbdt_raw_scores(self):
