@@ -75,9 +75,7 @@ def cmd_predict(args) -> int:
         model, schema, normalizer = loaded
         proba = model.predict_proba_matrix
 
-    ds = load_csv(args.csv, schema)
-    if normalizer is not None:
-        ds = apply_normalizer(normalizer, ds)
+    ds = apply_normalizer(normalizer, load_csv(args.csv, schema))
     csv_writer(sys.stdout).writerows(prediction_rows(schema, proba(ds.rows)))
     return 0
 

@@ -161,8 +161,6 @@ class Normalizer:
 
 
 def fit_normalizer(train_labeled: Dataset) -> Normalizer:
-    if len(train_labeled) == 0:
-        raise DataError("cannot fit a normalizer on an empty dataset")
     mean = train_labeled.rows.mean(axis=0)
     std = train_labeled.rows.std(axis=0)  # population convention (ddof=0)
     return Normalizer(mean=mean, std=std)
@@ -205,29 +203,17 @@ def largest_remainder(total: int, fractions: np.ndarray) -> np.ndarray:
     return base
 
 
-def split_fractions(fractions) -> np.ndarray:
-    """fractions as a float64 array; anything but three values >= 0 that sum
-    to 1 is a DataError."""
-    fr = np.asarray(fractions, dtype=np.float64)
-    if fr.shape != (3,) or (fr < 0).any():
-        raise DataError("split fractions must be three values >= 0")
-    if abs(fr.sum() - 1.0) > 1e-9:
-        raise DataError(f"split fractions must sum to 1, got {fr.sum()}")
-    return fr
-
-
 def stratified_split(
     ds: Dataset, fractions: tuple[float, float, float], seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
-    """Per-class proportional train/val/test split, seeded and exhaustive.
+    """Per-class proportional train/val/test split of a labeled ds, seeded
+    and exhaustive, by three fractions >= 0 that sum to 1.
 
     Every input row lands in exactly one split; per-class allocation uses
     largest-remainder rounding so split sizes are as proportional as
     integer counts allow.
     """
-    if not ds.is_labeled:
-        raise DataError("stratified_split needs a labeled dataset")
-    fr = split_fractions(fractions)
+    fr = np.asarray(fractions, dtype=np.float64)
     rng = named_rng(seed, "stratified_split")
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls in range(ds.schema.num_classes):

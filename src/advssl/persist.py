@@ -14,8 +14,8 @@ a split {"feature", "threshold", "left", "right"}).
 
 Floats are serialized with Python's shortest round-trip repr, so every
 64-bit value survives save -> load -> save byte-for-byte. A model file is
-an envelope (format, schema, schema hash and the fitted normalizer or null,
-which make it self-contained for prediction on raw CSV rows) plus the model
+an envelope (format, schema, schema hash and the fitted normalizer, which
+make it self-contained for prediction on raw CSV rows) plus the model
 record as to_plain writes it; model.json adds the Phase-II "config". It
 is read in that one form: every key that to_plain writes is required.
 """
@@ -146,7 +146,7 @@ def from_plain(tp, raw, where: str):
     raise _wrong(where, tp.__name__, raw)
 
 
-def _envelope(fmt: str, schema: DatasetSchema, normalizer: Normalizer | None) -> dict:
+def _envelope(fmt: str, schema: DatasetSchema, normalizer: Normalizer) -> dict:
     return {
         "format": fmt,
         "schema": to_plain(schema),
@@ -156,12 +156,12 @@ def _envelope(fmt: str, schema: DatasetSchema, normalizer: Normalizer | None) ->
 
 
 def save_plain_model(
-    path, model: PlainModel, schema: DatasetSchema, normalizer: Normalizer | None = None
+    path, model: PlainModel, schema: DatasetSchema, normalizer: Normalizer
 ) -> None:
     write_json(path, {**_envelope(FORMAT_PLAIN, schema, normalizer), **to_plain(model)})
 
 
-def _check_widths(model, schema: DatasetSchema, normalizer: Normalizer | None) -> None:
+def _check_widths(model, schema: DatasetSchema, normalizer: Normalizer) -> None:
     """Raise a ValueError unless model and normalizer map the schema's features
     to its labels: input width, class count, an identity logreg layer, one tree
     per class in every GBDT round, every split on a feature below input_dim,
@@ -187,9 +187,8 @@ def _check_widths(model, schema: DatasetSchema, normalizer: Normalizer | None) -
                 if not 0 <= node.feature < f:
                     raise ValueError(f"a split reads feature {node.feature}; the schema has {f}")
                 nodes += [node.left, node.right]
-    if normalizer is not None:
-        for name in ("mean", "std"):
-            widths[f"normalizer.{name}.shape"] = (getattr(normalizer, name).shape, (f,))
+    for name in ("mean", "std"):
+        widths[f"normalizer.{name}.shape"] = (getattr(normalizer, name).shape, (f,))
     for name, (got, want) in widths.items():
         if got != want:
             raise ValueError(f"{name} is {got}; the schema needs {want}")
@@ -212,7 +211,7 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
         schema = from_plain(DatasetSchema, d.pop("schema"), "schema")
         if d.pop("schema_hash") != schema.schema_hash():
             raise ValueError("schema_hash does not match its schema")
-        normalizer = from_plain(Normalizer | None, d.pop("normalizer"), "normalizer")
+        normalizer = from_plain(Normalizer, d.pop("normalizer"), "normalizer")
         if fmt == FORMAT_PLAIN:
             model = from_plain(PlainModel, d, "model")
             loaded = (model, schema, normalizer)
@@ -224,16 +223,16 @@ def load_model(path, expect: str | None = None) -> tuple[str, tuple]:
         return fmt, loaded
 
 
-def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer | None]:
+def load_plain_model(path) -> tuple[PlainModel, DatasetSchema, Normalizer]:
     return load_model(path, FORMAT_PLAIN)[1]
 
 
 def save_assl_model(
-    path, model: AsslModel, cfg: AsslConfig, schema: DatasetSchema, normalizer=None
+    path, model: AsslModel, cfg: AsslConfig, schema: DatasetSchema, normalizer: Normalizer
 ) -> None:
     payload = {**_envelope(FORMAT_ASSL, schema, normalizer), "config": to_plain(cfg)}
     write_json(path, {**payload, **to_plain(model)})
 
 
-def load_assl_model(path) -> tuple[AsslModel, AsslConfig, DatasetSchema, Normalizer | None]:
+def load_assl_model(path) -> tuple[AsslModel, AsslConfig, DatasetSchema, Normalizer]:
     return load_model(path, FORMAT_ASSL)[1]

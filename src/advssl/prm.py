@@ -127,27 +127,15 @@ class PseudoLabeledDataset:
     labels: np.ndarray
     confidences: np.ndarray
 
-    def __post_init__(self):
-        if not (len(self.rows) == len(self.labels) == len(self.confidences)):
-            raise ValueError("rows, labels and confidences must have equal length")
-
     def __len__(self) -> int:
         return self.rows.shape[0]
 
 
-def _check_labeled(labeled: Dataset):
-    if len(labeled) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if not labeled.is_labeled:
-        raise ValueError("training dataset has no labels")
-
-
-def train_logreg(labeled: Dataset, cfg: LogregConfig, seed: int = 0) -> PlainModel:
+def train_logreg(labeled: Dataset, cfg: LogregConfig, seed: int) -> PlainModel:
     """Multinomial softmax regression, deterministic per seed: one identity
     layer (init_mlp's draw from the logreg_init stream) trained by full-batch
     Adam on cross-entropy + l2 * ||weights and bias||^2, through the passes,
     L2 gradient and Adam step Phase II uses. The fit never reads the loss."""
-    _check_labeled(labeled)
     m = labeled.schema.num_classes
     f = labeled.schema.num_features
     net = init_mlp([f, m], ["identity"], seed, "logreg_init")
@@ -186,7 +174,6 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig) -> PlainModel:
     to _HALVINGS times; past that the fit raises. Every accepted round's
     leaves are then scaled by its step, so a leaf holds the score it added.
     """
-    _check_labeled(labeled)
     m = labeled.schema.num_classes
     x, labels = labeled.rows, labeled.labels
     n = x.shape[0]
@@ -240,7 +227,7 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig) -> PlainModel:
     )
 
 
-def train_prm(labeled: Dataset, cfg: PrmConfig, seed: int = 0) -> PlainModel:
+def train_prm(labeled: Dataset, cfg: PrmConfig, seed: int) -> PlainModel:
     """Train the configured plain model variant on labeled data."""
     if cfg.variant == "logistic_regression":
         return train_logreg(labeled, cfg.logreg, seed)

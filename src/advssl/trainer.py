@@ -176,7 +176,8 @@ def loss_bce_l2(probs: Matrix, labels, lam: float, params) -> float:
 
 
 def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> float:
-    """Adversarial value: mean log D on labeled + mean log(1-D) on pseudo.
+    """Adversarial value: mean log D on labeled + mean log(1-D) on pseudo
+    (neither side empty).
 
     The discriminator ascends this (likelihood of calling the pool right),
     the encoder descends it. Nonpositive when lambda_adv is 0, maximal at 0
@@ -184,8 +185,6 @@ def loss_adversarial(d_labeled, d_unlabeled, lambda_adv: float, disc_params) -> 
     """
     d_labeled = np.asarray(d_labeled, dtype=np.float64).reshape(-1)
     d_unlabeled = np.asarray(d_unlabeled, dtype=np.float64).reshape(-1)
-    if d_labeled.size == 0 or d_unlabeled.size == 0:
-        raise ValueError("adversarial loss needs at least one row on each side")
     value = float(
         np.log(clamp_probs(d_labeled)).mean() + np.log(1.0 - clamp_probs(d_unlabeled)).mean()
     )
@@ -247,10 +246,8 @@ def _generator_grads(model: AsslModel, enc, y_l, y_u, cfg: AsslConfig, grads) ->
 
 def _discriminator_grads(model: AsslModel, emb: Matrix, n_l: int, cfg: AsslConfig, grads):
     """discriminator_objective on this step's embeddings [emb_l; emb_u]
-    (the first n_l rows labeled); the gradient is written into the
-    discriminator's part of grads (an AsslModel)."""
-    if n_l == 0 or n_l == emb.shape[0]:
-        raise ValueError("discriminator step needs a nonempty batch on each side")
+    (the first 0 < n_l < len(emb) rows labeled); the gradient is written
+    into the discriminator's part of grads (an AsslModel)."""
     disc = model.discriminator
     d, cache = mlp_forward(disc, emb)
     d_l, d_u = d[:n_l], d[n_l:]
@@ -381,7 +378,8 @@ def train(
     cfg: AsslConfig,
     on_step=None,
 ) -> tuple[AsslModel, TrainHistory]:
-    """Run the adversarial semi-supervised loop, return the best snapshot.
+    """Run the adversarial semi-supervised loop on nonempty labeled training
+    and validation sets, return the best snapshot.
 
     Per step one labeled and one equal-sized pseudo sub-batch are drawn
     (both pools reshuffle per epoch, the pseudo pool cycles when short);
@@ -396,12 +394,6 @@ def train(
     where each step is one generator update of the encoder and the
     supervised head.
     """
-    if len(labeled) == 0:
-        raise ValueError("labeled training set is empty")
-    if not labeled.is_labeled:
-        raise ValueError("labeled training set has no labels")
-    if not validation.is_labeled or len(validation) == 0:
-        raise ValueError("validation set must be labeled and nonempty")
     if not cfg.suppress_pseudo and (pseudo is None or len(pseudo) == 0):
         raise ValueError("no unlabeled rows to pseudo-label; cannot train phase II")
 

@@ -550,6 +550,12 @@ class TestPredictRejectsBadModelFiles:
         assert "index out of range" in self._predict_fails(capsys, model, trained_run)
 
     @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
+    def test_null_normalizer(self, trained_run, tmp_path, capsys, name):
+        model = _tampered(trained_run / name, tmp_path / name, lambda p: p.update(normalizer=None))
+        err = self._predict_fails(capsys, model, trained_run)
+        assert err == f"error: code=3 reason={name}: normalizer must be dict, got NoneType\n"
+
+    @pytest.mark.parametrize("name", ["model.json", "prm_model.json"])
     def test_normalizer_narrower_than_the_schema(self, trained_run, tmp_path, capsys, name):
         def edit(payload):  # one entry broadcasts over 5 features
             payload["normalizer"] = {k: v[:1] for k, v in payload["normalizer"].items()}
@@ -999,6 +1005,8 @@ OUT_OF_RANGE = {
     "learning_rate_negative": lambda raw: raw["assl"].update(learning_rate=-0.5),
     "encoder_hidden_negative": lambda raw: raw["assl"].update(encoder_hidden=-3),
     "disc_hidden_negative": lambda raw: raw["assl"].update(disc_hidden=-2),
+    "lambda_l_negative": lambda raw: raw["assl"].update(lambda_l=-1e-4),
+    "lambda_adv_negative": lambda raw: raw["assl"].update(lambda_adv=-0.5),
     "epochs_zero": lambda raw: raw["assl"].update(epochs=0),
     "num_classes_one": lambda raw: raw["data"]["synth"].update(num_classes=1),
     "noise_std_negative": lambda raw: raw["data"]["synth"].update(noise_std=-1),

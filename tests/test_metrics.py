@@ -53,14 +53,6 @@ class TestConfusionMatrix:
         assert cm.counts.sum() == 0
         np.testing.assert_array_equal(cm.counts, np.zeros((4, 4), dtype=int))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([0, 1], [0], 2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            confusion_matrix([0, 3], [0, 1], 3)
-
 
 class TestClassificationReport:
     def test_hand_computed_report(self):
@@ -84,10 +76,6 @@ class TestClassificationReport:
         report = classification_report(confusion_matrix([0, 1, 2], [0, 1, 0], 3))
         assert report.precision[2] == 0.0
         assert report.zero_division[2]
-
-    def test_empty_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            classification_report(ConfusionMatrix(np.zeros((3, 3), dtype=int)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_brute_force_tally(self, seed):
@@ -151,16 +139,6 @@ class TestAggregateRuns:
         assert agg["runs"] == 1
         for name in ("macro_precision", "macro_recall", "macro_f1", "weighted_f1", "accuracy"):
             assert agg[name] == {"mean": getattr(rep, name), "std": 0.0}
-
-    def test_no_reports_rejected(self):
-        with pytest.raises(ValueError, match="at least 1"):
-            aggregate_runs([])
-
-    def test_mismatched_schemas_rejected(self):
-        r2 = classification_report(confusion_matrix([0, 1], [0, 1], 2))
-        r3 = classification_report(confusion_matrix([0, 1, 2], [0, 1, 2], 3))
-        with pytest.raises(ValueError, match="classes"):
-            aggregate_runs([r2, r3])
 
 
 class TestHelpers:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advssl.data import Dataset, DatasetSchema, SynthConfig, fit_normalizer
+from advssl.data import Dataset, DatasetSchema, Normalizer, SynthConfig, fit_normalizer
 from advssl.nnet import DenseLayer
 from advssl.persist import (
     ConfigError,
@@ -72,9 +72,8 @@ class TestPlainModelRoundTrip:
         ds = make_dataset(seed=3)
         model = train_logreg(ds, LogregConfig(iterations=40), seed=5)
         path = tmp_path / "logreg.json"
-        save_plain_model(path, model, ds.schema)
-        loaded, _, norm = load_plain_model(path)
-        assert norm is None
+        save_plain_model(path, model, ds.schema, fit_normalizer(ds))
+        loaded = load_plain_model(path)[0]
         np.testing.assert_array_equal(model.logreg.weights, loaded.logreg.weights)
         np.testing.assert_array_equal(model.logreg.bias, loaded.logreg.bias)
 
@@ -82,9 +81,8 @@ class TestPlainModelRoundTrip:
         ds = make_dataset(seed=4)
         model = train_gbdt(ds, GbdtConfig(rounds=4, max_depth=3))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_plain_model(p1, model, ds.schema)
-        loaded, schema, _ = load_plain_model(p1)
-        save_plain_model(p2, loaded, schema)
+        save_plain_model(p1, model, ds.schema, fit_normalizer(ds))
+        save_plain_model(p2, *load_plain_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -111,11 +109,10 @@ class TestAsslModelRoundTrip:
     def test_save_load_save_bytes_identical(self, tmp_path):
         cfg = AsslConfig(embedding_dim=3, encoder_hidden=4, head_hidden=4, disc_hidden=4)
         model = init_assl_model(5, 3, cfg)
-        schema = make_dataset(f=5).schema
+        ds = make_dataset(f=5)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_assl_model(p1, model, cfg, schema)
-        loaded, cfg2, schema2, _ = load_assl_model(p1)
-        save_assl_model(p2, loaded, cfg2, schema2)
+        save_assl_model(p1, model, cfg, ds.schema, fit_normalizer(ds))
+        save_assl_model(p2, *load_assl_model(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -147,6 +144,10 @@ def tree_nodes(num_features):
     )
 
 
+def normalizers(f):
+    return st.builds(Normalizer, vectors(f), vectors(f).map(np.abs))
+
+
 def plain_models(kind, f, m):
     if kind == "logistic_regression":
         weights = vectors(m * f).map(lambda w: w.reshape(m, f))
@@ -170,14 +171,16 @@ class TestModelFileProperties:
     @given(st.integers(1, 4), st.integers(2, 4), st.data())
     def test_plain_model(self, tmp_path_factory, kind, f, m, data):
         model = data.draw(plain_models(kind, f, m))
+        norm = data.draw(normalizers(f))
         schema = make_dataset(m=m, f=f).schema
         tmp = tmp_path_factory.mktemp("plain")
         p1, p2 = tmp / "a.json", tmp / "b.json"
-        save_plain_model(p1, model, schema)
-        loaded, schema2, _ = load_plain_model(p1)
-        save_plain_model(p2, loaded, schema2)
+        save_plain_model(p1, model, schema, norm)
+        loaded, schema2, norm2 = load_plain_model(p1)
+        save_plain_model(p2, loaded, schema2, norm2)
         assert p1.read_bytes() == p2.read_bytes()
         assert float_bits(to_plain(loaded)) == float_bits(to_plain(model))
+        assert float_bits(to_plain(norm2)) == float_bits(to_plain(norm))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 4), st.integers(1, 3), st.data())
@@ -188,9 +191,9 @@ class TestModelFileProperties:
         schema = make_dataset(m=m, f=f).schema
         tmp = tmp_path_factory.mktemp("assl")
         p1, p2 = tmp / "a.json", tmp / "b.json"
-        save_assl_model(p1, model, cfg, schema)
-        loaded, cfg2, schema2, _ = load_assl_model(p1)
-        save_assl_model(p2, loaded, cfg2, schema2)
+        save_assl_model(p1, model, cfg, schema, data.draw(normalizers(f)))
+        loaded, cfg2, schema2, norm2 = load_assl_model(p1)
+        save_assl_model(p2, loaded, cfg2, schema2, norm2)
         assert p1.read_bytes() == p2.read_bytes()
         assert cfg2 == cfg
         np.testing.assert_array_equal(loaded.flat.view(np.uint64), model.flat.view(np.uint64))

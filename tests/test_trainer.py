@@ -159,10 +159,6 @@ class TestLossBceL2:
         with_reg = loss_bce_l2(np.array([[0.5, 0.5]]), [0], 0.25, params)
         assert abs((with_reg - base) - 1.0) < 1e-12
 
-    def test_label_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            loss_bce_l2(np.array([[0.5, 0.5]]), [2], 0.0, [])
-
     def test_nonnegative_property(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -187,12 +183,6 @@ class TestLossAdversarial:
             math.log(0.7) + math.log(0.9)
         )
         assert abs(loss - expected) < 1e-12
-
-    def test_empty_side_rejected(self):
-        with pytest.raises(ValueError):
-            loss_adversarial([], [0.5], 0.0, [])
-        with pytest.raises(ValueError):
-            loss_adversarial([0.5], [], 0.0, [])
 
     def test_nonpositive_without_regularizer(self):
         rng = np.random.default_rng(4)
@@ -289,14 +279,6 @@ class TestSteps:
             _, acc = discriminator_step(model, np.concatenate([x_l, x_u]), 64, cfg, states)
         assert acc >= 0.95
 
-    def test_empty_batch_side_rejected(self):
-        cfg = tiny_cfg()
-        model = init_assl_model(5, 3, cfg)
-        states = OptimizerStates.create(model, cfg)
-        for n_l in (0, 2):
-            with pytest.raises(ValueError):
-                discriminator_step(model, np.ones((2, 4)), n_l, cfg, states)
-
     def test_steps_lay_out_no_gradient_views(self, monkeypatch):
         # OptimizerStates lays the gradient buffer out per network once;
         # a step only writes into those arrays.
@@ -345,22 +327,10 @@ class TestTrain:
     def test_empty_inputs_rejected(self):
         train_ds, val_ds, _, pseudo = tiny_task(seed=3)
         cfg = tiny_cfg()
-        empty = Dataset(train_ds.schema, np.empty((0, train_ds.schema.num_features)))
-        with pytest.raises(ValueError):
-            train(empty, pseudo, val_ds, cfg)
-        with pytest.raises(ValueError, match="pseudo"):
-            train(train_ds, None, val_ds, cfg)
-        no_rows = Dataset(val_ds.schema, val_ds.rows[:0], val_ds.labels[:0])
-        with pytest.raises(ValueError, match="^validation set must be labeled and nonempty$"):
-            train(train_ds, pseudo, no_rows, cfg)
-
-    def test_unlabeled_inputs_rejected(self):
-        train_ds, val_ds, _, pseudo = tiny_task(seed=3)
-        cfg = tiny_cfg()
-        with pytest.raises(ValueError, match="^labeled training set has no labels$"):
-            train(Dataset(train_ds.schema, train_ds.rows), pseudo, val_ds, cfg)
-        with pytest.raises(ValueError, match="^validation set must be labeled and nonempty$"):
-            train(train_ds, pseudo, Dataset(val_ds.schema, val_ds.rows), cfg)
+        empty = PseudoLabeledDataset(pseudo.rows[:0], pseudo.labels[:0], pseudo.confidences[:0])
+        for pool in (None, empty):  # a CSV config without a pool gives the empty one
+            with pytest.raises(ValueError, match="^no unlabeled rows to pseudo-label; "):
+                train(train_ds, pool, val_ds, cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf input is the point
     def test_nonfinite_loss_names_term(self):
