@@ -1,8 +1,9 @@
 """Classification metrics: confusion matrices, per-class and macro P/R/F1.
 
-Macro averages are unweighted means over classes with nonzero support;
-micro and support-weighted variants are included in reports for
-transparency. Any zero-denominator metric is defined as 0 and flagged.
+Macro averages are unweighted means over classes with nonzero support; a
+report also carries the support-weighted F1 and the accuracy, which in
+single-label classification is the micro-F1. Any zero-denominator metric is
+defined as 0 and flagged.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ import numpy as np
 class ConfusionMatrix:
     counts: np.ndarray  # (m, m) int64; entry (i, j) = true class i predicted j
 
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 2 or self.counts.shape[0] != self.counts.shape[1]:
-            raise ValueError(f"confusion matrix must be square, got {self.counts.shape}")
-        if (self.counts < 0).any():
-            raise ValueError("confusion matrix counts must be nonnegative")
-
 
 def confusion_matrix(y_true, y_pred, num_classes: int) -> ConfusionMatrix:
     y_true = np.asarray(y_true, dtype=np.int64)
@@ -30,6 +24,10 @@ def confusion_matrix(y_true, y_pred, num_classes: int) -> ConfusionMatrix:
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (y_true, y_pred), 1)
     return ConfusionMatrix(counts)
+
+
+# A MetricsReport's summary metrics: aggregate.json and ablation.json name these.
+SUMMARY = ("macro_precision", "macro_recall", "macro_f1", "weighted_f1", "accuracy")
 
 
 @dataclass
@@ -45,26 +43,9 @@ class MetricsReport:
     weighted_f1: float
     accuracy: float
 
-    def to_dict(self) -> dict:
-        return {
-            "per_class": {
-                "precision": self.precision.tolist(),
-                "recall": self.recall.tolist(),
-                "f1": self.f1.tolist(),
-                "support": self.support.tolist(),
-                "zero_division": self.zero_division.astype(int).tolist(),
-            },
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.accuracy,  # single-label multiclass: micro-F1 is accuracy
-            "weighted_f1": self.weighted_f1,
-            "accuracy": self.accuracy,
-        }
-
 
 def classification_report(cm: ConfusionMatrix) -> MetricsReport:
-    """Per-class precision/recall/F1 plus macro/micro/weighted summaries.
+    """Per-class precision/recall/F1 plus the SUMMARY metrics.
 
     precision_k = cm[k,k] / column_k, recall_k = cm[k,k] / row_k, F1 the
     harmonic mean; macro averages run over classes with support > 0 only.
@@ -107,7 +88,7 @@ def aggregate_runs(reports: list[MetricsReport]) -> dict:
     """Mean and sample (n-1) standard deviation of the summary metrics of one
     or more reports; the std of one run is 0.0."""
     out = {}
-    for name in ("macro_precision", "macro_recall", "macro_f1", "weighted_f1", "accuracy"):
+    for name in SUMMARY:
         vals = np.asarray([getattr(r, name) for r in reports], dtype=np.float64)
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         out[name] = {"mean": float(vals.mean()), "std": std}

@@ -164,23 +164,21 @@ def init_mlp(dims: list[int], activations: list[str], seed: int, name: str) -> M
 
 
 def activate(kind: str, z: np.ndarray) -> np.ndarray:
+    """kind is one of ACTIVATIONS: DenseLayer refuses any other."""
     if kind == "relu":
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
         e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) below: never overflows
         return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if kind == "identity":
-        return np.asarray(z, dtype=np.float64)
-    raise ValueError(f"unknown activation {kind!r}")
+    return np.asarray(z, dtype=np.float64)  # identity
 
 
 def activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """d activation / d z, given pre-activation z and output a (a bool mask for relu)."""
+    """d activation / d z, given pre-activation z and output a (a bool mask
+    for relu); kind is relu or sigmoid, as mlp_backward skips identity."""
     if kind == "relu":
         return z > 0
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    raise ValueError(f"unknown activation {kind!r}")
+    return a * (1.0 - a)  # sigmoid
 
 
 def softmax(logits: Matrix) -> Matrix:
@@ -304,19 +302,16 @@ class AdamState:
     """Adam moments for one parameter array (a network's flat buffer), and
     two arrays of its shape that adam_step works in."""
 
-    learning_rate: float = 1e-3
-    step_count: int = 0
-    first_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    second_moment: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    workspace: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
+    learning_rate: float
+    step_count: int
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    workspace: np.ndarray = field(repr=False)
 
     @classmethod
-    def for_params(cls, params: np.ndarray, **kwargs) -> "AdamState":
-        state = cls(**kwargs)
-        state.first_moment = np.zeros_like(params)
-        state.second_moment = np.zeros_like(params)
-        state.workspace = np.empty((2,) + params.shape)
-        return state
+    def for_params(cls, params: np.ndarray, learning_rate: float) -> "AdamState":
+        moments = np.zeros_like(params), np.zeros_like(params)
+        return cls(learning_rate, 0, *moments, np.empty((2,) + params.shape))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:

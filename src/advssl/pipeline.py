@@ -55,7 +55,7 @@ from .data import (
     standardize,
     stratified_split,
 )
-from .metrics import MetricsReport, aggregate_runs, classification_report, confusion_matrix
+from .metrics import SUMMARY, MetricsReport, aggregate_runs, classification_report, confusion_matrix
 from .persist import ConfigError, finite_number, from_plain, to_plain, write_json
 from .persist import save_assl_model, save_plain_model
 from .prm import PlainModel, PrmConfig, PseudoLabeledDataset, pseudo_label, train_prm
@@ -245,8 +245,7 @@ def write_variant(prep: PreparedSeed, variant: str, trained, seed_dir: str) -> M
     payload = {
         "seed": prep.assl_cfg.seed,
         "variant": variant,
-        "metrics": report.to_dict(),
-        "test_rows": int(preds.shape[0]),
+        "metrics": to_plain(report),
         "pseudo_count": len(prep.pseudo),
         "pseudo_mean_confidence": float(conf.mean()) if conf.size else 0.0,
     }
@@ -383,16 +382,8 @@ def execute_ablation(cfg: RunConfig, output_root: str) -> dict:
                 report, seconds = done[variant]
                 timings[f"seed_{seed}/{variant}"] = seconds
                 by_variant[variant].append(report)
-                rows.append(
-                    {
-                        "variant": variant,
-                        "seed": seed,
-                        "macro_f1": report.macro_f1,
-                        "macro_precision": report.macro_precision,
-                        "macro_recall": report.macro_recall,
-                        "accuracy": report.accuracy,
-                    }
-                )
+                values = {name: getattr(report, name) for name in SUMMARY}
+                rows.append({"variant": variant, "seed": seed, **values})
         summary = {v: aggregate_runs(reps) for v, reps in by_variant.items()}
         write_json(os.path.join(run_dir, "ablation.json"), {"rows": rows, "summary": summary})
     return {"run_dir": run_dir, "rows": rows, "summary": summary}

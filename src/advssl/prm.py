@@ -21,7 +21,6 @@ from .nnet import (
     MlpParams,
     adam_step,
     add_l2_grad,
-    as_matrix,
     categorical_ce,
     categorical_ce_grad,
     init_mlp,
@@ -109,11 +108,7 @@ class PlainModel:
             raise ValueError("a plain model holds exactly one of logreg and gbdt")
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        x = as_matrix(x)
-        if x.shape[1] != self.input_dim:
-            raise ValueError(
-                f"input has {x.shape[1]} features, model expects {self.input_dim}"
-            )
+        """Class probabilities of the (n, input_dim) float64 rows x."""
         if self.logreg is not None:
             return softmax(mlp_forward(MlpParams([self.logreg]), x)[0])
         return softmax(self.gbdt.raw_scores(x))

@@ -140,7 +140,7 @@ class TestRun:
         smoke = load_config(SMOKE)
         after = execute_run(dataclasses.replace(smoke, seeds=(1, 0)), str(tmp_path / "a"))
         alone = execute_run(smoke, str(tmp_path / "b"))
-        assert after["reports"][1].to_dict() == alone["reports"][0].to_dict()
+        assert to_plain(after["reports"][1]) == to_plain(alone["reports"][0])
 
     def test_missing_csv_exits_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -260,7 +260,7 @@ class TestAdam:
 
     def test_allocates_no_arrays(self):
         p, g = np.ones(100_000), np.full(100_000, 0.5)
-        state = AdamState.for_params(p)
+        state = AdamState.for_params(p, learning_rate=1e-3)
         adam_step(p, g, state)
         tracemalloc.start()
         try:
@@ -272,7 +272,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         p = np.zeros(3)
-        state = AdamState.for_params(p)
+        state = AdamState.for_params(p, learning_rate=1e-3)
         with pytest.raises(ValueError):
             adam_step(p, np.zeros(4), state)
         with pytest.raises(ValueError):

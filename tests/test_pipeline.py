@@ -19,7 +19,7 @@ import pytest
 import advssl
 from advssl import pipeline
 from advssl.data import Dataset, DatasetSchema, Normalizer, SynthConfig
-from advssl.metrics import MetricsReport
+from advssl.metrics import SUMMARY, MetricsReport
 from advssl.persist import to_plain
 from advssl.pipeline import (
     VARIANTS,
@@ -147,6 +147,36 @@ class TestRunVariant:
             assert written["supervised_mlp", suppress] == every | {"history.csv"}
             assert written["no_adversarial", suppress] == every | {"history.csv", "model.json"}
             assert written["full", suppress] == every | {"history.csv", "model.json"}
+
+
+class TestReports:
+    """Each metric is named once: report.json's metrics are the codec's form of
+    the MetricsReport, and every summary of reports lists SUMMARY."""
+
+    @pytest.fixture
+    def cfg(self, smoke_cfg):
+        return replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=2))
+
+    def test_run_report_metrics_are_the_report_through_the_codec(self, cfg, tmp_path):
+        out = execute_run(cfg, str(tmp_path))
+        with open(os.path.join(out["run_dir"], "seed_0", "report.json")) as handle:
+            metrics = json.load(handle)["metrics"]
+        assert set(metrics) == {f.name for f in fields(MetricsReport) if f.init}
+        assert metrics == to_plain(out["reports"][0])
+
+    def test_ablation_rows_are_the_summary_of_each_report(self, cfg, tmp_path):
+        run_dir = execute_ablation(cfg, str(tmp_path))["run_dir"]
+        with open(os.path.join(run_dir, "ablation.json")) as handle:
+            table = json.load(handle)
+        assert len(table["rows"]) == len(VARIANTS)
+        for row in table["rows"]:
+            path = os.path.join(run_dir, f"seed_{row['seed']}", row["variant"], "report.json")
+            with open(path) as handle:
+                report = json.load(handle)
+            summary = {name: report["metrics"][name] for name in SUMMARY}
+            assert row == {"variant": report["variant"], "seed": report["seed"], **summary}
+        for summary in table["summary"].values():
+            assert set(summary) == {"runs", *SUMMARY}
 
 
 class TestRunConfig:
@@ -329,6 +359,21 @@ class TestOptionSurface:
     @pytest.mark.parametrize("cls", OPTION_SURFACE, ids=lambda cls: cls.__name__)
     def test_init_fields_are_pinned(self, cls):
         assert [f.name for f in fields(cls) if f.init] == OPTION_SURFACE[cls]
+
+    def test_only_the_schema_and_the_tree_node_define_to_dict(self):
+        """persist.to_plain calls any to_dict it finds: every other record is
+        written as its init fields."""
+        defining = set()
+        for path in glob.glob(os.path.join(ROOT, "src", "advssl", "*.py")):
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "to_dict"
+                    for item in node.body
+                ):
+                    defining.add(node.name)
+        assert defining == {"DatasetSchema", "TreeNode"}
 
     def test_no_module_reads_the_environment(self):
         package_dir = os.path.dirname(advssl.__file__)
@@ -516,6 +561,7 @@ class TestAblationWorker:
                         "macro_f1": rep.macro_f1,
                         "macro_precision": rep.macro_precision,
                         "macro_recall": rep.macro_recall,
+                        "weighted_f1": rep.weighted_f1,
                         "accuracy": rep.accuracy,
                     }
                 )

@@ -448,12 +448,6 @@ class TestPredictProba:
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
             assert np.all((probs >= 0) & (probs <= 1))
 
-    def test_dimension_mismatch_rejected(self):
-        ds = blobs_dataset(seed=12)
-        model = train_gbdt(ds, GbdtConfig(rounds=1, max_depth=1))
-        with pytest.raises(ValueError):
-            model.predict_proba_matrix(np.array([[1.0, 2.0, 3.0]]))
-
 
 def constant_model(probs, input_dim=2) -> PlainModel:
     """A logistic regression with zero weights: softmax(log(probs)) for every row."""
