@@ -428,17 +428,23 @@ def csv_writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-def save_csv(ds: Dataset, path) -> None:
-    """Write a Dataset back to CSV, atomically; floats use repr so values round-trip."""
+def write_csv(path, header, rows) -> None:
+    """Write the header row, then rows, through csv_writer, atomically. The
+    only CSV file writer: a Python float cell is written as its repr, so a
+    row of ndarray.tolist() values round-trips bit for bit."""
     with atomic_write(path) as handle:
         writer = csv_writer(handle)
-        header = list(ds.schema.feature_names) + ([LABEL_COLUMN] if ds.is_labeled else [])
         writer.writerow(header)
-        for i in range(len(ds)):
-            record = [repr(float(v)) for v in ds.rows[i]]
-            if ds.is_labeled:
-                record.append(ds.schema.label_names[ds.labels[i]])
-            writer.writerow(record)
+        writer.writerows(rows)
+
+
+def save_csv(ds: Dataset, path) -> None:
+    """Write a Dataset through write_csv: its features, then its ratings by label name."""
+    header = list(ds.schema.feature_names) + ([LABEL_COLUMN] if ds.is_labeled else [])
+    rows = (row.tolist() for row in ds.rows)
+    if ds.is_labeled:
+        rows = (row + [ds.schema.label_names[k]] for row, k in zip(rows, ds.labels))
+    write_csv(path, header, rows)
 
 
 def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -170,7 +170,7 @@ def activate(kind: str, z: np.ndarray) -> np.ndarray:
     if kind == "sigmoid":
         e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) below: never overflows
         return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    return np.asarray(z, dtype=np.float64)  # identity
+    return z  # identity
 
 
 def activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -183,8 +183,7 @@ def activation_grad(kind: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def softmax(logits: Matrix) -> Matrix:
     """Row-wise stable softmax of a 2-D array."""
-    arr = np.asarray(logits, dtype=np.float64)
-    out = arr - arr.max(axis=1, keepdims=True)
+    out = logits - logits.max(axis=1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=1, keepdims=True)
     return out
@@ -225,7 +224,7 @@ def mlp_backward(
         raise ValueError(
             f"cache has {len(cache)} layers but network has {len(mlp.layers)}"
         )
-    grad = np.asarray(upstream, dtype=np.float64)
+    grad = upstream
     if grad.shape != cache[-1][2].shape:
         raise ValueError(
             f"upstream gradient shape {grad.shape} does not match output shape {cache[-1][2].shape}"
@@ -291,8 +290,6 @@ def categorical_ce_grad(probs: Matrix, labels: np.ndarray) -> Matrix:
 
 def softmax_backward(probs: Matrix, dprobs: Matrix) -> Matrix:
     """Backprop dL/dprobs through a row-wise softmax to dL/dlogits."""
-    probs = np.asarray(probs, dtype=np.float64)
-    dprobs = np.asarray(dprobs, dtype=np.float64)
     dot = (dprobs * probs).sum(axis=1, keepdims=True)
     return probs * (dprobs - dot)
 

@@ -37,7 +37,7 @@ from .data import DatasetSchema, Normalizer, atomic_write
 from .prm import PlainModel
 from .trainer import AsslConfig, AsslModel
 
-FORMAT_PLAIN = "advssl/plain-model/4"
+FORMAT_PLAIN = "advssl/plain-model/5"
 FORMAT_ASSL = "advssl/assl-model/2"
 
 
@@ -162,21 +162,19 @@ def save_plain_model(
 
 
 def _check_widths(model, schema: DatasetSchema, normalizer: Normalizer) -> None:
-    """Raise a ValueError unless model and normalizer map the schema's features
-    to its labels: input width, class count, an identity logreg layer, one tree
-    per class in every GBDT round, every split on a feature below input_dim,
-    one normalizer entry per feature."""
+    """Raise a ValueError unless model and normalizer map the schema's f features
+    to its m labels: an encoder of input width f and a supervised head of width
+    m; an identity logreg layer of weights (m, f); a GBDT base score of m, m trees
+    per round and every split on a feature below f; a normalizer of f entries."""
     f, m = schema.num_features, schema.num_classes
     if isinstance(model, AsslModel):
         widths = {"encoder.in_dim": (model.encoder.in_dim, f)}
         widths["supervised_head.out_dim"] = (model.supervised_head.out_dim, m)
     elif model.logreg is not None:
-        widths = {"input_dim": (model.input_dim, f)}
-        widths["logreg.weights.shape"] = (model.logreg.weights.shape, (m, f))
+        widths = {"logreg.weights.shape": (model.logreg.weights.shape, (m, f))}
         widths["logreg.activation"] = (model.logreg.activation, "identity")
     else:
-        widths = {"input_dim": (model.input_dim, f)}
-        widths["gbdt.base_score.shape"] = (model.gbdt.base_score.shape, (m,))
+        widths = {"gbdt.base_score.shape": (model.gbdt.base_score.shape, (m,))}
         nodes = []
         for t, trees in enumerate(model.gbdt.trees):
             widths[f"len(gbdt.trees[{t}])"] = (len(trees), m)

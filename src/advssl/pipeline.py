@@ -45,8 +45,6 @@ from .data import (
     Normalizer,
     SynthConfig,
     apply_normalizer,
-    atomic_write,
-    csv_writer,
     default_schema,
     fit_normalizer,
     generate_synthetic,
@@ -54,6 +52,7 @@ from .data import (
     save_csv,
     standardize,
     stratified_split,
+    write_csv,
 )
 from .metrics import SUMMARY, MetricsReport, aggregate_runs, classification_report, confusion_matrix
 from .persist import ConfigError, finite_number, from_plain, to_plain, write_json
@@ -251,21 +250,15 @@ def write_variant(prep: PreparedSeed, variant: str, trained, seed_dir: str) -> M
     }
     write_json(path("report.json"), payload)
     save_csv(prep.test_raw, path("test_split.csv"))
-    write_predictions_csv(path("predictions.csv"), schema, probs)
+    header = ["predicted_rating"] + [f"p_{name}" for name in schema.label_names]
+    write_csv(path("predictions.csv"), header, prediction_rows(schema, probs))
     return report
 
 
 def prediction_rows(schema: DatasetSchema, probs: np.ndarray):
-    """Per row of probs: the label of its argmax, then repr(float(p)) per class."""
+    """Per row of probs, a CSV row: its argmax's label, then its probabilities as floats."""
     for row, pred in zip(probs, probs.argmax(axis=1)):
-        yield [schema.label_names[pred]] + [repr(float(p)) for p in row]
-
-
-def write_predictions_csv(path, schema: DatasetSchema, probs: np.ndarray):
-    with atomic_write(path) as handle:
-        writer = csv_writer(handle)
-        writer.writerow(["predicted_rating"] + [f"p_{name}" for name in schema.label_names])
-        writer.writerows(prediction_rows(schema, probs))
+        yield [schema.label_names[pred]] + row.tolist()
 
 
 @contextlib.contextmanager

@@ -99,7 +99,6 @@ class PlainModel:
     """Phase-I rating model: one fitted payload, which is its kind; a logistic
     regression is the DenseLayer it trained, predicted through mlp_forward."""
 
-    input_dim: int
     logreg: DenseLayer | None = None
     gbdt: GbdtModel | None = None
 
@@ -108,7 +107,7 @@ class PlainModel:
             raise ValueError("a plain model holds exactly one of logreg and gbdt")
 
     def predict_proba_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities of the (n, input_dim) float64 rows x."""
+        """Class probabilities of the (n, f) float64 rows x, f the width it was fitted on."""
         if self.logreg is not None:
             return softmax(mlp_forward(MlpParams([self.logreg]), x)[0])
         return softmax(self.gbdt.raw_scores(x))
@@ -142,7 +141,7 @@ def train_logreg(labeled: Dataset, cfg: LogregConfig, seed: int) -> PlainModel:
         dlogits = softmax_backward(probs, categorical_ce_grad(probs, labeled.labels))
         mlp_backward(net, cache, dlogits, grads, inputs=False)
         adam_step(net.flat, add_l2_grad(grads.flat, net, cfg.l2), state)
-    return PlainModel(input_dim=f, logreg=net.layers[0])
+    return PlainModel(logreg=net.layers[0])
 
 
 _HALVINGS = 30  # of a round's step before a rise in training loss is an error
@@ -216,10 +215,7 @@ def train_gbdt(labeled: Dataset, cfg: GbdtConfig) -> PlainModel:
             _scale_leaves(tree.root, step)  # fl(step * leaf), as scores took it
         trees.append(round_trees)
         losses.append(loss)
-    return PlainModel(
-        input_dim=x.shape[1],
-        gbdt=GbdtModel(base_score=base, trees=trees, train_loss=losses),
-    )
+    return PlainModel(gbdt=GbdtModel(base_score=base, trees=trees, train_loss=losses))
 
 
 def train_prm(labeled: Dataset, cfg: PrmConfig, seed: int) -> PlainModel:

@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, atomic_write, csv_writer, minibatch_indices
+from .data import Dataset, minibatch_indices, write_csv
 from .metrics import macro_f1_score
 from .nnet import (
     PROB_EPS,
@@ -353,16 +353,11 @@ class TrainHistory:
     records: list[EpochRecord] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with atomic_write(path) as handle:
-            writer = csv_writer(handle)
-            writer.writerow(["epoch", "L_L", "L_U", "L_adv", "disc_acc", "val_macro_f1"])
-            for r in self.records:
-                writer.writerow([r.epoch] + [repr(v) for v in astuple(r)[1:]])
+        header = ["epoch", "L_L", "L_U", "L_adv", "disc_acc", "val_macro_f1"]
+        write_csv(path, header, map(astuple, self.records))
 
 
 def predict_proba_matrix(model: AsslModel, x: Matrix, inference_head: str = "supervised") -> Matrix:
-    if inference_head not in INFERENCE_HEADS:
-        raise ValueError(f"inference_head must be one of {INFERENCE_HEADS}")
     emb = encode(model.encoder, x)
     if inference_head == "supervised":
         return classify(model.supervised_head, emb)

@@ -520,6 +520,15 @@ class TestPredictRejectsBadModelFiles:
         model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
         assert "unknown key 'disc_steps'" in self._predict_fails(capsys, model, trained_run)
 
+    def test_unknown_inference_head_in_the_config(self, trained_run, tmp_path, capsys):
+        def edit(payload):
+            payload["config"]["inference_head"] = "mean"
+
+        model = _tampered(trained_run / "model.json", tmp_path / "model.json", edit)
+        err = self._predict_fails(capsys, model, trained_run)
+        reason = f"config: inference_head must be one of {INFERENCE_HEADS}"
+        assert err == f"error: code=3 reason=model.json: {reason}\n"
+
     @pytest.mark.parametrize(
         "name, where, record, key",
         [  # the smoke encoder's first layer is relu, so no default could stand in for it
@@ -631,7 +640,7 @@ class TestPredictRejectsBadModelFiles:
 
         model = _tampered(trained_run / "prm_model.json", tmp_path / "prm_model.json", edit)
         err = self._predict_fails(capsys, model, trained_run)
-        assert "format 'advssl/plain-model/1' is not advssl/plain-model/4" in err
+        assert "format 'advssl/plain-model/1' is not advssl/plain-model/5" in err
 
     def test_logreg_with_more_classes_than_labels(self, trained_run, tmp_path, capsys):
         def edit(payload):  # 4 classes for 3 labels; class 3 wins every row

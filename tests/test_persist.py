@@ -152,7 +152,7 @@ def plain_models(kind, f, m):
     if kind == "logistic_regression":
         weights = vectors(m * f).map(lambda w: w.reshape(m, f))
         layer = st.builds(DenseLayer, weights, vectors(m), st.just("identity"))
-        return st.builds(PlainModel, st.just(f), logreg=layer)
+        return st.builds(PlainModel, logreg=layer)
     tree = st.builds(RegressionTree, tree_nodes(f))
     gbdt = st.builds(
         GbdtModel,
@@ -160,7 +160,7 @@ def plain_models(kind, f, m):
         st.lists(st.lists(tree, min_size=m, max_size=m), max_size=3),
         st.lists(edge_floats, max_size=3),
     )
-    return st.builds(PlainModel, st.just(f), gbdt=gbdt)
+    return st.builds(PlainModel, gbdt=gbdt)
 
 
 class TestModelFileProperties:

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import fcntl
 import glob
 import json
@@ -11,14 +12,14 @@ import re
 import signal
 import time
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
 
 import advssl
 from advssl import pipeline
-from advssl.data import Dataset, DatasetSchema, Normalizer, SynthConfig
+from advssl.data import Dataset, DatasetSchema, Normalizer, SynthConfig, write_csv
 from advssl.metrics import SUMMARY, MetricsReport
 from advssl.persist import to_plain
 from advssl.pipeline import (
@@ -32,15 +33,15 @@ from advssl.pipeline import (
     execute_run,
     load_config,
     parse_config,
+    prediction_rows,
     prepare_data,
     run_phase1,
     train_variant,
-    write_predictions_csv,
     write_variant,
 )
 from advssl.nnet import AdamState, DenseLayer, MlpParams
 from advssl.prm import GbdtConfig, GbdtModel, LogregConfig, PlainModel, PrmConfig
-from advssl.trainer import AsslConfig, AsslModel, DivergenceError, train
+from advssl.trainer import AsslConfig, AsslModel, DivergenceError, predict_proba_matrix, train
 from advssl.tree import RegressionTree
 from advssl.worker import WorkerTraceback, forked
 
@@ -147,6 +148,34 @@ class TestRunVariant:
             assert written["supervised_mlp", suppress] == every | {"history.csv"}
             assert written["no_adversarial", suppress] == every | {"history.csv", "model.json"}
             assert written["full", suppress] == every | {"history.csv", "model.json"}
+
+    def test_history_and_predictions_csv_hold_the_values_bit_for_bit(self, smoke_cfg, tmp_path):
+        cfg = replace(smoke_cfg, assl=replace(smoke_cfg.assl, epochs=3))
+        prep = run_phase1(cfg, *prepare_data(cfg, 0))
+        model, history = trained = train_variant(prep, "full")
+        write_variant(prep, "full", trained, str(tmp_path))
+
+        def read(name):
+            with open(tmp_path / name, newline="", encoding="utf-8") as handle:
+                return list(csv.reader(handle))
+
+        def bits(values):
+            return np.array(values, dtype=np.float64).view(np.int64)
+
+        header, *rows = read("history.csv")
+        assert header == ["epoch", "L_L", "L_U", "L_adv", "disc_acc", "val_macro_f1"]
+        assert [int(row[0]) for row in rows] == [r.epoch for r in history.records] == [0, 1, 2]
+        values = [[float(cell) for cell in row[1:]] for row in rows]
+        want = [astuple(r)[1:] for r in history.records]
+        np.testing.assert_array_equal(bits(values), bits(want))
+
+        probs = predict_proba_matrix(model, prep.test.rows, prep.assl_cfg.inference_head)
+        labels = prep.train.schema.label_names
+        header, *rows = read("predictions.csv")
+        assert header == ["predicted_rating"] + [f"p_{name}" for name in labels]
+        assert [row[0] for row in rows] == [labels[k] for k in probs.argmax(axis=1)]
+        values = [[float(cell) for cell in row[1:]] for row in rows]
+        np.testing.assert_array_equal(bits(values), bits(probs))
 
 
 class TestReports:
@@ -271,7 +300,7 @@ OPTION_SURFACE = {
         "suppress_pseudo",
     ],
     # The records a model file or an optimizer carries: a field that comes back fails here.
-    PlainModel: ["input_dim", "logreg", "gbdt"],
+    PlainModel: ["logreg", "gbdt"],
     GbdtModel: ["base_score", "trees", "train_loss"],
     RegressionTree: ["root"],
     DenseLayer: ["weights", "bias", "activation"],
@@ -375,6 +404,33 @@ class TestOptionSurface:
                     defining.add(node.name)
         assert defining == {"DatasetSchema", "TreeNode"}
 
+    def test_one_writer_per_file_format(self):
+        """Every CSV file goes through data.write_csv and every JSON file through
+        persist.write_json: no other function calls atomic_write, and no module
+        but data imports csv."""
+        callers, importers = set(), set()
+
+        def visit(node, where):  # where: "module.Class.function" of the enclosing def
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "atomic_write":
+                callers.add(where)
+            if isinstance(node, ast.Import) and "csv" in [alias.name for alias in node.names]:
+                importers.add(where.split(".")[0])
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                importers.add(where.split(".")[0])
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        paths = sorted(glob.glob(os.path.join(ROOT, "src", "advssl", "*.py")))
+        assert len(paths) >= 13
+        for path in paths:
+            with open(path, encoding="utf-8") as handle:
+                visit(ast.parse(handle.read()), os.path.basename(path)[: -len(".py")])
+        assert callers == {"data.write_csv", "persist.write_json"}
+        assert importers == {"data"}
+
     def test_no_module_reads_the_environment(self):
         package_dir = os.path.dirname(advssl.__file__)
         modules = sorted(n for n in os.listdir(package_dir) if n.endswith(".py"))
@@ -418,13 +474,13 @@ class TestOptionSurface:
 class TestArtifactWriters:
     def test_predictions_csv_failing_part_way_keeps_previous_file(self, tmp_path):
         schema = DatasetSchema(("a",), ("L0", "L1"))
-        path = tmp_path / "predictions.csv"
-        write_predictions_csv(path, schema, np.full((4, 2), 0.5))
+        path, header = tmp_path / "predictions.csv", ["predicted_rating", "p_L0", "p_L1"]
+        write_csv(path, header, prediction_rows(schema, np.full((4, 2), 0.5)))
         before = path.read_bytes()
         # A third probability column: row 2's argmax is a label the schema lacks.
         probs = np.array([[0.6, 0.4, 0.0], [0.4, 0.6, 0.0], [0.2, 0.3, 0.5], [0.6, 0.4, 0.0]])
         with pytest.raises(IndexError):  # the writer raises on row 2
-            write_predictions_csv(path, schema, probs)
+            write_csv(path, header, prediction_rows(schema, probs))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["predictions.csv"]
 

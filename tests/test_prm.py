@@ -172,7 +172,7 @@ class TestLogreg:
 
     def test_zero_weights_predict_uniform(self):
         layer = DenseLayer(np.zeros((4, 2)), np.zeros(4), "identity")
-        model = PlainModel(input_dim=2, logreg=layer)
+        model = PlainModel(logreg=layer)
         np.testing.assert_allclose(
             model.predict_proba_matrix(np.array([[1.0, -1.0]]))[0], np.full(4, 0.25), atol=1e-15
         )
@@ -236,7 +236,7 @@ class TestGbdt:
             trees=[[stump(0.5, -0.5), stump(-1.0, 1.0)]],
             train_loss=[],
         )
-        model = PlainModel(input_dim=1, gbdt=gbdt)
+        model = PlainModel(gbdt=gbdt)
         probs = model.predict_proba_matrix(np.array([[-1.0]]))[0]
         expected = softmax(np.array([[0.1 + 0.5, -0.2 + -1.0]]))[0]
         np.testing.assert_allclose(probs, expected, atol=1e-15)
@@ -449,11 +449,10 @@ class TestPredictProba:
             assert np.all((probs >= 0) & (probs <= 1))
 
 
-def constant_model(probs, input_dim=2) -> PlainModel:
-    """A logistic regression with zero weights: softmax(log(probs)) for every row."""
+def constant_model(probs) -> PlainModel:
+    """A two-feature logistic regression with zero weights: softmax(log(probs)) for every row."""
     bias = np.log(np.asarray(probs, dtype=np.float64))
-    layer = DenseLayer(np.zeros((bias.size, input_dim)), bias, "identity")
-    return PlainModel(input_dim=input_dim, logreg=layer)
+    return PlainModel(logreg=DenseLayer(np.zeros((bias.size, 2)), bias, "identity"))
 
 
 class TestPseudoLabel:
@@ -535,7 +534,7 @@ class TestTrainPrm:
         gbdt = GbdtModel(base_score=np.zeros(2), trees=[], train_loss=[])
         for payloads in ({}, {"logreg": layer, "gbdt": gbdt}):
             with pytest.raises(ValueError, match="exactly one of logreg and gbdt"):
-                PlainModel(input_dim=1, **payloads)
+                PlainModel(**payloads)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

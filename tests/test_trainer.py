@@ -787,17 +787,6 @@ class TestPredictRating:
         cls, _ = predict_rating(model, np.zeros(d), inference_head="semi")
         assert cls == 2
 
-    def test_unknown_head_rejected(self):
-        d = 2
-        model = AsslModel(
-            encoder=identity_encoder(d),
-            supervised_head=head_with_probs(d, [0.5, 0.5]),
-            semi_head=head_with_probs(d, [0.5, 0.5]),
-            discriminator=sigmoid_disc(d),
-        )
-        with pytest.raises(ValueError, match="^inference_head must be one of "):
-            predict_proba_matrix(model, np.zeros((1, d)), "mean")
-
 
 class TestModelBuffer:
     NETS = ("encoder", "supervised_head", "semi_head", "discriminator")
